@@ -364,11 +364,18 @@ def _orthogonal_subform_witness(
             )
         )
     else:
-        wd = quadform.witt_decompose(form, height_bound)
-        u, v = wd.hyperbolic_pairs[0]
+        split = quadform.split_hyperbolic_plane(form, cols, height_bound)
+        assert split is not None, "q_rank >= 1 guarantees a hyperbolic plane"
+        u, v, comp = split
         w1 = tuple(a + b for a, b in zip(u, v))
         w2 = tuple(a - b for a, b in zip(u, v))
-        rest = list(zip(wd.anisotropic_basis, wd.anisotropic_coeffs))
+        # an orthogonal basis of the complement, mapped back to the ambient
+        # coordinates
+        sub = quadform.diagonalize(quadform.restrict(form, comp))
+        rest = [
+            (quadform.combine([row[j] for row in sub.basis_change], comp), c)
+            for j, c in enumerate(sub.coeffs)
+        ]
         deriv.append(
             _step(
                 "hyperbolic-pair",
@@ -868,7 +875,7 @@ def analyze(
     if rr < 2:
         return NotApplicable(f"real_rank = {rr}")
     try:
-        qr = q_rank(g, height_bound)
+        qr = q_rank(g)
     except TailNotCertified as exc:
         return UnsupportedVerdict(str(exc))
     except Unsupported as exc:

@@ -262,10 +262,10 @@ def hermitian_trace_form(form: HermForm) -> QuadForm:
     return QuadForm.diagonal(coeffs)
 
 
-def hermitian_witt_index(form: HermForm, height_bound: int = 10000) -> int:
+def hermitian_witt_index(form: HermForm) -> int:
     """Witt index of a hermitian form over a quadratic field: half the Witt
     index of its rational trace form."""
-    w = witt_index(hermitian_trace_form(form), height_bound)
+    w = witt_index(hermitian_trace_form(form))
     assert w % 2 == 0, "trace form of a hermitian form has even Witt index"
     return w // 2
 
@@ -349,7 +349,13 @@ def _int_boxes(n: int, bound: int):
 # Ranks
 
 
-def q_rank(g: GroupSpec, height_bound: int = 10000) -> int:
+def q_rank(g: GroupSpec) -> int:
+    """The Q-rank.  For orthogonal groups it is the Witt index of the form,
+    for unitary groups over a quadratic field that of the hermitian form
+    (half the Witt index of its trace form); both come from the
+    discriminant, the signature and the Hasse invariants, with no search.
+    Quaternionic tails are decided as far as certify_skew_tail_anisotropic
+    and the norm-form transfer allow."""
     if isinstance(g, SpecialLinear):
         if g.algebra is None:
             return g.m - 1
@@ -357,11 +363,11 @@ def q_rank(g: GroupSpec, height_bound: int = 10000) -> int:
             return 2 * g.m - 1  # SL_m over M_2(Q) is SL_{2m} over Q
         return g.m - 1
     if isinstance(g, Orthogonal):
-        return witt_index(g.form, height_bound)
+        return witt_index(g.form)
     if isinstance(g, Symplectic):
         return g.n
     if isinstance(g, Unitary2):
-        return hermitian_witt_index(g.form, height_bound)
+        return hermitian_witt_index(g.form)
     if isinstance(g, Unitary2Quat):
         f = g.form
         if _second_kind_is_division(f):

@@ -2,8 +2,9 @@
 
 Forms are symmetric Gram matrices of Fractions.  The module provides
 congruence diagonalization, signatures, Hasse invariants, local and global
-isotropy tests, explicit Witt decompositions (with certified isotropic
-vectors), and a constrained search for represented values.
+isotropy tests, the Witt index from those invariants, explicit Witt
+decompositions (with isotropic vectors found by search), and a constrained
+search for represented values.
 """
 
 from __future__ import annotations
@@ -17,8 +18,10 @@ from .arith import (
     FinitePrime,
     Place,
     RealPlace,
+    _two_adic_split,
     hilbert_symbol,
     is_rational_square,
+    legendre,
     relevant_places,
     squarefree_part,
 )
@@ -234,30 +237,60 @@ def _is_isotropic_local(f: QuadForm, v: Place) -> bool:
 
 
 def _is_local_square(x: Fraction, p: int) -> bool:
-    """Whether x is a square in Q_p.  Reduces to the squarefree part s:
-    a squarefree integer is a p-adic square iff p does not divide it and
-    it is a square unit (QR mod p for odd p; 1 mod 8 for p = 2)."""
+    """Whether x is a square in Q_p, without factoring: zero, or an even
+    valuation and a unit part that is a square mod p (mod 8 at p = 2)."""
     x = Fraction(x)
     if x == 0:
         return True
-    s = squarefree_part(x)
-    if s == 1:
-        return True
-    if s % p == 0:
+    alpha, u = _two_adic_split(x, p)
+    if alpha % 2:
         return False
     if p == 2:
-        return s % 8 == 1
-    from .arith import legendre
-
-    return legendre(s, p) == 1
+        return u % 8 == 1
+    return legendre(u, p) == 1
 
 
 def is_isotropic(f: QuadForm, place: Union[Place, Literal["global"]]) -> bool:
     """Isotropy over a completion, or over Q ("global", by Hasse-Minkowski)."""
     if place != "global":
         return _is_isotropic_local(f, place)
+    return _isotropic(*_invariants(f))
+
+
+def _invariants(f: QuadForm) -> tuple[int, int, Fraction, dict[FinitePrime, int]]:
+    """(n, p, d, eps): dimension, positive index of inertia, discriminant and
+    the Hasse invariants eps_v = prod_{i<j} (c_i, c_j)_v of one
+    diagonalization, at the finite places dividing a coefficient and at 2.
+    Elsewhere every coefficient is a unit, and a unit form of dimension >= 3
+    is isotropic."""
     cs = diagonalize(f).coeffs
-    return all(_is_isotropic_local(f, v) for v in relevant_places(cs))
+    eps = {v: 1 for v in relevant_places(cs) if isinstance(v, FinitePrime)}
+    d = cs[0] if cs else Fraction(1)
+    for c in cs[1:]:
+        # eps_v = prod_j (c_1 ... c_{j-1}, c_j)_v by bilinearity
+        for v in eps:
+            eps[v] *= hilbert_symbol(d, c, v)
+        d *= c
+    return len(cs), sum(1 for c in cs if c > 0), d, eps
+
+
+def _isotropic(n: int, pos: int, d: Fraction, eps: dict[FinitePrime, int]) -> bool:
+    """Hasse-Minkowski on the invariants of _invariants, with the local
+    criteria of Serre, A Course in Arithmetic IV Thm 6: indefinite, and
+    n = 2: -d is a rational square; n = 3: eps_v = (-1, -d)_v; n = 4: d is
+    not a square in Q_v or eps_v = (-1, -1)_v; n >= 5: always."""
+    if n < 2 or not 0 < pos < n:
+        return False
+    if n == 2:
+        return is_rational_square(-d)
+    if n == 3:
+        return all(e == hilbert_symbol(-1, -d, v) for v, e in eps.items())
+    if n == 4:
+        return all(
+            not _is_local_square(d, v.p) or e == hilbert_symbol(-1, -1, v)
+            for v, e in eps.items()
+        )
+    return True
 
 
 @dataclass(frozen=True)
@@ -418,44 +451,59 @@ def witt_decompose(f: QuadForm, height_bound: int = 10000) -> WittDecomposition:
         tuple(Fraction(1) if i == j else Fraction(0) for j in range(n)) for i in range(n)
     ]
     pairs: list[tuple[Vector, Vector]] = []
-
-    def restrict(vectors: list[Vector]) -> QuadForm:
-        return QuadForm.from_rows(
-            [[f.bilinear(u, v) for v in vectors] for u in vectors]
-        )
-
     while len(basis) >= 2:
-        sub = restrict(basis)
-        u_sub = find_isotropic_vector(sub, height_bound)
-        if u_sub is None:
+        split = split_hyperbolic_plane(f, basis, height_bound)
+        if split is None:
             break
-        u = tuple(
-            sum(u_sub[i] * basis[i][j] for i in range(len(basis))) for j in range(n)
-        )
-        # find v with B(u, v) != 0 among the current basis, deterministically
-        mate = next(w for w in basis if f.bilinear(u, w) != 0)
-        bu = f.bilinear(u, mate)
-        v1 = tuple(x / bu for x in mate)
-        qv = f.value(v1)
-        v = tuple(v1[j] - qv / 2 * u[j] for j in range(n))
-        assert f.value(u) == 0 and f.value(v) == 0 and f.bilinear(u, v) == 1
+        u, v, basis = split
         pairs.append((u, v))
-        # new basis: projections orthogonal to the pair
-        new_basis: list[Vector] = []
-        for w in basis:
-            w2 = tuple(
-                w[j] - f.bilinear(w, v) * u[j] - f.bilinear(w, u) * v[j]
-                for j in range(n)
-            )
-            if any(x != 0 for x in w2):
-                new_basis.append(w2)
-        # prune to an independent set of the right size
-        basis = _independent_subset(new_basis, n - 2 * len(pairs), f)
-    tail_form = restrict(basis) if basis else QuadForm.from_rows([])
     tail_coeffs: tuple[Fraction, ...] = ()
     if basis:
-        tail_coeffs = diagonalize(tail_form).coeffs
+        tail_coeffs = diagonalize(restrict(f, basis)).coeffs
     return WittDecomposition(f, tuple(pairs), tuple(basis), tail_coeffs)
+
+
+def restrict(f: QuadForm, vectors: Sequence[Vector]) -> QuadForm:
+    """The form f on the span of `vectors`, in that basis."""
+    return QuadForm.from_rows([[f.bilinear(u, v) for v in vectors] for u in vectors])
+
+
+def combine(coords: Sequence, vectors: Sequence[Vector]) -> Vector:
+    """sum coords[i] * vectors[i]."""
+    return tuple(
+        sum(c * Fraction(w[j]) for c, w in zip(coords, vectors))
+        for j in range(len(vectors[0]))
+    )
+
+
+def split_hyperbolic_plane(
+    f: QuadForm, basis: Sequence[Vector], height_bound: int = 10000
+) -> Optional[tuple[Vector, Vector, list[Vector]]]:
+    """(u, v, rest): a hyperbolic pair q(u) = q(v) = 0, B(u, v) = 1 in the
+    span of the independent `basis`, and len(basis) - 2 independent vectors
+    spanning its orthogonal complement there; None if f is anisotropic on the
+    span.  u comes from find_isotropic_vector, v from the first basis vector
+    that u pairs with, rest from the basis projected off the plane."""
+    u_sub = find_isotropic_vector(restrict(f, basis), height_bound)
+    if u_sub is None:
+        return None
+    u = combine(u_sub, basis)
+    # find v with B(u, v) != 0 among the basis, deterministically
+    mate = next(w for w in basis if f.bilinear(u, w) != 0)
+    bu = f.bilinear(u, mate)
+    v1 = tuple(x / bu for x in mate)
+    qv = f.value(v1)
+    v = tuple(a - qv / 2 * b for a, b in zip(v1, u))
+    assert f.value(u) == 0 and f.value(v) == 0 and f.bilinear(u, v) == 1
+    projected: list[Vector] = []
+    for w in basis:
+        w2 = tuple(
+            x - f.bilinear(w, v) * a - f.bilinear(w, u) * b
+            for x, a, b in zip(w, u, v)
+        )
+        if any(x != 0 for x in w2):
+            projected.append(w2)
+    return u, v, _independent_subset(projected, len(basis) - 2, f)
 
 
 def _independent_subset(vectors: list[Vector], k: int, f: QuadForm) -> list[Vector]:
@@ -490,8 +538,18 @@ def _rank(rows: list[list[Fraction]]) -> int:
     return rank
 
 
-def witt_index(f: QuadForm, height_bound: int = 10000) -> int:
-    return witt_decompose(f, height_bound).witt_index
+def witt_index(f: QuadForm) -> int:
+    """Witt index over Q, read off the invariants with no vector search: an
+    isotropic form is H + f' with H the hyperbolic plane, where f' has
+    dimension n - 2, signature (p - 1, q - 1), discriminant -d and Hasse
+    invariants eps'_v = eps_v (-1, -d)_v; split planes while isotropic."""
+    n, pos, d, eps = _invariants(f)
+    index = 0
+    while _isotropic(n, pos, d, eps):
+        index += 1
+        n, pos, d = n - 2, pos - 1, -d
+        eps = {v: e * hilbert_symbol(-1, d, v) for v, e in eps.items()}
+    return index
 
 
 @dataclass(frozen=True)

@@ -23,7 +23,7 @@ from almin.minimal import (
     verify_witness,
 )
 from almin.numfield import QuadraticField, field_cert, quadratic_field_cert
-from almin.quadform import QuadForm, is_isotropic, witt_decompose
+from almin.quadform import QuadForm, is_isotropic, witt_decompose, witt_index
 from almin.qgroup import (
     Orthogonal,
     ResSL2,
@@ -163,6 +163,7 @@ def test_criterion_4_witt_machinery():
         f = QuadForm.diagonal(coeffs)
         w = witt_decompose(f)
         assert w.check(), coeffs
+        assert witt_index(f) == w.witt_index, coeffs
         iso = is_isotropic(f, "global")
         assert (w.witt_index >= 1) == iso, coeffs
         if w.anisotropic_coeffs:
@@ -218,8 +219,6 @@ def test_criterion_6_b2_realization_rank_consistency():
             rr_su = real_rank(Unitary1(h))
             assert rr_so == rr_su, (d.a, d.b, c1, c2, rr_so, rr_su)
             if d.a == 1 and d.b == 1:
-                from almin.quadform import witt_index
-
                 assert witt_index(q5) == 2
                 split_checked += 1
             instances += 1

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from almin import serde
 from almin.algebra import HermForm, QuatForm, QuatSecondKindForm, QuaternionAlgebra
 from almin.minimal import (
     BlockEmbedding,
@@ -109,6 +110,25 @@ def test_orthogonal_descends_by_subform():
     assert isinstance(w.subgroup, ResSL2)
 
 
+@pytest.mark.parametrize(
+    "diagonal",
+    [
+        ["9", "9", "-5", "-5", "-11"],
+        ["2", "10", "-7", "-1", "6", "11"],
+        ["2", "5", "10", "-6", "-3", "-3", "7"],
+    ],
+)
+def test_orthogonal_descends_by_searched_hyperbolic_plane(diagonal):
+    # no two diagonal entries have square-class product -1, so the witness
+    # splits its hyperbolic plane from a searched isotropic vector; the
+    # complement keeps every other hyperbolic pair, in an orthogonal basis
+    g = serde.group_from_doc({"kind": "so", "diagonal": diagonal})
+    v = analyze(g)
+    w = _assert_verified(g, v)
+    assert isinstance(w.embedding, SubformIndices)
+    assert "isotropic-vector search" in w.derivation[1].detail
+
+
 def test_hermitian_unitary_descends():
     L = QuadraticField(2)
     g = Unitary2(HermForm.diagonal(L, [1, -1, -1, 3]))
@@ -194,6 +214,20 @@ def test_low_rank_and_anisotropic_not_applicable():
     assert isinstance(v2, NotApplicable)
     v3 = analyze(ResSL2(quadratic_field_cert(-1)))
     assert isinstance(v3, NotApplicable)
+
+
+def test_so4_real_rank_one_decided_without_search():
+    # isotropic quaternary forms of negative discriminant; the conversion
+    # check recomputes their Q-rank, which a bounded vector search reaches
+    # only after seconds or not at all
+    for gram in (
+        [["-58", "20", "48", "-45"], ["20", "-10", "-20", "20"],
+         ["48", "-20", "-44", "40"], ["-45", "20", "40", "-21"]],
+        [["95", "52", "166", "-166"], ["52", "58", "76", "-92"],
+         ["166", "76", "298", "-290"], ["-166", "-92", "-290", "290"]],
+    ):
+        v = analyze(serde.group_from_doc({"kind": "so", "gram": gram}))
+        assert v == NotApplicable("real_rank = 1")
 
 
 def test_square_discriminant_so4_not_applicable():

@@ -75,6 +75,13 @@ def test_orthogonal_more_ranks():
     )
 
 
+def test_orthogonal_rank_two_from_invariants():
+    # <12,-6,6,-5,5> = H + H + <12>; the first isotropic vector a search
+    # finds leaves the complement <102, 90/17, -5>, whose own isotropic
+    # vector lies far out
+    assert q_rank(Orthogonal(QuadForm.diagonal([12, -6, 6, -5, 5]))) == 2
+
+
 def test_hermitian_machinery():
     L = QuadraticField(2)
     h = HermForm.diagonal(L, [1, -1, 3])

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from almin.arith import REAL, FinitePrime
+from almin.arith import REAL, FinitePrime, relevant_places
 from almin.quadform import (
     Degenerate,
     QuadForm,
@@ -65,6 +65,18 @@ def test_global_isotropy_examples():
     assert not is_isotropic(QuadForm.diagonal([1, 1, 1, -7]), "global")
 
 
+def test_global_isotropy_matches_local_criteria_random():
+    # the global test reads the invariants once; the local one diagonalizes
+    # per place and is checked against the residue oracle above
+    rng = random.Random(20261018)
+    for _ in range(300):
+        n = rng.randint(1, 6)
+        coeffs = [rng.choice([c for c in range(-30, 31) if c != 0]) for _ in range(n)]
+        f = QuadForm.diagonal(coeffs)
+        local = all(is_isotropic(f, v) for v in relevant_places(coeffs))
+        assert is_isotropic(f, "global") == local, coeffs
+
+
 def test_find_isotropic_vector_is_a_zero():
     f = QuadForm.diagonal([1, -1, -1, 3, 5])
     v = find_isotropic_vector(f)
@@ -105,7 +117,6 @@ def _random_unimodular(n, rng):
 
 def test_witt_index_basis_invariant_random():
     rng = random.Random(20240817)
-    compared = 0
     for _ in range(60):
         n = rng.randint(2, 5)
         coeffs = [rng.choice([c for c in range(-6, 7) if c != 0]) for _ in range(n)]
@@ -123,14 +134,7 @@ def test_witt_index_basis_invariant_random():
             for i in range(n)
         ]
         g = QuadForm.from_rows(g_rows)
-        try:
-            assert witt_index(f) == witt_index(g), (coeffs, t)
-        except SearchExhausted:
-            # large transformed coefficients can exceed the search budget;
-            # that exhausts the height bound, it does not falsify invariance
-            continue
-        compared += 1
-    assert compared >= 40
+        assert witt_index(f) == witt_index(g), (coeffs, t)
 
 
 def test_degenerate_rejected():
