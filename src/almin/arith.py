@@ -15,6 +15,9 @@ from typing import Iterable, Optional, Union
 Rational = Union[int, Fraction]
 
 DEFAULT_FACTOR_BOUND = 10**6
+# Pollard rho iterations allowed per cofactor (about 3 s); past it,
+# FactorizationExceeded.
+RHO_ITERATION_BUDGET = 2**20
 
 
 class ZeroInput(ValueError):
@@ -84,10 +87,17 @@ def _pollard_rho(n: int) -> int:
     """Deterministic Brent-style rho; returns a nontrivial factor of odd composite n."""
     if n % 2 == 0:
         return 2
+    budget = RHO_ITERATION_BUDGET
     for c in range(1, 100):
         x = y = 2
         d = 1
         while d == 1:
+            if budget == 0:
+                raise FactorizationExceeded(
+                    f"pollard rho exceeded RHO_ITERATION_BUDGET = {RHO_ITERATION_BUDGET}"
+                    f" iterations on {n}"
+                )
+            budget -= 1
             x = (x * x + c) % n
             y = (y * y + c) % n
             y = (y * y + c) % n

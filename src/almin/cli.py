@@ -2,7 +2,8 @@
 verify serialized witnesses, and run the built-in verification suites.
 
 Exit codes: 0 decided (minimal or not minimal, or requested data printed);
-1 parse/internal error; 2 not applicable; 3 search exhausted or unsupported.
+1 parse/internal error; 2 not applicable; 3 search exhausted, effort budget
+exceeded, or unsupported.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ import json
 import sys
 from fractions import Fraction
 
-from . import arith, minimal, qgroup, roots, serde
+from . import arith, minimal, polys, qgroup, roots, serde
 from .arith import REAL, FinitePrime, hilbert_symbol, relevant_places
 from .algebra import QuaternionAlgebra, ramification_set
 from .minimal import NotMinimal, analyze, verify_witness
@@ -429,8 +430,10 @@ def main(argv=None) -> int:
         return _fail(out, EXIT_ERROR, "parse_error", exc.message, exc.path)
     except minimal.SearchExhausted as exc:
         return _fail(out, EXIT_EXHAUSTED, "search_exhausted", str(exc))
-    except (qgroup.Unsupported, qgroup.TailNotCertified) as exc:
+    except (qgroup.Unsupported, qgroup.TailNotCertified, polys.IrreducibilityUnproven) as exc:
         return _fail(out, EXIT_EXHAUSTED, "unsupported", str(exc))
+    except arith.FactorizationExceeded as exc:
+        return _fail(out, EXIT_EXHAUSTED, "factorization_exceeded", str(exc))
     except (ValueError, ZeroDivisionError) as exc:
         return _fail(out, EXIT_ERROR, "invalid_input", str(exc))
 

@@ -2,11 +2,13 @@
 
 Coefficients are stored low degree first as tuples of Fraction.  Only the
 operations needed for number-field certificates live here: euclidean
-division, gcd, Sturm chains, and arithmetic modulo a defining polynomial.
+division, gcd, Sturm chains, arithmetic modulo a defining polynomial, and
+an exact irreducibility test (with the F_p arithmetic it needs).
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Sequence
 
@@ -55,13 +57,6 @@ def mul(f: Poly, g: Poly) -> Poly:
         for j, b in enumerate(g):
             out[i + j] += a * b
     return poly(out)
-
-
-def evaluate(f: Poly, x) -> Fraction:
-    acc = Fraction(0)
-    for c in reversed(f):
-        acc = acc * x + c
-    return acc
 
 
 def derivative(f: Poly) -> Poly:
@@ -168,18 +163,30 @@ def count_real_roots(f: Poly) -> int:
     return _sign_changes(at_minus) - _sign_changes(at_plus)
 
 
-def rational_roots(f: Poly) -> list[Fraction]:
-    """All rational roots of f, via the rational root theorem."""
+def _divisors(n: int) -> list[int]:
+    """Positive divisors of the nonzero integer n, ascending."""
     from .arith import factorize
 
+    ds = [1]
+    for p, e in factorize(n).items():
+        ds = [d * p**k for d in ds for k in range(e + 1)]
+    return sorted(ds)
+
+
+def _integer_coeffs(f: Poly) -> list[int]:
+    """f times the lcm of its denominators, as integers (low degree first)."""
+    den = 1
+    for c in f:
+        den = den * c.denominator // math.gcd(den, c.denominator)
+    return [int(c * den) for c in f]
+
+
+def rational_roots(f: Poly) -> list[Fraction]:
+    """All rational roots of f, via the rational root theorem."""
     d = degree(f)
     if d < 0:
         raise ValueError("zero polynomial")
-    # clear denominators to an integer polynomial
-    den = 1
-    for c in f:
-        den = den * c.denominator // __import__("math").gcd(den, c.denominator)
-    ic = [int(c * den) for c in f]
+    ic = _integer_coeffs(f)
     while ic and ic[0] == 0:
         ic = ic[1:]  # factor out x; zero is a root
     roots = []
@@ -187,31 +194,187 @@ def rational_roots(f: Poly) -> list[Fraction]:
         roots.append(Fraction(0))
     if len(ic) <= 1:
         return sorted(set(roots))
-    a0, an = abs(ic[0]), abs(ic[-1])
+    for p in _divisors(ic[0]):
+        for q in _divisors(ic[-1]):
+            if math.gcd(p, q) != 1:
+                continue
+            for s in (p, -p):
+                # q^n f(s/q) in integers, by Horner
+                acc, qk = 0, 1
+                for c in reversed(ic):
+                    acc = acc * s + c * qk
+                    qk *= q
+                if acc == 0:
+                    roots.append(Fraction(s, q))
+    return sorted(roots)
 
-    def divisors(n: int) -> list[int]:
-        ds = [1]
-        for p, e in factorize(n).items():
-            ds = [d * p**k for d in ds for k in range(e + 1)]
-        return sorted(set(ds))
 
-    for p in divisors(a0):
-        for q in divisors(an):
-            for s in (1, -1):
-                cand = Fraction(s * p, q)
-                if evaluate(f, cand) == 0:
-                    roots.append(cand)
-    return sorted(set(roots))
+# --------------------------------------------------------------------------
+# Irreducibility over the rationals
+
+# Degree >= 5 is proven irreducible from the factor degrees of f modulo the
+# primes below this bound; past it the test gives up (IrreducibilityUnproven).
+IRREDUCIBILITY_PRIME_BOUND = 200
+
+
+class IrreducibilityUnproven(RuntimeError):
+    """The factor-degree patterns modulo small primes did not prove a
+    polynomial of degree >= 5 irreducible (it may be reducible or not)."""
 
 
 def is_irreducible(f: Poly) -> bool:
-    """Irreducibility over the rationals (delegated to sympy)."""
-    import sympy
+    """Exact irreducibility over the rationals.
 
-    x = sympy.Symbol("x")
-    expr = sum(sympy.Rational(c.numerator, c.denominator) * x**i for i, c in enumerate(f))
-    p = sympy.Poly(expr, x, domain="QQ")
-    if p.degree() < 1:
+    Degree 1 is irreducible; degrees 2 and 3 are irreducible iff f has no
+    rational root; degree 4 iff it has no rational root and no factorization
+    into two integer quadratics (Gauss's lemma).  For degree >= 5 a rational
+    root or a repeated factor proves f reducible; otherwise f is irreducible
+    when no degree in 1..n-1 is a sum of factor degrees of f modulo every
+    prime p < IRREDUCIBILITY_PRIME_BOUND with p not dividing lc(f)*disc(f).
+    Raises IrreducibilityUnproven when neither proof is found.
+    """
+    n = degree(f)
+    if n < 1:
         return False
-    factors = sympy.factor_list(p)[1]
-    return len(factors) == 1 and factors[0][1] == 1 and factors[0][0].degree() == p.degree()
+    if n == 1:
+        return True
+    if rational_roots(f):
+        return False
+    if n <= 3:
+        return True
+    if n == 4:
+        return not _splits_into_quadratics(_integer_coeffs(f))
+    if not is_squarefree(f):
+        return False
+    if _degree_patterns_exclude_factors(_integer_coeffs(f)):
+        return True
+    raise IrreducibilityUnproven(
+        f"irreducibility of a degree-{n} polynomial is not proven by its factor"
+        f" degrees modulo the primes below IRREDUCIBILITY_PRIME_BOUND ="
+        f" {IRREDUCIBILITY_PRIME_BOUND}"
+    )
+
+
+def _splits_into_quadratics(c: list[int]) -> bool:
+    """True iff the integer quartic c (no rational root) is a product of two
+    rational quadratics.  Monicize to g(y) = c4^3 f(y/c4); by Gauss's lemma a
+    split is (y^2 + ay + b)(y^2 + cy + d) with integers bd = g0, a + c = g3,
+    ac = g2 - b - d and ad + bc = g1."""
+    lc = c[4]
+    g0, g1, g2, g3 = (c[i] * lc ** (3 - i) for i in range(4))
+    for m in _divisors(g0):
+        for b in (m, -m):
+            d = g0 // b
+            disc = g3 * g3 - 4 * (g2 - b - d)
+            if disc < 0 or math.isqrt(disc) ** 2 != disc:
+                continue
+            r = math.isqrt(disc)
+            for a, cc in (((g3 + r) // 2, (g3 - r) // 2), ((g3 - r) // 2, (g3 + r) // 2)):
+                if a * d + b * cc == g1:
+                    return True
+    return False
+
+
+def _degree_patterns_exclude_factors(c: list[int]) -> bool:
+    """True iff the degrees a rational factor of the squarefree integer
+    polynomial c could have (sums of its factor degrees modulo each good prime)
+    leave none in 1..n-1."""
+    from .arith import is_prime
+
+    n = len(c) - 1
+    possible = set(range(1, n))
+    for p in range(2, IRREDUCIBILITY_PRIME_BOUND):
+        if not is_prime(p) or c[-1] % p == 0:
+            continue
+        fp = _fp_monic([x % p for x in c], p)
+        if len(_fp_gcd(fp, _fp_derivative(fp, p), p)) > 1:
+            continue  # p divides the discriminant
+        sums = {0}
+        for d in _fp_factor_degrees(fp, p):
+            sums |= {s + d for s in sums}
+        possible &= sums
+        if not possible:
+            return True
+    return False
+
+
+# Polynomials over F_p: lists of ints in [0, p), low degree first, no
+# trailing zeros (the zero polynomial is []).
+
+
+def _fp_trim(a: list[int]) -> list[int]:
+    while a and a[-1] == 0:
+        a.pop()
+    return a
+
+
+def _fp_monic(a: list[int], p: int) -> list[int]:
+    a = _fp_trim(a)
+    inv = pow(a[-1], -1, p)
+    return [x * inv % p for x in a]
+
+
+def _fp_derivative(a: list[int], p: int) -> list[int]:
+    return _fp_trim([i * a[i] % p for i in range(1, len(a))])
+
+
+def _fp_mul(a: list[int], b: list[int], p: int) -> list[int]:
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    return _fp_trim([x % p for x in out])
+
+
+def _fp_divmod(a: list[int], b: list[int], p: int) -> tuple[list[int], list[int]]:
+    r = list(a)
+    inv = pow(b[-1], -1, p)
+    q = [0] * max(0, len(a) - len(b) + 1)
+    for k in range(len(a) - len(b), -1, -1):
+        coef = r[k + len(b) - 1] * inv % p
+        q[k] = coef
+        if coef:
+            for j, y in enumerate(b):
+                r[k + j] = (r[k + j] - coef * y) % p
+    return _fp_trim(q), _fp_trim(r[: len(b) - 1])
+
+
+def _fp_gcd(a: list[int], b: list[int], p: int) -> list[int]:
+    while b:
+        a, b = b, _fp_divmod(a, b, p)[1]
+    return _fp_monic(a, p) if a else a
+
+
+def _fp_powmod(a: list[int], e: int, f: list[int], p: int) -> list[int]:
+    acc = [1]
+    while e:
+        if e & 1:
+            acc = _fp_divmod(_fp_mul(acc, a, p), f, p)[1]
+        a = _fp_divmod(_fp_mul(a, a, p), f, p)[1]
+        e >>= 1
+    return acc
+
+
+def _fp_factor_degrees(f: list[int], p: int) -> list[int]:
+    """Degrees of the irreducible factors of the monic squarefree f over F_p,
+    by distinct-degree factorization: gcd(f, x^(p^d) - x) collects the
+    factors of degree d."""
+    degs = []
+    h = [0, 1]  # x^(p^d) mod f
+    d = 0
+    while len(f) - 1 >= 2 * (d + 1):
+        d += 1
+        h = _fp_powmod(h, p, f, p)
+        h_minus_x = h + [0] * (2 - len(h))
+        h_minus_x[1] = (h_minus_x[1] - 1) % p
+        g = _fp_gcd(f, _fp_trim(h_minus_x), p)
+        if len(g) > 1:
+            degs += [d] * ((len(g) - 1) // d)
+            f = _fp_divmod(f, g, p)[0]
+            h = _fp_divmod(h, f, p)[1]
+    if len(f) > 1:
+        degs.append(len(f) - 1)
+    return degs

@@ -11,7 +11,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Any, Optional
 
-from . import minimal, polys, qgroup
+from . import arith, minimal, polys, qgroup
 from .algebra import (
     HermForm,
     QuatElement,
@@ -178,6 +178,12 @@ def subcert_from(obj: Any, path: str) -> SubfieldCert:
     return SubfieldCert(polys.poly(sub), polys.poly(embedding))
 
 
+# Errors that parsing passes on unchanged: a malformed document, and a
+# certificate that could not be checked within an effort budget (the CLI
+# reports the latter as exit 3, not as a parse error).
+_PASS_THROUGH = (ParseError, polys.IrreducibilityUnproven, arith.FactorizationExceeded)
+
+
 def cert_from(obj: Any, path: str) -> NumberFieldCert:
     raw_poly = _require(obj, "poly", path)
     if not isinstance(raw_poly, list):
@@ -209,7 +215,7 @@ def cert_from(obj: Any, path: str) -> NumberFieldCert:
                 bool(complete),
             )
         return field_cert(coeffs, subfields=subs, subfields_complete=complete)
-    except ParseError:
+    except _PASS_THROUGH:
         raise
     except Exception as exc:
         raise ParseError(path, f"invalid field certificate: {exc}") from None
@@ -391,7 +397,7 @@ def group_from_doc(doc: Any, path: str = "$") -> GroupSpec:
                 std_form=bool(doc.get("std_form", True)),
                 witness_context=bool(doc.get("witness_context", False)),
             )
-    except ParseError:
+    except _PASS_THROUGH:
         raise
     except Exception as exc:
         raise ParseError(path, f"invalid specification: {exc}") from None

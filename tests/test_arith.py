@@ -30,6 +30,16 @@ def test_factorize_known():
         factorize(0)
 
 
+def test_pollard_rho_budget(monkeypatch):
+    import almin.arith as arith
+
+    n = 1000003 * 1000033  # both factors beyond a trial-division bound of 100
+    assert factorize(n, bound=100) == {1000003: 1, 1000033: 1}
+    monkeypatch.setattr(arith, "RHO_ITERATION_BUDGET", 10)
+    with pytest.raises(FactorizationExceeded, match="RHO_ITERATION_BUDGET"):
+        factorize(n, bound=100)
+
+
 def test_is_prime_small():
     primes = [p for p in range(2, 100) if is_prime(p)]
     assert primes == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47,

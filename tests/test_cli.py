@@ -1,5 +1,9 @@
 import json
+import os
 import pathlib
+import subprocess
+import sys
+import time
 
 import pytest
 
@@ -153,3 +157,66 @@ def test_missing_file_is_read_error(run_cli):
     r = run_cli("analyze", "/nonexistent/nope.json")
     assert r.code == 1
     assert r.json["error"] == "read_error"
+
+
+def test_unproven_irreducibility_is_unsupported(run_cli, tmp_path):
+    # Q(sqrt 2, sqrt 3, sqrt 5): degree 8, beyond the degree-pattern proof
+    spec = {"kind": "res_sl2", "field": {"poly": [576, 0, -960, 0, 352, 0, -40, 0, 1]}}
+    p = tmp_path / "octic.json"
+    p.write_text(json.dumps(spec))
+    r = run_cli("analyze", str(p))
+    assert r.code == 3
+    assert r.json["error"] == "unsupported"
+    assert "degree-8" in r.json["detail"]
+
+
+def test_factorization_budget_exit_three(run_cli, monkeypatch, tmp_path):
+    # 2^128 + 1 = 59649589127497217 * 5704689200685129054721: rho would need
+    # about 2^28 iterations for the smaller factor
+    t0 = time.perf_counter()
+    r = run_cli("form", "witt", "1,1,-340282366920938463463374607431768211457")
+    assert time.perf_counter() - t0 < 15
+    assert r.code == 3
+    assert r.json["error"] == "factorization_exceeded"
+    assert "RHO_ITERATION_BUDGET" in r.json["detail"]
+    # a budget tripped while parsing a field certificate is not a parse error
+    from almin import arith
+
+    monkeypatch.setattr(arith, "RHO_ITERATION_BUDGET", 10)
+    p = tmp_path / "big.json"
+    p.write_text(json.dumps({"kind": "res_sl2", "field": {"poly": [-1000003 * 1000033, 0, 1]}}))
+    r = run_cli("analyze", str(p))
+    assert r.code == 3
+    assert r.json["error"] == "factorization_exceeded"
+
+
+def test_analyze_and_verify_do_not_import_sympy(tmp_path):
+    verdict = tmp_path / "verdict.json"
+    code = f"""
+import contextlib, io, sys
+from almin import cli
+buf = io.StringIO()
+with contextlib.redirect_stdout(buf):
+    assert cli.main(["analyze", {corpus("res_sl2_x4m2")!r}]) == 0
+open({str(verdict)!r}, "w").write(buf.getvalue())
+with contextlib.redirect_stdout(io.StringIO()):
+    assert cli.main(["verify", {str(verdict)!r}]) == 0
+print("sympy" in sys.modules)
+"""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    p = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert p.returncode == 0, p.stderr
+    assert p.stdout.strip() == "False"
+    assert json.loads(verdict.read_text())["verdict"] == "not_minimal"
+
+
+def test_package_source_does_not_mention_sympy():
+    hits = [
+        str(path)
+        for path in (ROOT / "src" / "almin").rglob("*.py")
+        if "sympy" in path.read_text(encoding="utf-8")
+    ]
+    assert hits == []

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -56,10 +57,90 @@ def test_rational_roots():
 
 
 def test_irreducible():
-    assert polys.is_irreducible(polys.poly([-2, 0, 1]))
-    assert polys.is_irreducible(polys.poly([1, 0, 0, 0, 1]))  # x^4 + 1
-    assert not polys.is_irreducible(polys.poly([-1, 0, 1]))  # x^2 - 1
-    assert not polys.is_irreducible(polys.poly([-4, 0, 1]))
+    P = polys.poly
+    assert polys.is_irreducible(P([-2, 0, 1]))
+    assert polys.is_irreducible(P([1, 0, 0, 0, 1]))  # x^4 + 1
+    assert not polys.is_irreducible(P([-1, 0, 1]))  # x^2 - 1
+    assert not polys.is_irreducible(P([-4, 0, 1]))
+    # Sophie Germain: x^4 + 4 = (x^2 + 2x + 2)(x^2 - 2x + 2), no rational root
+    assert polys.rational_roots(P([4, 0, 0, 0, 1])) == []
+    assert not polys.is_irreducible(P([4, 0, 0, 0, 1]))
+    assert polys.is_irreducible(P([2, 0, -2, 0, 1]))  # x^4 - 2x^2 + 2
+    assert not polys.is_irreducible(polys.mul(P([1, 0, 2]), P([-5, 0, 3])))
+    assert not polys.is_irreducible(
+        polys.scale(polys.mul(P([Fraction(1, 2), 1]), P([1, 0, 1])), Fraction(-2, 3))
+    )
+    assert polys.is_irreducible(P([1, 0, 0, 1, 0, 0, 1]))  # x^6 + x^3 + 1
+    # degree >= 5 without a rational root: reducible, but only the degree
+    # patterns are tried, and they leave degree 2 open
+    with pytest.raises(polys.IrreducibilityUnproven, match="degree-5"):
+        polys.is_irreducible(polys.mul(P([1, 0, 1]), P([1, 0, 1, 1])))
+    # a repeated factor proves reducibility at any degree: (x^2+1)^2 (x^3+x+1)
+    assert not polys.is_irreducible(polys.mul(polys.mul(P([1, 0, 1]), P([1, 0, 1])), P([1, 1, 0, 1])))
+    assert polys.is_irreducible(P([0, 1]))
+    assert not polys.is_irreducible(P([3]))
+    # Q(sqrt 2, sqrt 3, sqrt 5): every unramified prime splits it into factors
+    # of one degree 1 or 2, so the degree patterns never exclude degree 2.
+    with pytest.raises(polys.IrreducibilityUnproven, match="degree-8"):
+        polys.is_irreducible(P([576, 0, -960, 0, 352, 0, -40, 0, 1]))
+
+
+def test_degree_pattern_proof():
+    # x^6 + 108: Galois group S3 acting regularly; the factor degrees modulo
+    # primes are 1^6, 2^3 and 3^2, whose subset sums meet only in {0, 6}.
+    f = [108, 0, 0, 0, 0, 0, 1]
+    assert polys.rational_roots(polys.poly(f)) == []
+    assert polys._degree_patterns_exclude_factors(f)
+    assert polys.is_irreducible(polys.poly(f))
+    patterns = {
+        tuple(sorted(polys._fp_factor_degrees(polys._fp_monic([c % p for c in f], p), p)))
+        for p in (5, 7, 11, 13, 17, 19, 23, 29, 31)
+    }
+    assert patterns == {(1,) * 6, (2, 2, 2), (3, 3)}
+
+
+def _random_factor(rng, deg):
+    lead = rng.choice([c for c in range(-5, 6) if c])
+    return polys.poly([rng.randint(-9, 9) for _ in range(deg)] + [lead])
+
+
+def test_is_irreducible_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    rng = random.Random(20261018)
+    counts = {"high": 0, "high_irreducible": 0, "unproven_irreducible": 0, "unproven_reducible": 0}
+    for _ in range(2000):
+        target = rng.randint(1, 6)
+        if rng.random() < 0.5:
+            f = _random_factor(rng, target)
+        else:  # a product of random factors of degree 1-3
+            f = polys.poly([1])
+            while polys.degree(f) < target:
+                f = polys.mul(f, _random_factor(rng, rng.randint(1, min(3, target - polys.degree(f)))))
+        if rng.random() < 0.3:
+            f = polys.scale(f, Fraction(rng.choice([-1, 1]) * rng.randint(1, 7), rng.randint(1, 7)))
+        expr = sum(sympy.Rational(c.numerator, c.denominator) * x**i for i, c in enumerate(f))
+        factors = sympy.factor_list(sympy.Poly(expr, x, domain="QQ"))[1]
+        want = len(factors) == 1 and factors[0][1] == 1
+        n = polys.degree(f)
+        counts["high"] += n >= 5
+        counts["high_irreducible"] += n >= 5 and want
+        try:
+            got = polys.is_irreducible(f)
+        except polys.IrreducibilityUnproven:
+            assert n >= 5 and not polys.rational_roots(f), f
+            counts["unproven_irreducible" if want else "unproven_reducible"] += 1
+            continue
+        assert got == want, f
+    # The degree patterns prove (almost) every irreducible input; a reducible
+    # input of degree >= 5 with neither a rational root nor a repeated factor
+    # has no proof of either kind and is reported unproven.
+    print(
+        f"degree >= 5: {counts['high']} inputs, unproven"
+        f" {counts['unproven_irreducible']}/{counts['high_irreducible']} irreducible,"
+        f" {counts['unproven_reducible']}/{counts['high'] - counts['high_irreducible']} reducible"
+    )
+    assert counts["unproven_irreducible"] <= counts["high_irreducible"] // 100
 
 
 def test_compose_and_mod():
