@@ -1,39 +1,48 @@
 #!/usr/bin/env python3
-"""Run the analyzer over every specification in corpus/ and print a
-verdict table; with --check, also re-verify each emitted witness from its
-serialized form and confirm the output is byte-stable across two runs."""
+"""Run `almin analyze` over every specification in corpus/ and print a
+verdict table; with --check, also compare each output with its golden copy
+in corpus/expected/, re-verify each emitted witness from its serialized
+form, and confirm the output is byte-stable across two runs."""
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import io
 import json
 import pathlib
 import sys
 
-from almin import cli, minimal, qgroup, serde
+from almin import cli
 
 
-def analyze_doc(raw, height_bound: int):
-    g = serde.group_from_doc(raw)
-    verdict = minimal.analyze(g, height_bound=height_bound)
-    report = None
-    if isinstance(verdict, minimal.NotMinimal):
-        parent = g
-        conv = qgroup.is_absolutely_almost_simple(g)
-        if isinstance(conv, qgroup.ConvertibleTo):
-            parent = conv.spec
-        report = minimal.verify_witness(parent, verdict.witness)
-    return serde.verdict_to_doc(raw, verdict, report)
+def analyze_text(path: pathlib.Path) -> str:
+    """The stdout of `almin analyze PATH`: a verdict or an error document."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        cli.main(["analyze", str(path)])
+    return out.getvalue()
+
+
+def reverify(doc) -> int:
+    """The exit code of `almin verify -` on the serialized document."""
+    saved, sys.stdin = sys.stdin, io.StringIO(json.dumps(doc))
+    try:
+        return cli.cmd_verify(argparse.Namespace(path="-"), io.StringIO())
+    finally:
+        sys.stdin = saved
 
 
 def summarize(doc) -> str:
+    if "error" in doc:
+        where = f" at {doc['path']}" if "path" in doc else ""
+        return f"{doc['error']}{where}: {doc['detail']}"
     tag = doc["verdict"]
     if tag == "minimal":
         return f"minimal (case {doc['matched_case']})"
     if tag == "not_minimal":
         sub = doc["witness"]["subgroup"]
-        ok = doc.get("verification", {}).get("ok")
+        ok = doc["verification"]["ok"]
         return f"not_minimal -> {sub['kind']} (verified={ok})"
     return f"{tag}: {doc.get('reason', '')}"
 
@@ -41,54 +50,36 @@ def summarize(doc) -> str:
 def main() -> int:
     ap = argparse.ArgumentParser()
     ap.add_argument("--corpus", default="corpus")
-    ap.add_argument("--height-bound", type=int, default=10000)
     ap.add_argument("--check", action="store_true",
-                    help="re-verify witnesses and check determinism")
+                    help="compare with corpus/expected/, re-verify witnesses"
+                         " and check determinism")
     args = ap.parse_args()
 
+    expected = pathlib.Path(args.corpus) / "expected"
     failures = 0
     for path in sorted(pathlib.Path(args.corpus).glob("*.json")):
-        try:
-            raw = json.loads(path.read_text())
-            doc = analyze_doc(raw, args.height_bound)
-        except serde.ParseError as exc:
-            print(f"{path.name:28s} parse error at {exc.path}: {exc.message}")
-            continue
-        except (minimal.SearchExhausted, qgroup.InvalidSpec) as exc:
-            print(f"{path.name:28s} {type(exc).__name__}: {exc}")
-            continue
+        text = analyze_text(path)
+        doc = json.loads(text)
         line = summarize(doc)
         if args.check:
-            if doc["verdict"] == "not_minimal":
+            golden = expected / path.name
+            if not golden.exists() or golden.read_text(encoding="utf-8") != text:
+                failures += 1
+                line += "  GOLDEN MISMATCH"
+            if doc.get("verdict") == "not_minimal":
                 if not doc["verification"]["ok"]:
                     failures += 1
                     line += "  VERIFICATION FAILED"
-                out = io.StringIO()
-                code = cli.cmd_verify(
-                    argparse.Namespace(path=_dump(doc)), out
-                )
-                if code != 0:
+                if reverify(doc) != 0:
                     failures += 1
                     line += "  RE-VERIFY-FROM-SERIALIZED FAILED"
-            second = analyze_doc(raw, args.height_bound)
-            if json.dumps(second, sort_keys=True) != json.dumps(doc, sort_keys=True):
+            if analyze_text(path) != text:
                 failures += 1
                 line += "  NONDETERMINISTIC"
         print(f"{path.name:28s} {line}")
     if failures:
         print(f"{failures} failure(s)")
     return 1 if failures else 0
-
-
-def _dump(doc) -> str:
-    import tempfile
-
-    fh = tempfile.NamedTemporaryFile(
-        "w", suffix=".json", delete=False, encoding="utf-8"
-    )
-    json.dump(doc, fh)
-    fh.close()
-    return fh.name
 
 
 if __name__ == "__main__":

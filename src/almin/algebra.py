@@ -228,7 +228,6 @@ class SplittingField:
 def find_splitting_quadratic(
     d: QuaternionAlgebra,
     sign_constraint: str = "any",
-    height_bound: int = 12,
 ) -> SplittingField:
     """A quadratic field Q(sqrt(e)) that splits d, with e a represented value
     e = a c1^2 + b c2^2 - ab c3^2 of the pure norm form (so sqrt(e) exists
@@ -255,7 +254,6 @@ def find_splitting_quadratic(
             [-c for c in coeffs],
             want_positive=True,
             forbid_square=False,
-            height_bound=height_bound,
             forbid_classes=frozenset({squarefree_part(-a), squarefree_part(-b)}),
         )
         val = -rep.value
@@ -264,7 +262,6 @@ def find_splitting_quadratic(
             coeffs,
             want_positive=(sign_constraint == "positive"),
             forbid_square=True,
-            height_bound=height_bound,
             forbid_classes=frozenset({squarefree_part(a), squarefree_part(b)}),
         )
         val = rep.value
@@ -369,56 +366,6 @@ def second_kind_involution(form: QuatSecondKindForm, x: QuatElement) -> QuatElem
     base = x.conj().field_conj()
     u = form.unit
     return u * base * u.inverse()
-
-
-def normalize_hermitian(form, d) -> object:
-    """Rescale a (quaternion- or field-)hermitian form by a symmetric unit d;
-    the special unitary group is unchanged.  Returns the same kind of form."""
-    if isinstance(form, HermForm):
-        dd = Fraction(d) if not isinstance(d, QuadElement) else d
-        if isinstance(dd, QuadElement):
-            if dd.fld != form.field or dd.conj() != dd:
-                raise NotSymmetric("scaling element must be conjugation-fixed")
-            if dd.is_zero():
-                raise Degenerate("scaling element must be a unit")
-        elif dd == 0:
-            raise Degenerate("scaling element must be a unit")
-        return HermForm(
-            form.field,
-            tuple(tuple(dd * e for e in row) for row in form.matrix),
-        )
-    if isinstance(form, QuatForm):
-        dd = form.algebra.element(d) if not isinstance(d, QuatElement) else d
-        if form.kind == "hermitian":
-            if not dd.is_central():
-                raise NotSymmetric("canonical involution fixes only the center")
-            if dd.is_zero():
-                raise Degenerate("scaling element must be a unit")
-            return QuatForm(
-                form.algebra,
-                form.kind,
-                tuple(dd * e for e in form.diagonal),
-                form.hyperbolic_count,
-            )
-        raise NotSymmetric(
-            "skew-hermitian rescaling twists the involution; handled in skew_restriction"
-        )
-    if isinstance(form, QuatSecondKindForm):
-        dd = d
-        if not isinstance(dd, QuatElement):
-            dd = form.inner_algebra.element(d)
-        if second_kind_involution(form, dd) != dd:
-            raise NotSymmetric("scaling element must be involution-symmetric")
-        if dd.is_zero():
-            raise Degenerate("scaling element must be a unit")
-        return QuatSecondKindForm(
-            form.l_field,
-            form.inner_algebra,
-            form.unit,
-            tuple(dd * e for e in form.diagonal),
-            form.hyperbolic_count,
-        )
-    raise TypeError(f"unsupported form type {type(form)!r}")
 
 
 def common_orthogonal_pure(a3: QuatElement, a4: QuatElement) -> QuatElement:

@@ -10,11 +10,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional, Union
+from typing import Iterable, Union
 
 Rational = Union[int, Fraction]
 
-DEFAULT_FACTOR_BOUND = 10**6
+# trial division runs up to this divisor before Pollard rho takes over
+TRIAL_DIVISION_BOUND = 10**6
 # Pollard rho iterations allowed per cofactor (about 3 s); past it,
 # FactorizationExceeded.
 RHO_ITERATION_BUDGET = 2**20
@@ -107,17 +108,15 @@ def _pollard_rho(n: int) -> int:
     raise FactorizationExceeded(f"pollard rho failed on {n}")
 
 
-def factorize(n: int, bound: Optional[int] = None) -> dict[int, int]:
+def factorize(n: int) -> dict[int, int]:
     """Prime factorization of |n| as {prime: exponent}.
 
-    Trial division up to `bound`, then deterministic Pollard rho for any
-    remaining cofactor.  Raises FactorizationExceeded rather than returning
-    a partial answer.
+    Trial division up to TRIAL_DIVISION_BOUND, then deterministic Pollard
+    rho for any remaining cofactor.  Raises FactorizationExceeded rather
+    than returning a partial answer.
     """
     if n == 0:
         raise ZeroInput("cannot factor 0")
-    if bound is None:
-        bound = DEFAULT_FACTOR_BOUND
     n = abs(n)
     out: dict[int, int] = {}
     for p in (2, 3, 5):
@@ -127,13 +126,13 @@ def factorize(n: int, bound: Optional[int] = None) -> dict[int, int]:
     d = 7
     wheel = (4, 2, 4, 2, 4, 6, 2, 6)
     i = 0
-    while d * d <= n and d <= bound:
+    while d * d <= n and d <= TRIAL_DIVISION_BOUND:
         while n % d == 0:
             out[d] = out.get(d, 0) + 1
             n //= d
         d += wheel[i]
         i = (i + 1) % 8
-    # Remaining cofactor is either 1, prime, or has no factor <= bound.
+    # Remaining cofactor is either 1, prime, or has no factor <= the bound.
     stack = [n] if n > 1 else []
     while stack:
         m = stack.pop()
@@ -147,14 +146,14 @@ def factorize(n: int, bound: Optional[int] = None) -> dict[int, int]:
     return out
 
 
-def squarefree_part(x: Rational, bound: Optional[int] = None) -> int:
+def squarefree_part(x: Rational) -> int:
     """Squarefree integer s with x = s * (rational square); sign(s) = sign(x)."""
     x = Fraction(x)
     if x == 0:
         raise ZeroInput("squarefree_part(0)")
     n = x.numerator * x.denominator  # same square class as x
     s = 1
-    for p, e in factorize(n, bound).items():
+    for p, e in factorize(n).items():
         if e % 2:
             s *= p
     return s if n > 0 else -s

@@ -1,6 +1,19 @@
 """Command-line frontend: analyze group specifications, compute ranks,
 verify serialized witnesses, and run the built-in verification suites.
 
+    almin analyze|rank|witness PATH     (PATH may be - for stdin)
+    almin verify PATH                   a not_minimal verdict document
+    almin form diag|witt|isotropic|hilbert|ramify ...
+    almin roots | selftest
+
+A command takes no tuning options: every search runs to a fixed bound kept
+beside it (quadform.ISOTROPIC_HEIGHT_BOUND, quadform.REPRESENT_HEIGHT_BOUND,
+qgroup.SKEW_TAIL_BOX, arith.TRIAL_DIVISION_BOUND).  A failure is reported
+as a JSON document {"schema", "error", "detail"[, "path"]} whose error tag
+is read_error, parse_error, invalid_spec, invalid_input (exit 1),
+nothing_to_verify (exit 2), search_exhausted, unsupported or
+factorization_exceeded (exit 3).
+
 Exit codes: 0 decided (minimal or not minimal, or requested data printed);
 1 parse/internal error; 2 not applicable; 3 search exhausted, effort budget
 exceeded, or unsupported.
@@ -67,49 +80,14 @@ def _parse_place(text: str):
 
 
 def cmd_analyze(args, out) -> int:
-    try:
-        raw = _load_json(args.path)
-    except (OSError, json.JSONDecodeError) as exc:
-        return _fail(out, EXIT_ERROR, "read_error", str(exc))
-    if args.factor_bound is not None:
-        arith.DEFAULT_FACTOR_BOUND = args.factor_bound
-    try:
-        g = serde.group_from_doc(raw)
-    except ParseError as exc:
-        return _fail(out, EXIT_ERROR, "parse_error", exc.message, exc.path)
-    try:
-        verdict = analyze(g, height_bound=args.height_bound)
-    except minimal.SearchExhausted as exc:
-        return _fail(out, EXIT_EXHAUSTED, "search_exhausted", str(exc))
-    except qgroup.InvalidSpec as exc:
-        return _fail(out, EXIT_ERROR, "invalid_spec", str(exc))
-    report = None
-    if isinstance(verdict, NotMinimal):
-        # recompute the verification report from the witness data alone
-        parent = g
-        converted = qgroup.is_absolutely_almost_simple(g)
-        if isinstance(converted, qgroup.ConvertibleTo):
-            parent = converted.spec
-        report = verify_witness(parent, verdict.witness)
-    doc = serde.verdict_to_doc(raw, verdict, report)
-    _emit(doc, out)
+    raw = _load_json(args.path)
+    verdict = analyze(serde.group_from_doc(raw))
+    _emit(serde.verdict_to_doc(raw, verdict), out)
     return serde.exit_code_for(verdict)
 
 
 def cmd_rank(args, out) -> int:
-    try:
-        raw = _load_json(args.path)
-        g = serde.group_from_doc(raw)
-    except (OSError, json.JSONDecodeError) as exc:
-        return _fail(out, EXIT_ERROR, "read_error", str(exc))
-    except ParseError as exc:
-        return _fail(out, EXIT_ERROR, "parse_error", exc.message, exc.path)
-    try:
-        profile = qgroup.rank_profile(g)
-    except (qgroup.TailNotCertified, qgroup.Unsupported) as exc:
-        return _fail(out, EXIT_EXHAUSTED, "unsupported", str(exc))
-    except qgroup.InvalidSpec as exc:
-        return _fail(out, EXIT_ERROR, "invalid_spec", str(exc))
+    profile = qgroup.rank_profile(serde.group_from_doc(_load_json(args.path)))
     _emit(
         {
             "q_rank": profile.q_rank,
@@ -122,22 +100,10 @@ def cmd_rank(args, out) -> int:
 
 
 def cmd_witness(args, out) -> int:
-    try:
-        raw = _load_json(args.path)
-        g = serde.group_from_doc(raw)
-    except (OSError, json.JSONDecodeError) as exc:
-        return _fail(out, EXIT_ERROR, "read_error", str(exc))
-    except ParseError as exc:
-        return _fail(out, EXIT_ERROR, "parse_error", exc.message, exc.path)
-    try:
-        verdict = analyze(g, height_bound=args.height_bound)
-    except minimal.SearchExhausted as exc:
-        return _fail(out, EXIT_EXHAUSTED, "search_exhausted", str(exc))
-    except qgroup.InvalidSpec as exc:
-        return _fail(out, EXIT_ERROR, "invalid_spec", str(exc))
+    raw = _load_json(args.path)
+    verdict = analyze(serde.group_from_doc(raw))
     if not isinstance(verdict, NotMinimal):
-        doc = serde.verdict_to_doc(raw, verdict)
-        _emit(doc, out)
+        _emit(serde.verdict_to_doc(raw, verdict), out)
         return serde.exit_code_for(verdict)
     _emit(
         {"schema": serde.SCHEMA, "witness": serde.witness_to_doc(verdict.witness)},
@@ -147,14 +113,9 @@ def cmd_witness(args, out) -> int:
 
 
 def cmd_verify(args, out) -> int:
-    try:
-        raw = _load_json(args.path)
-    except (OSError, json.JSONDecodeError) as exc:
-        return _fail(out, EXIT_ERROR, "read_error", str(exc))
+    raw = _load_json(args.path)
     if not isinstance(raw, dict) or raw.get("schema") != serde.SCHEMA:
-        return _fail(
-            out, EXIT_ERROR, "parse_error", f"expected schema {serde.SCHEMA}", "$.schema"
-        )
+        raise ParseError("$.schema", f"expected schema {serde.SCHEMA}")
     if raw.get("verdict") != "not_minimal":
         return _fail(
             out,
@@ -163,11 +124,8 @@ def cmd_verify(args, out) -> int:
             "document does not carry a witness",
             "$.verdict",
         )
-    try:
-        parent = serde.group_from_doc(raw.get("input"), "$.input")
-        witness = serde.witness_from_doc(raw.get("witness"), "$.witness")
-    except ParseError as exc:
-        return _fail(out, EXIT_ERROR, "parse_error", exc.message, exc.path)
+    parent = serde.group_from_doc(raw.get("input"), "$.input")
+    witness = serde.witness_from_doc(raw.get("witness"), "$.witness")
     converted = qgroup.is_absolutely_almost_simple(parent)
     if isinstance(converted, qgroup.ConvertibleTo):
         parent = converted.spec
@@ -208,7 +166,7 @@ def cmd_form(args, out) -> int:
         _emit({"diagonal": [rat_to_str(c) for c in d.coeffs]}, out)
         return EXIT_OK
     if sub == "witt":
-        w = witt_decompose(f, height_bound=args.height_bound)
+        w = witt_decompose(f)
         _emit(
             {
                 "witt_index": len(w.hyperbolic_pairs),
@@ -355,31 +313,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = p.add_subparsers(dest="command", required=True)
 
-    def add_bounds(sp):
-        sp.add_argument(
-            "--height-bound",
-            type=int,
-            default=10000,
-            help="search bound for isotropic-vector searches",
-        )
-        sp.add_argument(
-            "--factor-bound",
-            type=int,
-            default=None,
-            help="trial-division budget before Pollard rho",
-        )
-
     sp = sub.add_parser("analyze", help="decide minimality; emit a verdict document")
     sp.add_argument("path", help="specification JSON file, or - for stdin")
-    add_bounds(sp)
 
     sp = sub.add_parser("rank", help="print the rational/real rank profile")
     sp.add_argument("path")
-    add_bounds(sp)
 
     sp = sub.add_parser("witness", help="print only the witness of a non-minimal group")
     sp.add_argument("path")
-    add_bounds(sp)
 
     sp = sub.add_parser(
         "verify", help="re-verify a serialized not-minimal verdict document"
@@ -390,10 +331,8 @@ def build_parser() -> argparse.ArgumentParser:
     fsub = sp.add_subparsers(dest="form_command", required=True)
     fp = fsub.add_parser("diag", help="diagonal coefficients of a form")
     fp.add_argument("coeffs")
-    fp.add_argument("--height-bound", type=int, default=10000)
     fp = fsub.add_parser("witt", help="Witt decomposition of a diagonal form")
     fp.add_argument("coeffs")
-    fp.add_argument("--height-bound", type=int, default=10000)
     fp = fsub.add_parser("isotropic", help="isotropy at a place or globally")
     fp.add_argument("coeffs")
     fp.add_argument("--place", default="global")
@@ -422,12 +361,21 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
+    """Run one command.  Every error document comes from the ladder below:
+    JSONDecodeError, ParseError and InvalidSpec are ValueErrors, so they
+    precede the catch-all."""
     args = build_parser().parse_args(argv)
     out = sys.stdout
     try:
         return _COMMANDS[args.command](args, out)
+    except BrokenPipeError:
+        raise  # stdout was closed: no document can be written
+    except (OSError, json.JSONDecodeError) as exc:
+        return _fail(out, EXIT_ERROR, "read_error", str(exc))
     except ParseError as exc:
         return _fail(out, EXIT_ERROR, "parse_error", exc.message, exc.path)
+    except qgroup.InvalidSpec as exc:
+        return _fail(out, EXIT_ERROR, "invalid_spec", str(exc))
     except minimal.SearchExhausted as exc:
         return _fail(out, EXIT_EXHAUSTED, "search_exhausted", str(exc))
     except (qgroup.Unsupported, qgroup.TailNotCertified, polys.IrreducibilityUnproven) as exc:

@@ -191,6 +191,7 @@ class Minimal:
 @dataclass(frozen=True)
 class NotMinimal:
     witness: Witness
+    report: VerifyReport  # verify_witness of the witness inside the parent
 
 
 @dataclass(frozen=True)
@@ -273,25 +274,17 @@ def _first_squarefree_at_least(n: int) -> int:
         a += 1
 
 
-def _shells(n: int, bound: int):
-    from .quadform import _shell_tuples
-
-    for h in range(1, bound + 1):
-        yield from sorted(_shell_tuples(n, h))
-
-
 def _splitting_field(
     dp: QuaternionAlgebra,
     constraint: str,
     avoid: frozenset[int] = frozenset(),
-    height_bound: int = 16,
 ) -> alg.SplittingField:
     """find_splitting_quadratic, additionally avoiding square classes."""
-    first = alg.find_splitting_quadratic(dp, constraint, height_bound)
+    first = alg.find_splitting_quadratic(dp, constraint)
     if first.field.d not in avoid:
         return first
     a, b = Fraction(dp.a), Fraction(dp.b)
-    for h in range(1, height_bound + 1):
+    for h in range(1, quadform.REPRESENT_HEIGHT_BOUND + 1):
         best = None
         from .quadform import _shell_tuples
 
@@ -336,9 +329,7 @@ def _so4_conversion_field(g4: QuadForm):
 # Witness constructions
 
 
-def _orthogonal_subform_witness(
-    form: QuadForm, height_bound: int, represent_bound: int
-) -> tuple[Witness, tuple[DerivationStep, ...]]:
+def _orthogonal_subform_witness(form: QuadForm) -> Witness:
     """Normalize to <1,-1,-1,...> and represent a positive nonsquare a on the
     tail, giving the restriction of scalars of SL2 from Q(sqrt(a)) on the
     quaternary subform."""
@@ -364,7 +355,7 @@ def _orthogonal_subform_witness(
             )
         )
     else:
-        split = quadform.split_hyperbolic_plane(form, cols, height_bound)
+        split = quadform.split_hyperbolic_plane(form, cols)
         assert split is not None, "q_rank >= 1 guarantees a hyperbolic plane"
         u, v, comp = split
         w1 = tuple(a + b for a, b in zip(u, v))
@@ -399,7 +390,6 @@ def _orthogonal_subform_witness(
         tail_coeffs,
         want_positive=True,
         forbid_square=True,
-        height_bound=represent_bound,
     )
     a = rep.value
     w4 = [Fraction(0)] * form.dim
@@ -429,7 +419,7 @@ def _orthogonal_subform_witness(
             f" Q(sqrt({s}))",
         )
     )
-    return Witness(sub, emb, tuple(deriv)), tuple(deriv)
+    return Witness(sub, emb, tuple(deriv))
 
 
 def _herm_orthogonalize(L: QuadraticField, hfun, vectors):
@@ -472,9 +462,7 @@ def _herm_orthogonalize(L: QuadraticField, hfun, vectors):
     return out_vecs, out_vals
 
 
-def _hermitian_subform_witness(
-    form: HermForm, height_bound: int, represent_bound: int
-) -> tuple[Witness, tuple[DerivationStep, ...]]:
+def _hermitian_subform_witness(form: HermForm) -> Witness:
     """The quadratic-field hermitian construction: split a hyperbolic plane,
     normalize a slot to -1, represent a positive nonsquare a as a sum of
     tail entries times norms, descend to the rational quaternary subform."""
@@ -498,7 +486,7 @@ def _hermitian_subform_witness(
         [(h(u, v).trace()) / 2 for v in basis_q] for u in basis_q
     ]
     tf = QuadForm.from_rows(gram)
-    iso = quadform.find_isotropic_vector(tf, height_bound)
+    iso = quadform.find_isotropic_vector(tf)
     if iso is None:
         raise qgroup.InvalidSpec("hermitian form is anisotropic")
     v = tuple(
@@ -560,7 +548,6 @@ def _hermitian_subform_witness(
         trace_coeffs,
         want_positive=True,
         forbid_square=True,
-        height_bound=represent_bound,
     )
     a = rep.value
     s = _cls(a)
@@ -590,13 +577,11 @@ def _hermitian_subform_witness(
             f" discriminant class {s}",
         )
     )
-    return Witness(sub, emb, tuple(deriv)), tuple(deriv)
+    return Witness(sub, emb, tuple(deriv))
 
 
-def _sl2_quaternion_witness(
-    d: QuaternionAlgebra, m: int, height_bound: int
-) -> Witness:
-    sp = alg.find_splitting_quadratic(d, "positive", height_bound)
+def _sl2_quaternion_witness(d: QuaternionAlgebra, m: int) -> Witness:
+    sp = alg.find_splitting_quadratic(d, "positive")
     s = sp.field.d
     deriv = [
         _step(
@@ -638,7 +623,7 @@ def _split_so5_witness(detail: str) -> Witness:
     )
 
 
-def _second_kind_witness(g: Unitary2Quat, height_bound: int) -> Witness:
+def _second_kind_witness(g: Unitary2Quat) -> Witness:
     f = g.form
     d = f.l_field.d
     dp = f.inner_algebra
@@ -740,9 +725,7 @@ def _skew_witness(g: Unitary1) -> Witness:
     )
 
 
-def _quat_hermitian_witness(
-    g: Unitary1, height_bound: int, represent_bound: int
-) -> Witness:
+def _quat_hermitian_witness(g: Unitary1) -> Witness:
     f = g.form
     d = f.algebra
     cs = [Fraction(e.t) for e in f.diagonal]
@@ -764,7 +747,6 @@ def _quat_hermitian_witness(
             tail_coeffs,
             want_positive=True,
             forbid_square=False,
-            height_bound=represent_bound,
         )
     except SearchExhausted:
         if ramified:
@@ -779,17 +761,14 @@ def _quat_hermitian_witness(
             [-c for c in tail_coeffs],
             want_positive=True,
             forbid_square=False,
-            height_bound=represent_bound,
         )
         rep = quadform.RepresentedValue(-rep.value, rep.vector, rep.square_class)
     a = rep.value
-    sp = alg.find_splitting_quadratic(
-        d, "positive" if not ramified else "any", represent_bound
-    )
+    sp = alg.find_splitting_quadratic(d, "positive" if not ramified else "any")
     e = sp.field.d
     efield = QuadraticField(e)
     H = HermForm.diagonal(efield, [1, -1, -1, a])
-    inner, _ = _hermitian_subform_witness(H, height_bound, represent_bound)
+    inner = _hermitian_subform_witness(H)
     ctx = SplitUnitaryContext(
         e_value=sp.value,
         e_class=e,
@@ -825,13 +804,11 @@ def _quat_hermitian_witness(
     return Witness(inner.subgroup, emb, deriv)
 
 
-def _b2_witness(
-    g: Unitary1, height_bound: int, represent_bound: int
-) -> Witness:
+def _b2_witness(g: Unitary1) -> Witness:
     d = g.form.algebra
     h2 = QuatForm(d, "hermitian", (d.element(1), d.element(-1)), 0)
     q5 = alg.b2_realization(d, h2)
-    inner, _ = _orthogonal_subform_witness(q5, height_bound, represent_bound)
+    inner = _orthogonal_subform_witness(q5)
     assert isinstance(inner.embedding, SubformIndices)
     emb = SubformIndices(
         basis=inner.embedding.basis,
@@ -855,9 +832,7 @@ def _b2_witness(
 # analyze
 
 
-def analyze(
-    g: GroupSpec, height_bound: int = 10000, represent_bound: int = 16
-) -> Verdict:
+def analyze(g: GroupSpec) -> Verdict:
     deriv: list[DerivationStep] = []
     try:
         aas = is_absolutely_almost_simple(g)
@@ -892,7 +867,7 @@ def analyze(
         conditions = ("conditional_on_assumed_tail_anisotropy",)
 
     try:
-        return _dispatch(g, qr, tuple(deriv), conditions, height_bound, represent_bound)
+        return _dispatch(g, qr, tuple(deriv), conditions)
     except TailNotCertified as exc:
         return UnsupportedVerdict(str(exc))
     except Unsupported as exc:
@@ -904,8 +879,6 @@ def _dispatch(
     qr: int,
     deriv: tuple[DerivationStep, ...],
     conditions: tuple[str, ...],
-    height_bound: int,
-    represent_bound: int,
 ) -> Verdict:
     if isinstance(g, SpecialLinear):
         if g.algebra is None:
@@ -953,7 +926,7 @@ def _dispatch(
                 " rational rank at least 2"
             )
             return _not_minimal(g, _prefix(w, deriv))
-        w = _sl2_quaternion_witness(g.algebra, g.m, represent_bound)
+        w = _sl2_quaternion_witness(g.algebra, g.m)
         return _not_minimal(g, _prefix(w, deriv))
 
     if isinstance(g, Symplectic):
@@ -964,7 +937,7 @@ def _dispatch(
         return _not_minimal(g, _prefix(w, deriv))
 
     if isinstance(g, Orthogonal):
-        w, _ = _orthogonal_subform_witness(g.form, height_bound, represent_bound)
+        w = _orthogonal_subform_witness(g.form)
         return _not_minimal(g, _prefix(w, deriv))
 
     if isinstance(g, Unitary2):
@@ -983,20 +956,20 @@ def _dispatch(
                     ),
                 ),
             )
-        w, _ = _hermitian_subform_witness(g.form, height_bound, represent_bound)
+        w = _hermitian_subform_witness(g.form)
         return _not_minimal(g, _prefix(w, deriv))
 
     if isinstance(g, Unitary2Quat):
-        w = _second_kind_witness(g, represent_bound)
+        w = _second_kind_witness(g)
         return _not_minimal(g, _prefix(w, deriv))
 
     if isinstance(g, Unitary1):
         n = g.form.rank
         if g.form.kind == "hermitian":
             if n <= 3:
-                w = _b2_witness(g, height_bound, represent_bound)
+                w = _b2_witness(g)
             else:
-                w = _quat_hermitian_witness(g, height_bound, represent_bound)
+                w = _quat_hermitian_witness(g)
             return _not_minimal(g, _prefix(w, deriv))
         if n == 3:
             return UnsupportedVerdict(
@@ -1128,7 +1101,7 @@ def _not_minimal(parent: GroupSpec, w: Witness) -> NotMinimal:
         raise InternalSoundnessError(
             f"constructed witness failed verification: {rep.failures}"
         )
-    return NotMinimal(w)
+    return NotMinimal(w, rep)
 
 
 # --------------------------------------------------------------------------

@@ -193,10 +193,6 @@ class NumberFieldCert:
         if r1 + 2 * r2 != d:
             raise InvalidCertificate("signature must satisfy r1 + 2*r2 = degree")
 
-    @property
-    def r1r2(self) -> int:
-        return self.signature[0] + self.signature[1]
-
 
 def sturm_signature(f: Poly) -> tuple[int, int]:
     """(r1, r2) of a monic squarefree polynomial, by Sturm sequences."""

@@ -293,9 +293,10 @@ def quat_hermitian_tail_isotropic(d: QuaternionAlgebra, entries) -> bool:
     return quadform.is_isotropic(QuadForm.diagonal(coeffs), "global")
 
 
-def certify_skew_tail_anisotropic(
-    form: QuatForm, height_bound: int = 6
-) -> Optional[bool]:
+SKEW_TAIL_BOX = 6  # max coordinate of the rank-2 skew-tail refutation search
+
+
+def certify_skew_tail_anisotropic(form: QuatForm) -> Optional[bool]:
     """True: certified anisotropic.  False: refuted (an isotropic vector was
     found).  None: undecided within bounds.
 
@@ -315,7 +316,7 @@ def certify_skew_tail_anisotropic(
         # over a division algebra x1 may be normalized to 1 (or the vector is
         # (0, x2), which is never isotropic): search conj(x)a2x = -a1
         target = -entries[0]
-        for coords in _int_boxes(4, height_bound):
+        for coords in _int_boxes(4, SKEW_TAIL_BOX):
             x = d.element(*coords)
             if (x.conj() * entries[1] * x - target).is_zero():
                 return False

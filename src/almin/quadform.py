@@ -198,11 +198,6 @@ def signature(f: QuadForm) -> tuple[int, int]:
     return pos, len(cs) - pos
 
 
-def canonical_coeffs(f: QuadForm) -> tuple[int, ...]:
-    """Diagonal coefficients reduced to squarefree square-class representatives."""
-    return tuple(squarefree_part(c) for c in diagonalize(f).coeffs)
-
-
 def hasse_invariant(f: QuadForm, v: Place) -> int:
     """Product of hilbert(c_i, c_j)_v over i < j for a diagonalization."""
     cs = diagonalize(f).coeffs
@@ -350,19 +345,22 @@ class WittDecomposition:
 
 
 _SEARCH_BUDGET = 3_000_000  # max tuples enumerated per half of the search
+ISOTROPIC_HEIGHT_BOUND = 10000  # max coordinate of an isotropic-vector search
 
 
-def find_isotropic_vector(f: QuadForm, height_bound: int = 10000) -> Optional[Vector]:
+def find_isotropic_vector(f: QuadForm) -> Optional[Vector]:
     """A nonzero rational vector with q(v) = 0, or None if the form is
     globally anisotropic.  Raises SearchExhausted if isotropy is certified by
-    the local criteria but no vector of height <= height_bound turns up."""
+    the local criteria but no vector of height <= ISOTROPIC_HEIGHT_BOUND
+    turns up."""
     if not is_isotropic(f, "global"):
         return None
     d = diagonalize(f)
-    v = _search_isotropic_diag(d.coeffs, height_bound)
+    v = _search_isotropic_diag(d.coeffs)
     if v is None:
         raise SearchExhausted(
-            f"form is isotropic but no vector of height <= {height_bound} found"
+            "form is isotropic but no vector of height"
+            f" <= {ISOTROPIC_HEIGHT_BOUND} found"
         )
     # translate back through the basis change: columns of B are the diag basis
     n = f.dim
@@ -391,14 +389,16 @@ def _scale_primitive(v: Vector) -> Vector:
     return tuple(Fraction(x) for x in ints)
 
 
-def _search_isotropic_diag(coeffs: Sequence[Fraction], height_bound: int) -> Optional[Vector]:
+def _search_isotropic_diag(coeffs: Sequence[Fraction]) -> Optional[Vector]:
     """Meet-in-the-middle search for sum c_i x_i^2 = 0 with integer x_i."""
     cs = [squarefree_part(c) for c in coeffs]  # same isotropy, smaller values
     n = len(cs)
     left = cs[: (n + 1) // 2]
     right = cs[(n + 1) // 2 :]
     k = max(len(left), 1)
-    max_bound = min(height_bound, max(10, int(_SEARCH_BUDGET ** (1.0 / k)) - 1))
+    max_bound = min(
+        ISOTROPIC_HEIGHT_BOUND, max(10, int(_SEARCH_BUDGET ** (1.0 / k)) - 1)
+    )
     bounds = [b for b in (10, 40, max_bound) if b <= max_bound]
     if not bounds or bounds[-1] != max_bound:
         bounds.append(max_bound)
@@ -444,7 +444,7 @@ def _int_tuples(k: int, bound: int):
             yield (x,) + rest
 
 
-def witt_decompose(f: QuadForm, height_bound: int = 10000) -> WittDecomposition:
+def witt_decompose(f: QuadForm) -> WittDecomposition:
     """Split off hyperbolic planes until the rest is anisotropic."""
     n = f.dim
     basis: list[Vector] = [
@@ -452,7 +452,7 @@ def witt_decompose(f: QuadForm, height_bound: int = 10000) -> WittDecomposition:
     ]
     pairs: list[tuple[Vector, Vector]] = []
     while len(basis) >= 2:
-        split = split_hyperbolic_plane(f, basis, height_bound)
+        split = split_hyperbolic_plane(f, basis)
         if split is None:
             break
         u, v, basis = split
@@ -477,14 +477,14 @@ def combine(coords: Sequence, vectors: Sequence[Vector]) -> Vector:
 
 
 def split_hyperbolic_plane(
-    f: QuadForm, basis: Sequence[Vector], height_bound: int = 10000
+    f: QuadForm, basis: Sequence[Vector]
 ) -> Optional[tuple[Vector, Vector, list[Vector]]]:
     """(u, v, rest): a hyperbolic pair q(u) = q(v) = 0, B(u, v) = 1 in the
     span of the independent `basis`, and len(basis) - 2 independent vectors
     spanning its orthogonal complement there; None if f is anisotropic on the
     span.  u comes from find_isotropic_vector, v from the first basis vector
     that u pairs with, rest from the basis projected off the plane."""
-    u_sub = find_isotropic_vector(restrict(f, basis), height_bound)
+    u_sub = find_isotropic_vector(restrict(f, basis))
     if u_sub is None:
         return None
     u = combine(u_sub, basis)
@@ -552,6 +552,9 @@ def witt_index(f: QuadForm) -> int:
     return index
 
 
+REPRESENT_HEIGHT_BOUND = 16  # max coordinate of a represented-value search
+
+
 @dataclass(frozen=True)
 class RepresentedValue:
     value: Fraction
@@ -563,7 +566,6 @@ def represent_constrained(
     coeffs: Sequence,
     want_positive: bool = True,
     forbid_square: bool = True,
-    height_bound: int = 12,
     forbid_classes: frozenset = frozenset(),
 ) -> RepresentedValue:
     """A nonzero value of the diagonal form sum c_i x_i^2 subject to the
@@ -584,7 +586,7 @@ def represent_constrained(
         raise SearchExhausted(
             "negative definite form cannot represent a positive value"
         )
-    for height in range(1, height_bound + 1):
+    for height in range(1, REPRESENT_HEIGHT_BOUND + 1):
         best: Optional[tuple[Fraction, tuple[int, ...]]] = None
         for xs in _shell_tuples(n, height):
             val = sum(c * x * x for c, x in zip(cs, xs))
@@ -604,7 +606,8 @@ def represent_constrained(
                 val, tuple(Fraction(x) for x in xs), squarefree_part(val)
             )
     raise SearchExhausted(
-        f"no represented value satisfying the constraints up to height {height_bound};"
+        f"no represented value satisfying the constraints up to height"
+        f" {REPRESENT_HEIGHT_BOUND};"
         " under the intended rank hypotheses such a value exists, so the input or"
         " bound is at fault"
     )

@@ -56,9 +56,6 @@ class RootSystem:
     def rank(self) -> int:
         return len(self.base)
 
-    def positive_roots(self) -> list[Vec]:
-        return sorted(r for r in self.roots if _lex_positive(r))
-
 
 def _lex_positive(v: Vec) -> bool:
     for x in v:

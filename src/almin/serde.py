@@ -625,9 +625,7 @@ def report_to_doc(r: VerifyReport) -> dict:
     }
 
 
-def verdict_to_doc(
-    input_doc: Any, verdict: Verdict, report: Optional[VerifyReport] = None
-) -> dict:
+def verdict_to_doc(input_doc: Any, verdict: Verdict) -> dict:
     doc: dict = {"schema": SCHEMA, "input": input_doc}
     if isinstance(verdict, Minimal):
         doc["verdict"] = "minimal"
@@ -639,8 +637,7 @@ def verdict_to_doc(
     elif isinstance(verdict, NotMinimal):
         doc["verdict"] = "not_minimal"
         doc["witness"] = witness_to_doc(verdict.witness)
-        if report is not None:
-            doc["verification"] = report_to_doc(report)
+        doc["verification"] = report_to_doc(verdict.report)
     elif isinstance(verdict, NotApplicable):
         doc["verdict"] = "not_applicable"
         doc["reason"] = verdict.reason

@@ -1,6 +1,7 @@
 """Acceptance suite: each test covers one top-level acceptance criterion and
 prints a single PASS line when it holds (run with -v or -s to see them)."""
 
+import contextlib
 import dataclasses
 import io
 import json
@@ -35,7 +36,7 @@ from almin.qgroup import (
     q_rank,
     real_rank,
 )
-from almin import cli, roots, serde
+from almin import cli, minimal, roots, serde
 from oracles import PRIMES_LE_50, oracle_solvable
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -229,21 +230,41 @@ def test_criterion_6_b2_realization_rank_consistency():
     )
 
 
-def test_criterion_7_byte_identical_verdict_documents():
+def _analyze_stdout(path) -> str:
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        cli.main(["analyze", str(path)])
+    return buf.getvalue()
+
+
+def test_criterion_7_byte_identical_verdict_documents(monkeypatch):
+    # the first run also counts witness verifications: one per not_minimal
+    # verdict, made by the analysis itself
+    calls = []
+    real_verify = minimal.verify_witness
+
+    def counting_verify(parent, w):
+        calls.append(w)
+        return real_verify(parent, w)
+
+    for module in (minimal, cli):
+        monkeypatch.setattr(module, "verify_witness", counting_verify)
+    paths = sorted(CORPUS.glob("*.json"))
     outputs = []
     for _ in range(2):
-        chunks = []
-        for path in sorted(CORPUS.glob("*.json")):
-            if path.stem == "malformed":
-                continue
-            buf = io.StringIO()
-            args = cli.build_parser().parse_args(["analyze", str(path)])
-            cli.cmd_analyze(args, buf)
-            chunks.append((path.stem, buf.getvalue()))
-        outputs.append(chunks)
+        outputs.append([(path.stem, _analyze_stdout(path)) for path in paths])
+        monkeypatch.undo()
     assert outputs[0] == outputs[1]
-    assert len(outputs[0]) >= 35
+    assert len(outputs[0]) == 41
+    not_minimal = sum('"verdict": "not_minimal"' in text for _, text in outputs[0])
+    assert not_minimal == 22 and len(calls) == not_minimal
+    # golden copies of `almin analyze` stdout, malformed.json's error included
+    expected = CORPUS / "expected"
+    assert sorted(p.name for p in expected.glob("*.json")) == [p.name for p in paths]
+    for stem, text in outputs[0]:
+        assert text == (expected / f"{stem}.json").read_text(encoding="utf-8"), stem
     _ok(
         f"criterion 7: {len(outputs[0])} verdict documents byte-identical"
-        " across two full runs"
+        " across two full runs and to their golden copies; one witness"
+        f" verification for each of {not_minimal} not_minimal verdicts"
     )

@@ -6,7 +6,6 @@ from almin.arith import REAL, FinitePrime, is_rational_square, squarefree_part
 from almin.algebra import (
     Degenerate,
     DegenerateTower,
-    HermForm,
     InfeasibleSign,
     NotSymmetric,
     QuatForm,
@@ -17,7 +16,6 @@ from almin.algebra import (
     find_splitting_quadratic,
     is_division,
     is_ramified_at_infinity,
-    normalize_hermitian,
     ramification_set,
     second_kind_involution,
     skew_restriction,
@@ -133,19 +131,6 @@ def test_second_kind_involution_fixes_unit_and_diagonal():
     assert second_kind_involution(form, tx) == x
     with pytest.raises(NotSymmetric):
         QuatSecondKindForm(L, d, d.one(), (d.gen_i(),))
-
-
-def test_normalize_hermitian():
-    L = QuadraticField(2)
-    h = HermForm.diagonal(L, [1, -1, 2])
-    h2 = normalize_hermitian(h, Fraction(-1, 2))
-    assert h2.matrix[0][0] == L.element(Fraction(-1, 2))
-    d = QuaternionAlgebra(2, 3)
-    q = QuatForm(d, "hermitian", (d.element(1), d.element(3)))
-    q2 = normalize_hermitian(q, 3)
-    assert q2.diagonal[1] == d.element(9)
-    with pytest.raises(NotSymmetric):
-        normalize_hermitian(q, d.gen_i())
 
 
 def test_quat_form_validation():

@@ -34,10 +34,11 @@ def test_pollard_rho_budget(monkeypatch):
     import almin.arith as arith
 
     n = 1000003 * 1000033  # both factors beyond a trial-division bound of 100
-    assert factorize(n, bound=100) == {1000003: 1, 1000033: 1}
+    monkeypatch.setattr(arith, "TRIAL_DIVISION_BOUND", 100)
+    assert factorize(n) == {1000003: 1, 1000033: 1}
     monkeypatch.setattr(arith, "RHO_ITERATION_BUDGET", 10)
     with pytest.raises(FactorizationExceeded, match="RHO_ITERATION_BUDGET"):
-        factorize(n, bound=100)
+        factorize(n)
 
 
 def test_is_prime_small():

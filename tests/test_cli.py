@@ -220,3 +220,97 @@ def test_package_source_does_not_mention_sympy():
         if "sympy" in path.read_text(encoding="utf-8")
     ]
     assert hits == []
+
+
+# Error documents, each with a reproducer: (exit code, error tag, JSON path
+# or None) per command.  `verify` reads the spec as the input of a
+# not_minimal document, which it parses before the witness.
+INVALID_SPEC = {  # <1, -1> is isotropic, so it may not be declared a tail
+    "kind": "su1",
+    "algebra": {"a": "-1", "b": "-1"},
+    "form_kind": "hermitian",
+    "diagonal": [["1", "0", "0", "0"], ["-1", "0", "0", "0"]],
+    "hyperbolic_count": 2,
+}
+OCTIC = {"kind": "res_sl2", "field": {"poly": [576, 0, -960, 0, 352, 0, -40, 0, 1]}}
+BIG_FIELD = {"kind": "res_sl2", "field": {"poly": [-1000003 * 1000033, 0, 1]}}
+MALFORMED = json.loads((CORPUS / "malformed.json").read_text())
+ERROR_TABLE = [
+    # (reproducer, spec or raw text, {command: (code, error, path)})
+    ("missing file", None, dict.fromkeys(
+        ("analyze", "rank", "witness", "verify"), (1, "read_error", None))),
+    ("bad json", "{not json", dict.fromkeys(
+        ("analyze", "rank", "witness", "verify"), (1, "read_error", None))),
+    ("malformed", MALFORMED, {
+        **dict.fromkeys(("analyze", "rank", "witness"), (1, "parse_error", "$.diagonal[1]")),
+        "verify": (1, "parse_error", "$.input.diagonal[1]"),
+    }),
+    ("isotropic tail", INVALID_SPEC, dict.fromkeys(
+        ("analyze", "rank", "witness"), (1, "invalid_spec", None))),
+    ("octic", OCTIC, dict.fromkeys(
+        ("analyze", "rank", "witness", "verify"), (3, "unsupported", None))),
+    ("rho budget", BIG_FIELD, dict.fromkeys(
+        ("analyze", "rank", "witness", "verify"), (3, "factorization_exceeded", None))),
+]
+
+
+@pytest.mark.parametrize(
+    "name,spec,command,want",
+    [(n, s, c, w) for n, s, table in ERROR_TABLE for c, w in table.items()],
+)
+def test_error_table(run_cli, monkeypatch, tmp_path, name, spec, command, want):
+    from almin import arith
+
+    monkeypatch.setattr(arith, "RHO_ITERATION_BUDGET", 10)
+    path = tmp_path / "doc.json"
+    if isinstance(spec, str):
+        path.write_text(spec)
+    elif spec is not None:
+        if command == "verify":
+            spec = {"schema": "almin/1", "input": spec, "verdict": "not_minimal", "witness": {}}
+        path.write_text(json.dumps(spec))
+    r = run_cli(command, str(path))
+    doc = r.json
+    assert (r.code, doc["error"], doc.get("path")) == want
+    assert sorted(doc) == sorted(["schema", "error", "detail"] + (["path"] if want[2] else []))
+
+
+def test_verify_rejects_a_document_of_another_schema(run_cli):
+    r = run_cli("verify", corpus("sl3"))
+    assert (r.code, r.json["error"], r.json["path"]) == (1, "parse_error", "$.schema")
+
+
+def test_commands_take_no_bound_options(capsys):
+    from almin import cli
+
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["analyze", "--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: almin analyze [-h] path\n")
+    for argv in (["analyze"], ["rank"], ["witness"], ["form", "diag"], ["form", "witt"]):
+        for flag in ("--height-bound", "--factor-bound"):
+            with pytest.raises(SystemExit) as exc:
+                cli.main(argv + [flag, "10", "1,-1,1"])
+            assert exc.value.code == 2
+    capsys.readouterr()
+
+
+def test_analyze_leaves_the_trial_division_bound_alone(run_cli):
+    from almin import arith
+
+    before = arith.TRIAL_DIVISION_BOUND
+    assert run_cli("analyze", corpus("res_sl2_x4m2")).code == 0
+    assert arith.TRIAL_DIVISION_BOUND == before == 10**6
+
+
+def test_closed_stdout_is_not_a_read_error(monkeypatch):
+    from almin import cli
+
+    class ClosedPipe:
+        def write(self, text):
+            raise BrokenPipeError(32, "Broken pipe")
+
+    monkeypatch.setattr(sys, "stdout", ClosedPipe())
+    with pytest.raises(BrokenPipeError) as exc:
+        cli.main(["rank", corpus("sl3")])
+    assert exc.value.__context__ is None  # no error document was attempted

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from almin.arith import REAL, FinitePrime, relevant_places
 from almin.quadform import (
     Degenerate,
+    REPRESENT_HEIGHT_BOUND,
     QuadForm,
     SearchExhausted,
     diagonalize,
@@ -151,9 +152,10 @@ def test_represent_constrained():
     )
     assert rep2.square_class != 1
     with pytest.raises(SearchExhausted):
-        represent_constrained(
-            [Fraction(-1), Fraction(-2)], want_positive=True, height_bound=6
-        )
+        represent_constrained([Fraction(-1), Fraction(-2)], want_positive=True)
+    # x^2 represents only squares: every shell up to the bound is searched
+    with pytest.raises(SearchExhausted, match=f"height {REPRESENT_HEIGHT_BOUND};"):
+        represent_constrained([Fraction(1)], want_positive=True, forbid_square=True)
     rep3 = represent_constrained(
         [Fraction(2), Fraction(3)],
         want_positive=True,

@@ -2,13 +2,16 @@ import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from almin import serde
+from almin import arith, polys, serde
 from almin.algebra import HermForm, QuatForm, QuaternionAlgebra
 from almin.minimal import NotMinimal, analyze
 from almin.numfield import QuadraticField, field_cert, quadratic_field_cert
 from almin.quadform import QuadForm
 from almin.qgroup import (
+    GroupSpec,
     Orthogonal,
     ResSL2,
     SpecialLinear,
@@ -120,3 +123,74 @@ def test_parse_errors_carry_paths():
             {"kind": "su2", "d": 2, "diagonal": [["1", "0"], "oops"]}
         )
     assert "diagonal" in e3.value.path
+
+
+# JSON-like documents shaped like specs: each kind with its fields, holding
+# rational strings, small integers and a few certified fields; one value in
+# eight is replaced by a wrong scalar, one document in ten is arbitrary JSON
+JUNK = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.floats(allow_nan=False, width=32), st.text(max_size=3)),
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=3), st.dictionaries(st.text(max_size=3), inner, max_size=3)
+    ),
+    max_leaves=6,
+)
+BAD = st.sampled_from(["1/0", "x", "", 1.5, True, None, [], {}])
+
+
+def _mostly(strategy):
+    return st.integers(0, 7).flatmap(lambda k: BAD if k == 0 else strategy)
+
+
+INT = _mostly(st.integers(-6, 6))
+RAT = _mostly(st.one_of(st.integers(-6, 6), st.sampled_from(["1/2", "-3/4", "5/2"])))
+LENTRY = _mostly(st.one_of(RAT, st.lists(RAT, min_size=2, max_size=2)))
+QUAT = _mostly(st.lists(LENTRY, min_size=4, max_size=4))
+ALGEBRA = _mostly(st.fixed_dictionaries({"a": RAT, "b": RAT}))
+POLYS = [
+    [-2, 0, 1], [1, 0, 1], [-3, 0, 1], [-2, 0, 0, 1], [1, 0, 0, 0, 1], [-2, 0, 0, 0, 1],
+    [2, 0, -2, 0, 1], [576, 0, -960, 0, 352, 0, -40, 0, 1],  # the last is unproven
+]
+FIELD = _mostly(
+    st.fixed_dictionaries(
+        {"poly": _mostly(st.one_of(st.sampled_from(POLYS), st.lists(INT, max_size=6)))},
+        optional={"signature": _mostly(st.lists(INT, max_size=3)), "subfields_complete": BAD},
+    )
+)
+SPECS = {
+    "sl": ({"m": INT}, {"algebra": ALGEBRA}),
+    "so": ({}, {"diagonal": _mostly(st.lists(RAT, max_size=6)),
+                "gram": _mostly(st.lists(st.lists(RAT, max_size=4), max_size=4))}),
+    "sp": ({"n": INT}, {}),
+    "su2": ({"d": INT}, {"diagonal": _mostly(st.lists(LENTRY, max_size=5)),
+                         "matrix": _mostly(st.lists(st.lists(LENTRY, max_size=3), max_size=3))}),
+    "su2quat": ({"l_d": INT, "algebra": ALGEBRA},
+                {"unit": QUAT, "diagonal": _mostly(st.lists(QUAT, max_size=3)),
+                 "hyperbolic_count": INT, "assume_tail_anisotropic": BAD}),
+    "su1": ({"algebra": ALGEBRA, "form_kind": _mostly(st.sampled_from(["hermitian", "skew_hermitian"]))},
+            {"diagonal": _mostly(st.lists(QUAT, max_size=3)), "hyperbolic_count": INT}),
+    "res_sl2": ({"field": FIELD}, {}),
+    "res_su3": ({"k_d": INT, "l_quartic": FIELD}, {"std_form": BAD}),
+    "other": ({}, {}),
+}
+SHAPED = st.one_of(
+    *(
+        st.fixed_dictionaries({"kind": st.just(kind), **required}, optional=optional)
+        for kind, (required, optional) in SPECS.items()
+    )
+)
+SPEC_LIKE = st.integers(0, 9).flatmap(lambda k: JUNK if k == 0 else SHAPED)
+
+
+@settings(max_examples=400, deadline=None)
+@given(SPEC_LIKE)
+def test_group_from_doc_fuzz(doc):
+    # a spec, a ParseError naming a path, or a typed effort limit: nothing else
+    try:
+        g = serde.group_from_doc(doc)
+    except ParseError as exc:
+        assert exc.path.startswith("$")
+    except (polys.IrreducibilityUnproven, arith.FactorizationExceeded):
+        pass
+    else:
+        assert isinstance(g, GroupSpec)
