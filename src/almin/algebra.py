@@ -13,7 +13,6 @@ from typing import Optional, Sequence, Union
 from . import numfield, polys
 from .arith import (
     REAL,
-    FinitePrime,
     Place,
     ZeroInput,
     hilbert_symbol,
@@ -27,7 +26,7 @@ from .numfield import (
     QuadraticField,
     is_square_in_quadfield,
 )
-from .quadform import QuadForm, RepresentedValue, SearchExhausted, represent_constrained
+from .quadform import QuadForm, SearchExhausted, represent_constrained
 
 Scalar = Union[Fraction, QuadElement]
 

@@ -8,7 +8,7 @@ verify serialized witnesses, and run the built-in verification suites.
 
 A command takes no tuning options: every search runs to a fixed bound kept
 beside it (quadform.ISOTROPIC_HEIGHT_BOUND, quadform.REPRESENT_HEIGHT_BOUND,
-qgroup.SKEW_TAIL_BOX, arith.TRIAL_DIVISION_BOUND).  A failure is reported
+arith.TRIAL_DIVISION_BOUND).  A failure is reported
 as a JSON document {"schema", "error", "detail"[, "path"]} whose error tag
 is read_error, parse_error, invalid_spec, invalid_input (exit 1),
 nothing_to_verify (exit 2), search_exhausted, unsupported or

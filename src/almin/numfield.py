@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import polys
-from .arith import ZeroInput, is_rational_square, squarefree_part
+from .arith import is_rational_square, squarefree_part
 from .polys import Poly
 
 

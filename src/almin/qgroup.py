@@ -10,6 +10,7 @@ rank-2 skew cases into restrictions of scalars).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Union
@@ -23,10 +24,9 @@ from .algebra import (
     QuatSecondKindForm,
     QuaternionAlgebra,
     is_ramified_at_infinity,
-    ramification_set,
     second_kind_involution,
 )
-from .arith import REAL, is_rational_square, squarefree_part
+from .arith import is_rational_square, squarefree_part
 from .numfield import NumberFieldCert, QuadElement, QuadraticField
 from .quadform import QuadForm, witt_index
 
@@ -293,37 +293,28 @@ def quat_hermitian_tail_isotropic(d: QuaternionAlgebra, entries) -> bool:
     return quadform.is_isotropic(QuadForm.diagonal(coeffs), "global")
 
 
-SKEW_TAIL_BOX = 6  # max coordinate of the rank-2 skew-tail refutation search
-
-
 def certify_skew_tail_anisotropic(form: QuatForm) -> Optional[bool]:
-    """True: certified anisotropic.  False: refuted (an isotropic vector was
-    found).  None: undecided within bounds.
+    """True: certified anisotropic.  False: refuted (the tail is isotropic).
+    None: undecided.
 
-    Certificates: an empty tail and a single entry over a division algebra
-    are anisotropic; a bounded search over pure left-multipliers can refute.
+    An empty tail is anisotropic.  Over a division algebra a single entry
+    is anisotropic and a pair is decided exactly by skew_pair_isotropy;
+    longer tails can only be refuted, by a search over vectors with
+    coordinates in {-1, 0, 1}.  Over a split algebra nothing is decided.
     """
     entries = form.diagonal
     if len(entries) == 0:
         return True
-    if len(entries) == 1:
-        return True if alg.is_division(form.algebra) else None
     if not alg.is_division(form.algebra):
         return None
-    d = form.algebra
-    k = len(entries)
-    if k == 2:
-        # over a division algebra x1 may be normalized to 1 (or the vector is
-        # (0, x2), which is never isotropic): search conj(x)a2x = -a1
-        target = -entries[0]
-        for coords in _int_boxes(4, SKEW_TAIL_BOX):
-            x = d.element(*coords)
-            if (x.conj() * entries[1] * x - target).is_zero():
-                return False
-        return None
-    # generic bounded refutation in a small box
+    if len(entries) == 1:
+        return True
+    if len(entries) == 2:
+        return skew_pair_isotropy(*entries) is None
     import itertools
 
+    d = form.algebra
+    k = len(entries)
     for coords in itertools.product(range(-1, 2), repeat=4 * k):
         if all(c == 0 for c in coords):
             continue
@@ -336,14 +327,43 @@ def certify_skew_tail_anisotropic(form: QuatForm) -> Optional[bool]:
     return None
 
 
-def _int_boxes(n: int, bound: int):
-    """Integer tuples of increasing max-norm (nonzero), deterministic order."""
-    import itertools
+def skew_pair_isotropy(
+    e1: QuatElement, e2: QuatElement
+) -> Optional[tuple[int, Fraction]]:
+    """Is the skew-hermitian form <e1, e2> over a quaternion division algebra
+    D isotropic?  None if not; otherwise (s, t) such that t = s c / nrd(y) is
+    a norm from Q(e1), in the notation below.
 
-    for h in range(0, bound + 1):
-        for t in itertools.product(range(-h, h + 1), repeat=n):
-            if max((abs(x) for x in t), default=0) == h and any(t):
-                yield t
+    An isotropic vector (x1, x2) has x1 != 0 (x1 = 0 forces x2 = 0) and
+    scales to (1, x), so the form is isotropic iff conj(x) e2 x = -e1 for
+    some x in D.  Reduced norms give nrd(x)^2 = nrd(e1) / nrd(e2); unless
+    that ratio is a square c^2 (c > 0) there is no such x.  Otherwise
+    nrd(x) = s c for a sign s, and as conj(x) = nrd(x) x^-1 the equation
+    reads x^-1 e2 x = w with w = -e1 / (s c).  The pure quaternions e2 and w
+    have the same reduced norm, so (Skolem-Noether) the linear equation
+    e2 y = y w has a plane of solutions, all invertible in D.  As
+    e2^2 = w^2, y = e2 q + q w solves it for every q, and q -> y has rank 2,
+    so one of q = 1, i, j, ij gives y != 0.  All solutions are x = y z with
+    z in the centralizer Q(e1) of w, and nrd(x) = s c iff nrd(z) = t with
+    t = s c / nrd(y).  With e1^2 = delta, t is a norm from Q(sqrt(delta))
+    iff <1, -delta, -t> is isotropic over Q, which its local invariants
+    decide (Hasse norm theorem; the extension is cyclic).  The
+    skew-hermitian form itself is never decided by a local-global
+    principle, which can fail for it."""
+    ratio = Fraction(e1.nrd()) / Fraction(e2.nrd())
+    if not is_rational_square(ratio):
+        return None
+    c = Fraction(math.isqrt(ratio.numerator), math.isqrt(ratio.denominator))
+    d = e1.alg
+    delta = -Fraction(e1.nrd())
+    basis = (d.one(), d.gen_i(), d.gen_j(), d.gen_k())
+    for s in (1, -1):
+        w = e1 * (Fraction(-s) / c)
+        y = next(y for y in (e2 * q + q * w for q in basis) if not y.is_zero())
+        t = s * c / Fraction(y.nrd())
+        if quadform.is_isotropic(QuadForm.diagonal([1, -delta, -t]), "global"):
+            return s, t
+    return None
 
 
 # --------------------------------------------------------------------------
@@ -400,9 +420,13 @@ def q_rank(g: GroupSpec) -> int:
         if cert is True:
             return f.hyperbolic_count
         if cert is False:
+            why = ""
+            if len(f.diagonal) == 2:
+                s, t = skew_pair_isotropy(*f.diagonal)
+                why = f" (sign {s}: t = {t} is a norm from Q(e1))"
             raise InvalidSpec(
-                "declared anisotropic skew tail is isotropic; renormalize the"
-                " input with a larger hyperbolic_count"
+                f"declared anisotropic skew tail is isotropic{why}; renormalize"
+                " the input with a larger hyperbolic_count"
             )
         if g.assume_tail_anisotropic:
             return f.hyperbolic_count
@@ -599,16 +623,12 @@ def _skew_split_real_signature(f: QuatForm) -> tuple[int, int]:
     sq_a = squarefree_part(a)
     rational_s = sq_a == 1
     if rational_s:
-        import math
-
         s_rat = Fraction(
             math.isqrt(Fraction(a).numerator), math.isqrt(Fraction(a).denominator)
         )
         fld = None
     else:
         fld = QuadraticField(sq_a)
-        import math
-
         w2 = Fraction(a) / sq_a
         w = Fraction(math.isqrt(w2.numerator), math.isqrt(w2.denominator))
 
@@ -696,9 +716,12 @@ def is_absolutely_almost_simple(g: GroupSpec) -> Union[bool, ConvertibleTo]:
                 "rank-2 skew-hermitian form with square discriminant is inner D2"
             )
         conv = ResSL2(numfield.quadratic_field_cert(disc))
-        if real_rank(g) != real_rank(conv):
-            # anisotropic outer D2: restriction of scalars of the unit group
-            # of a nonsplit quaternion algebra over the discriminant field
+        # anisotropic outer D2: restriction of scalars of the unit group of
+        # a nonsplit quaternion algebra over the discriminant field.  Over a
+        # division algebra that is every case: the norm ratio nrd(e1)/nrd(e2)
+        # is in the nonsquare class of disc, so the form is anisotropic.
+        anisotropic = certify_skew_tail_anisotropic(f) is True
+        if anisotropic or real_rank(g) != real_rank(conv):
             raise Unsupported(
                 "rank-2 skew-hermitian form is an outer D2 twisted by a"
                 " nonsplit quaternion algebra over the discriminant field;"

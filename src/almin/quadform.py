@@ -14,7 +14,6 @@ from fractions import Fraction
 from typing import Literal, Optional, Sequence, Union
 
 from .arith import (
-    REAL,
     FinitePrime,
     Place,
     RealPlace,

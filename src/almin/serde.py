@@ -11,7 +11,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Any, Optional
 
-from . import arith, minimal, polys, qgroup
+from . import arith, polys
 from .algebra import (
     HermForm,
     QuatElement,
@@ -35,7 +35,6 @@ from .minimal import (
     TraceRealizationContext,
     UnsupportedVerdict,
     Verdict,
-    VerifyCheck,
     VerifyReport,
     Witness,
 )
@@ -97,6 +96,15 @@ def _int_from(obj: Any, path: str) -> int:
     if isinstance(obj, bool) or not isinstance(obj, int):
         raise ParseError(path, f"expected an integer, got {type(obj).__name__}")
     return obj
+
+
+def _flag_from(doc: dict, key: str, default: bool, path: str) -> bool:
+    value = doc.get(key, default)
+    if not isinstance(value, bool):
+        raise ParseError(
+            f"{path}.{key}", f"expected a boolean, got {type(value).__name__}"
+        )
+    return value
 
 
 def _require(doc: dict, key: str, path: str) -> Any:
@@ -366,7 +374,7 @@ def group_from_doc(doc: Any, path: str = "$") -> GroupSpec:
             )
             return Unitary2Quat(
                 QuatSecondKindForm(l_field, alg, unit, diag, hyp),
-                bool(doc.get("assume_tail_anisotropic", False)),
+                _flag_from(doc, "assume_tail_anisotropic", False, path),
             )
         if kind == "su1":
             alg = _algebra_from(_require(doc, "algebra", path), f"{path}.algebra")
@@ -385,7 +393,7 @@ def group_from_doc(doc: Any, path: str = "$") -> GroupSpec:
             )
             return Unitary1(
                 QuatForm(alg, form_kind, diag, hyp),
-                bool(doc.get("assume_tail_anisotropic", False)),
+                _flag_from(doc, "assume_tail_anisotropic", False, path),
             )
         if kind == "res_sl2":
             return ResSL2(cert_from(_require(doc, "field", path), f"{path}.field"))
@@ -394,8 +402,8 @@ def group_from_doc(doc: Any, path: str = "$") -> GroupSpec:
             return ResSU3(
                 QuadraticField(k_d),
                 cert_from(_require(doc, "l_quartic", path), f"{path}.l_quartic"),
-                std_form=bool(doc.get("std_form", True)),
-                witness_context=bool(doc.get("witness_context", False)),
+                std_form=_flag_from(doc, "std_form", True, path),
+                witness_context=_flag_from(doc, "witness_context", False, path),
             )
     except _PASS_THROUGH:
         raise
@@ -580,7 +588,7 @@ def embedding_from_doc(doc: Any, path: str):
             c_x=rat_from(_require(doc, "c_x", path), f"{path}.c_x"),
             c_y=rat_from(_require(doc, "c_y", path), f"{path}.c_y"),
             k_cert=cert_from(_require(doc, "k_cert", path), f"{path}.k_cert"),
-            k_is_biquadratic=bool(doc.get("k_is_biquadratic", False)),
+            k_is_biquadratic=_flag_from(doc, "k_is_biquadratic", False, path),
         )
     if t == "subfield-restriction":
         return SubfieldRestriction(

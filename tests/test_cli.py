@@ -232,6 +232,16 @@ INVALID_SPEC = {  # <1, -1> is isotropic, so it may not be declared a tail
     "diagonal": [["1", "0", "0", "0"], ["-1", "0", "0", "0"]],
     "hyperbolic_count": 2,
 }
+# the former corpus tower: x = (1 - i + j - k)/2 gives conj(x) j x = -i, so
+# its assumed-anisotropic tail <i, j> is isotropic
+ISOTROPIC_SKEW_TAIL = {
+    "kind": "su1",
+    "algebra": {"a": "-1", "b": "-1"},
+    "form_kind": "skew_hermitian",
+    "diagonal": [["0", "1", "0", "0"], ["0", "0", "1", "0"]],
+    "hyperbolic_count": 1,
+    "assume_tail_anisotropic": True,
+}
 OCTIC = {"kind": "res_sl2", "field": {"poly": [576, 0, -960, 0, 352, 0, -40, 0, 1]}}
 BIG_FIELD = {"kind": "res_sl2", "field": {"poly": [-1000003 * 1000033, 0, 1]}}
 MALFORMED = json.loads((CORPUS / "malformed.json").read_text())
@@ -251,6 +261,8 @@ ERROR_TABLE = [
         ("analyze", "rank", "witness", "verify"), (3, "unsupported", None))),
     ("rho budget", BIG_FIELD, dict.fromkeys(
         ("analyze", "rank", "witness", "verify"), (3, "factorization_exceeded", None))),
+    ("isotropic skew tail", ISOTROPIC_SKEW_TAIL, dict.fromkeys(
+        ("analyze", "rank", "witness"), (1, "invalid_spec", None))),
 ]
 
 

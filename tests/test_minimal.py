@@ -23,6 +23,7 @@ from almin.minimal import (
 from almin.numfield import QuadraticField, field_cert, quadratic_field_cert
 from almin.quadform import QuadForm
 from almin.qgroup import (
+    InvalidSpec,
     Orthogonal,
     ResSL2,
     ResSU3,
@@ -31,6 +32,7 @@ from almin.qgroup import (
     Unitary1,
     Unitary2,
     Unitary2Quat,
+    q_rank,
 )
 
 
@@ -149,15 +151,27 @@ def test_quaternion_hermitian_b2_descends():
 
 
 def test_skew_unitary_tower():
+    # the tail <i, j + k> is anisotropic (norm ratio 1/2), with no assumption
+    d = QuaternionAlgebra(-1, -1)
+    g = Unitary1(
+        QuatForm(d, "skew_hermitian", (d.gen_i(), d.gen_j() + d.gen_k()), hyperbolic_count=1)
+    )
+    assert q_rank(g) == 1
+    v = analyze(g)
+    w = _assert_verified(g, v)
+    assert isinstance(w.embedding, PureQuaternionTower)
+    assert w.derivation[0].detail == "q_rank = 1, real_rank = 2"
+
+
+def test_isotropic_skew_tail_is_an_invalid_spec():
+    # x = (1 - i + j - k)/2 gives conj(x) j x = -i, so <i, j> is no tail
     d = QuaternionAlgebra(-1, -1)
     g = Unitary1(
         QuatForm(d, "skew_hermitian", (d.gen_i(), d.gen_j()), hyperbolic_count=1),
         assume_tail_anisotropic=True,
     )
-    v = analyze(g)
-    w = _assert_verified(g, v)
-    assert isinstance(w.embedding, PureQuaternionTower)
-    assert "conditional_on_assumed_tail_anisotropy" not in ()
+    with pytest.raises(InvalidSpec, match="skew tail is isotropic"):
+        analyze(g)
 
 
 def test_second_kind_rank2_descends_to_res_sl2():
@@ -241,11 +255,23 @@ def test_anisotropic_so4_unsupported():
     assert isinstance(v, UnsupportedVerdict)
 
 
+def test_anisotropic_rank2_skew_unsupported():
+    # over a division algebra a rank-2 skew form of nonsquare discriminant is
+    # anisotropic, so it is not Res SL2 over its discriminant field (which
+    # analyze once took it for, calling the group minimal)
+    d = QuaternionAlgebra(-5, 3)
+    g = Unitary1(
+        QuatForm(d, "skew_hermitian", (d.element(0, -2, 0, -2), d.element(0, 1, 1, 1)))
+    )
+    v = analyze(g)
+    assert isinstance(v, UnsupportedVerdict)
+    assert "nonsplit quaternion algebra" in v.reason
+
+
 def test_conditional_verdicts_are_flagged():
     d = QuaternionAlgebra(-1, -1)
     g = Unitary1(
-        QuatForm(d, "skew_hermitian", (d.gen_i(), d.gen_j()), hyperbolic_count=1),
-        assume_tail_anisotropic=True,
+        QuatForm(d, "skew_hermitian", (d.gen_i(), d.gen_j() + d.gen_k()), hyperbolic_count=1)
     )
     v = analyze(g)
     assert isinstance(v, NotMinimal)

@@ -1,3 +1,6 @@
+import itertools
+import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -19,7 +22,6 @@ from almin.qgroup import (
     ResSU3,
     SpecialLinear,
     Symplectic,
-    TailNotCertified,
     Unitary1,
     Unitary2,
     Unitary2Quat,
@@ -34,6 +36,7 @@ from almin.qgroup import (
     quat_hermitian_tail_isotropic,
     rank_profile,
     real_rank,
+    skew_pair_isotropy,
 )
 from almin.numfield import field_cert, quadratic_field_cert
 from oracles import oracle_solvable
@@ -136,20 +139,45 @@ def test_quat_hermitian_tail_isotropy():
 
 def test_skew_tail_certification():
     d = QuaternionAlgebra(-1, -1)
-    one_entry = QuatForm(d, "skew_hermitian", (d.gen_i(),))
-    assert certify_skew_tail_anisotropic(one_entry) is True
-    g = Unitary1(
-        QuatForm(d, "skew_hermitian", (d.gen_i(), d.gen_j()), hyperbolic_count=1),
-        assume_tail_anisotropic=True,
-    )
+    i, j, k = d.gen_i(), d.gen_j(), d.gen_k()
+    assert certify_skew_tail_anisotropic(QuatForm(d, "skew_hermitian", (i,))) is True
+    # <i, j> is isotropic: x = (1 - i + j - k)/2 gives conj(x) j x = -i
+    isotropic = QuatForm(d, "skew_hermitian", (i, j), hyperbolic_count=1)
+    assert certify_skew_tail_anisotropic(isotropic) is False
+    with pytest.raises(InvalidSpec, match=r"skew tail is isotropic \(sign 1: t = "):
+        q_rank(Unitary1(isotropic))
+    # <i, j + k>: the norm ratio nrd(i)/nrd(j + k) = 1/2 is not a square
+    g = Unitary1(QuatForm(d, "skew_hermitian", (i, j + k), hyperbolic_count=1))
+    assert certify_skew_tail_anisotropic(g.form) is True
     assert q_rank(g) == 1
-    g_uncond = Unitary1(
-        QuatForm(d, "skew_hermitian", (d.gen_i(), d.gen_j()), hyperbolic_count=1)
+
+
+def test_skew_pair_hand_cases():
+    d = QuaternionAlgebra(-1, -1)
+    i, j, k = d.gen_i(), d.gen_j(), d.gen_k()
+    x = (d.one() - i + j - k) * Fraction(1, 2)
+    assert x.conj() * j * x == -i
+    assert skew_pair_isotropy(i, j) is not None
+    assert skew_pair_isotropy(i, j + k) is None
+    # a square ratio is not enough: conj(j) i j = -i, so x = j u with u in
+    # Q(i) solves conj(x) (m i) x = -i iff nrd(u) = 1/m, a sum of two squares
+    y = j * (d.one() + i) * Fraction(1, 2)
+    assert y.conj() * (i * 2) * y == -i
+    assert skew_pair_isotropy(i, i * 2) is not None
+    assert skew_pair_isotropy(i, i * 3) is None  # 1/3 is no sum of two squares
+
+
+def test_rank2_skew_over_a_division_algebra_is_not_converted():
+    # the norm ratio (-40)/(-13) is not a square, so the form is anisotropic
+    # and the group is not Res SL2 (which has Q-rank 1) over Q(sqrt(130))
+    d = QuaternionAlgebra(-5, 3)
+    g = Unitary1(
+        QuatForm(d, "skew_hermitian", (d.element(0, -2, 0, -2), d.element(0, 1, 1, 1)))
     )
-    result = certify_skew_tail_anisotropic(g_uncond.form)
-    if result is None:
-        with pytest.raises(TailNotCertified):
-            q_rank(g_uncond)
+    assert certify_skew_tail_anisotropic(g.form) is True
+    assert q_rank(g) == 0 and real_rank(g) == 2
+    with pytest.raises(Unsupported, match="nonsplit quaternion algebra"):
+        is_absolutely_almost_simple(g)
 
 
 def test_unitary2quat_ranks():
@@ -212,3 +240,145 @@ def test_rank_profile_consistency():
         RankProfile(3, 2)
     assert RankProfile(1, 2).s_g_nonempty
     assert not RankProfile(1, 1).s_g_nonempty
+
+
+# ---------------------------------------------------------------------------
+# Rank-2 skew tails against a bounded search, in quaternion arithmetic of the
+# test's own on integer 4-tuples (t, x, y, z) of (a, b)
+
+
+def _qmul(u, v, a, b):
+    t1, x1, y1, z1 = u
+    t2, x2, y2, z2 = v
+    return (
+        t1 * t2 + a * x1 * x2 + b * y1 * y2 - a * b * z1 * z2,
+        t1 * x2 + x1 * t2 - b * y1 * z2 + b * z1 * y2,
+        t1 * y2 + y1 * t2 + a * x1 * z2 - a * z1 * x2,
+        t1 * z2 + z1 * t2 + x1 * y2 - y1 * x2,
+    )
+
+
+def _qconj(u):
+    return (u[0], -u[1], -u[2], -u[3])
+
+
+def _qnrd(u, a, b):
+    t, x, y, z = u
+    return t * t - a * x * x - b * y * y + a * b * z * z
+
+
+def _is_square(q):
+    q = Fraction(q)
+    return q >= 0 and all(math.isqrt(n) ** 2 == n for n in (q.numerator, q.denominator))
+
+
+def _primes(n):
+    n, p, out = abs(n), 2, set()
+    while p * p <= n:
+        while n % p == 0:
+            out.add(p)
+            n //= p
+        p += 1
+    return out | ({n} if n > 1 else set())
+
+
+def _search_pair(a, b, e1, e2, bound=2):
+    """Some x with conj(x) e2 x = -e1, or None: every integer X with
+    coordinates in [-bound, bound] is tried as x = X/m, m rational, which
+    needs conj(X) e2 X = -m^2 e1."""
+    r = next(n for n in range(1, 4) if e1[n])
+    for big_x in itertools.product(range(-bound, bound + 1), repeat=4):
+        if not any(big_x):
+            continue
+        p = _qmul(_qmul(_qconj(big_x), e2, a, b), big_x, a, b)
+        lam = Fraction(p[r], e1[r])
+        if all(p[n] == lam * e1[n] for n in range(4)) and _is_square(-lam):
+            return big_x
+    return None
+
+
+def _norm_test(a, b, e1, e2, s, c):
+    """Is t = s c / nrd(y) a norm from Q(e1), for a kernel vector y of
+    y -> e2 y - y w, w = -e1/(s c)?  Gaussian elimination for y, and the
+    independent Hilbert-symbol oracle at every place that can obstruct."""
+    w = tuple(Fraction(-v, s * c) for v in e1)
+    units = [tuple(int(n == m) for n in range(4)) for m in range(4)]
+    cols = []
+    for u in units:
+        lhs, rhs = _qmul(e2, u, a, b), _qmul(u, w, a, b)
+        cols.append([lhs[n] - rhs[n] for n in range(4)])
+    rows = [[Fraction(cols[m][n]) for m in range(4)] for n in range(4)]
+    pivots, r = [], 0
+    for col in range(4):
+        piv = next((i for i in range(r, 4) if rows[i][col]), None)
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        rows[r] = [v / rows[r][col] for v in rows[r]]
+        for i in range(4):
+            if i != r and rows[i][col]:
+                rows[i] = [vi - rows[i][col] * vr for vi, vr in zip(rows[i], rows[r])]
+        pivots.append(col)
+        r += 1
+    free = next(col for col in range(4) if col not in pivots)
+    y = [Fraction(0)] * 4
+    y[free] = Fraction(1)
+    for i, col in enumerate(pivots):
+        y[col] = -rows[i][free]
+    assert all(
+        lv == rv for lv, rv in zip(_qmul(e2, y, a, b), _qmul(y, w, a, b))
+    ), "y solves e2 y = y w"
+    delta = -Fraction(_qnrd(e1, a, b))
+    t = s * c / _qnrd(y, a, b)
+    places = {0, 2}
+    for q in (delta, t):
+        places |= _primes(q.numerator) | _primes(q.denominator)
+    return all(oracle_solvable(delta, t, p) for p in places)
+
+
+def _random_quat(rng, pure):
+    while True:
+        e = tuple(0 if pure and n == 0 else rng.randint(-2, 2) for n in range(4))
+        if any(e):
+            return e
+
+
+def test_skew_pair_isotropy_against_search():
+    rng = random.Random(20261018)
+    nonzero = [n for n in range(-7, 8) if n]
+    tally = {"found": 0, "built": 0, "square_anisotropic": 0, "ratio": 0}
+    while tally["found"] < 60 or tally["square_anisotropic"] < 15:
+        a, b = rng.choice(nonzero), rng.choice(nonzero)
+        if all(oracle_solvable(a, b, p) for p in (0, 2, 3, 5, 7)):
+            continue  # (a, b) splits; its places all divide 2ab or are real
+        e2 = _random_quat(rng, pure=True)
+        mode = rng.randrange(3)
+        if mode == 0:
+            e1 = _random_quat(rng, pure=True)
+        else:
+            # e1 = -lam conj(x) e2 x: isotropic when lam = 1, square ratio always
+            x = _random_quat(rng, pure=False)
+            lam = 1 if mode == 1 else rng.choice([-1, 2, 3, -2, 5])
+            e1 = tuple(-lam * v for v in _qmul(_qmul(_qconj(x), e2, a, b), x, a, b))
+        d = QuaternionAlgebra(a, b)
+        decision = skew_pair_isotropy(d.element(*e1), d.element(*e2))
+        form = QuatForm(d, "skew_hermitian", (d.element(*e1), d.element(*e2)))
+        assert certify_skew_tail_anisotropic(form) is (decision is None)
+        if mode == 1:
+            tally["built"] += 1
+            assert decision is not None, (a, b, e1, e2)
+        if _search_pair(a, b, e1, e2) is not None:
+            tally["found"] += 1
+            assert decision is not None, (a, b, e1, e2)
+        ratio = Fraction(_qnrd(e1, a, b), _qnrd(e2, a, b))
+        if not _is_square(ratio):
+            assert decision is None
+            tally["ratio"] += 1
+            continue
+        c = Fraction(math.isqrt(ratio.numerator), math.isqrt(ratio.denominator))
+        if decision is None:
+            assert not any(_norm_test(a, b, e1, e2, s, c) for s in (1, -1)), (a, b, e1, e2)
+            tally["square_anisotropic"] += 1
+        else:
+            assert _norm_test(a, b, e1, e2, decision[0], c), (a, b, e1, e2)
+    assert tally["ratio"] > 20 and tally["built"] > 20, tally

@@ -1,4 +1,5 @@
 import json
+import pathlib
 from fractions import Fraction
 
 import pytest
@@ -20,6 +21,8 @@ from almin.qgroup import (
     Unitary2,
 )
 from almin.serde import ParseError, rat_from, rat_to_str
+
+CORPUS = pathlib.Path(__file__).resolve().parent.parent / "corpus"
 
 
 def test_rational_strings():
@@ -123,6 +126,37 @@ def test_parse_errors_carry_paths():
             {"kind": "su2", "d": 2, "diagonal": [["1", "0"], "oops"]}
         )
     assert "diagonal" in e3.value.path
+
+
+@pytest.mark.parametrize(
+    "name,flag",
+    [
+        ("su1_skew_tower", "assume_tail_anisotropic"),
+        ("su2quat_rank2", "assume_tail_anisotropic"),
+        ("res_su3_minimal", "std_form"),
+        ("res_su3_minimal", "witness_context"),
+    ],
+)
+def test_spec_flags_must_be_booleans(corpus_docs, name, flag):
+    doc = dict(corpus_docs[name])
+    for value in ("false", 0, 1, None, []):
+        doc[flag] = value
+        with pytest.raises(ParseError) as e:
+            serde.group_from_doc(doc)
+        assert e.value.path == f"$.{flag}"
+        assert "expected a boolean" in str(e.value)
+    doc[flag] = flag == "std_form"  # the default, spelled out
+    assert serde.group_from_doc(doc) == serde.group_from_doc(corpus_docs[name])
+
+
+def test_witness_flag_must_be_a_boolean():
+    golden = json.loads((CORPUS / "expected" / "su1_skew_tower.json").read_text())
+    doc = golden["witness"]
+    assert serde.witness_from_doc(doc).embedding.k_is_biquadratic is False
+    doc["embedding"]["k_is_biquadratic"] = "false"
+    with pytest.raises(ParseError) as e:
+        serde.witness_from_doc(doc)
+    assert e.value.path == "$.witness.embedding.k_is_biquadratic"
 
 
 # JSON-like documents shaped like specs: each kind with its fields, holding
