@@ -126,7 +126,8 @@ class ResSU3:
     described by l_quartic (a degree-4 certificate over Q containing k_field).
 
     Analysis inputs require k_field imaginary; internally constructed
-    witnesses may carry a real k_field (flagged by witness_context)."""
+    witnesses may carry a real k_field (flagged by witness_context, which
+    serde accepts only inside a witness)."""
 
     k_field: QuadraticField
     l_quartic: NumberFieldCert
@@ -298,9 +299,8 @@ def certify_skew_tail_anisotropic(form: QuatForm) -> Optional[bool]:
     None: undecided.
 
     An empty tail is anisotropic.  Over a division algebra a single entry
-    is anisotropic and a pair is decided exactly by skew_pair_isotropy;
-    longer tails can only be refuted, by a search over vectors with
-    coordinates in {-1, 0, 1}.  Over a split algebra nothing is decided.
+    is anisotropic and a pair is decided exactly by skew_pair_isotropy.
+    Longer tails, and every tail over a split algebra, are undecided.
     """
     entries = form.diagonal
     if len(entries) == 0:
@@ -311,19 +311,6 @@ def certify_skew_tail_anisotropic(form: QuatForm) -> Optional[bool]:
         return True
     if len(entries) == 2:
         return skew_pair_isotropy(*entries) is None
-    import itertools
-
-    d = form.algebra
-    k = len(entries)
-    for coords in itertools.product(range(-1, 2), repeat=4 * k):
-        if all(c == 0 for c in coords):
-            continue
-        xs = [d.element(*coords[4 * i : 4 * i + 4]) for i in range(k)]
-        val = d.element(0)
-        for e, x in zip(entries, xs):
-            val = val + x.conj() * e * x
-        if val.is_zero():
-            return False
     return None
 
 
@@ -420,13 +407,11 @@ def q_rank(g: GroupSpec) -> int:
         if cert is True:
             return f.hyperbolic_count
         if cert is False:
-            why = ""
-            if len(f.diagonal) == 2:
-                s, t = skew_pair_isotropy(*f.diagonal)
-                why = f" (sign {s}: t = {t} is a norm from Q(e1))"
+            s, t = skew_pair_isotropy(*f.diagonal)
             raise InvalidSpec(
-                f"declared anisotropic skew tail is isotropic{why}; renormalize"
-                " the input with a larger hyperbolic_count"
+                f"declared anisotropic skew tail is isotropic (sign {s}: t = {t}"
+                " is a norm from Q(e1)); renormalize the input with a larger"
+                " hyperbolic_count"
             )
         if g.assume_tail_anisotropic:
             return f.hyperbolic_count
@@ -509,158 +494,57 @@ def _second_kind_real_rank(f: QuatSecondKindForm) -> int:
         if is_ramified_at_infinity(f.inner_algebra):
             return n - 1
         return 2 * n - 1
-    # L imaginary: D tensor R = M_2(C); the group is a special unitary group
-    # of a hermitian form over C whose signature is read off the rational
-    # trace form Trd(f(x,x)) of dimension 8n with signature (4p, 4q)
-    gram = _second_kind_trace_form(f)
-    p, q = quadform.signature(gram)
-    assert p % 4 == 0 and q % 4 == 0, "trace form signature must be divisible by 4"
-    return min(p // 4, q // 4)
-
-
-def _second_kind_trace_form(f: QuatSecondKindForm) -> QuadForm:
-    """Rational Gram of x -> Trd(f(x, x)) on the Q-space underneath D^n."""
-    L = f.l_field
-    dp = f.inner_algebra
-    one = L.element(1)
-    sq = L.sqrt_gen()
-    basis_d: list[QuatElement] = []
-    for s in (one, sq):
+    # L imaginary: D tensor R = M_2(C), and the group is the special unitary
+    # group of a hermitian form over C of rank 2n.  A hyperbolic plane has
+    # signature (2, 2); an entry e has a quarter of the signature of the
+    # rational form (x, y) -> Re Trd(tau(x) e y) on the 8-dimensional Q-space
+    # D, which is symmetric because tau(tau(x) e y) = tau(y) e x.  The basis
+    # has coefficients in L, so every reduced trace below is an element
+    # x + y sqrt(d) of L, and Re is its rational part x.
+    zero = L.element(0)
+    basis: list[QuatElement] = []
+    for s in (L.element(1), L.sqrt_gen()):
         for g in range(4):
-            coeffs = [L.element(0)] * 4
+            coeffs = [zero] * 4
             coeffs[g] = s
-            basis_d.append(QuatElement(dp, *coeffs))
-
-    def tr_pair(z1: QuatElement, z2: QuatElement) -> Fraction:
-        # individual reduced traces may land in L; only the symmetrized sum
-        # is conjugation-fixed, hence rational
-        t = z1.trd() + z2.trd()
-        if isinstance(t, QuadElement):
-            assert t.y == 0, "symmetrized trace escaped Q"
-            t = t.x
-        return Fraction(t) / 2
-
-    def bil(entry: QuatElement, x: QuatElement, y: QuatElement) -> Fraction:
-        tx = second_kind_involution(f, x)
-        ty = second_kind_involution(f, y)
-        return tr_pair(tx * entry * y, ty * entry * x)
-
-    blocks: list[list[list[Fraction]]] = []
-    for entry in f.diagonal:
-        blocks.append([[bil(entry, u, v) for v in basis_d] for u in basis_d])
-    for _ in range(f.hyperbolic_count):
-        # f((x,y),(x,y)) = tau(x) y + tau(y) x on a hyperbolic plane
-        size = 16
-        blk = [[Fraction(0)] * size for _ in range(size)]
-        for i, u in enumerate(basis_d):
-            for j, v in enumerate(basis_d):
-                tu = second_kind_involution(f, u)
-                tv = second_kind_involution(f, v)
-                val = tr_pair(tu * v, tv * u)
-                blk[i][8 + j] += val
-                blk[8 + j][i] += val
-        blocks.append(blk)
-    n = sum(len(b) for b in blocks)
-    gram = [[Fraction(0)] * n for _ in range(n)]
-    off = 0
-    for b in blocks:
-        k = len(b)
-        for i in range(k):
-            for j in range(k):
-                gram[off + i][off + j] = b[i][j]
-        off += k
-    return QuadForm.from_rows(gram)
-
-
-def _sign_of_quad(x: QuadElement) -> int:
-    """Sign of x + y sqrt(d) at the real embedding with sqrt(d) > 0 (d > 0)."""
-    a, b, d = x.x, x.y, x.fld.d
-    if b == 0:
-        return 0 if a == 0 else (1 if a > 0 else -1)
-    if a == 0:
-        return 1 if b > 0 else -1
-    if a > 0 and b > 0:
-        return 1
-    if a < 0 and b < 0:
-        return -1
-    # opposite signs: compare a^2 with b^2 d exactly
-    if a * a > b * b * d:
-        return 1 if a > 0 else -1
-    return 1 if b > 0 else -1
+            basis.append(QuatElement(f.inner_algebra, *coeffs))
+    taus = [second_kind_involution(f, u) for u in basis]
+    pos = neg = 2 * f.hyperbolic_count
+    for e in f.diagonal:
+        right = [e * v for v in basis]
+        gram = [[(tu * ev).trd().x for ev in right] for tu in taus]
+        p, q = quadform.signature(QuadForm.from_rows(gram))
+        assert p % 4 == 0 and q % 4 == 0, "trace form signature must be divisible by 4"
+        pos += p // 4
+        neg += q // 4
+    return min(pos, neg)
 
 
 def _skew_split_real_signature(f: QuatForm) -> tuple[int, int]:
-    """Signature over R of the 2n-dimensional quadratic form obtained by
-    Morita-transferring a skew-hermitian form over D split at infinity.
+    """Signature over R, up to order, of the 2n-dimensional quadratic form
+    that Morita-transfers a skew-hermitian form over D split at infinity.
 
-    D tensor R is trivialized by i -> diag(s, -s), j -> [[0,1],[b,0]] with
-    s = sqrt(a) when a > 0 (roles of i and j are swapped when only b > 0);
-    each skew entry p becomes the symmetric binary block J.M(p) with
-    J = [[0,1],[-1,0]], of determinant Nrd(p) = -p^2, and each hyperbolic
-    plane contributes signature (2, 2).  Signs of entries in Q(sqrt(a)) are
-    decided exactly."""
-    d = f.algebra
-    a, b = d.a, d.b
-    # split at infinity means a > 0 or b > 0; the trivialization needs the
-    # first parameter positive, so swap the generators when necessary
-    swap = a <= 0
-    if swap:
-        if b <= 0:
-            raise Unsupported(
-                "algebra is definite at infinity; no split trivialization"
-            )
-        a, b = b, a
-
-    def entry_coords(p: QuatElement) -> tuple:
-        # in the (possibly swapped) basis: pure part coordinates (x, y, z)
-        if swap:
-            # swapping i and j maps (x, y, z) -> (y, x, -z)
-            return (Fraction(p.y), Fraction(p.x), -Fraction(p.z))
-        return (Fraction(p.x), Fraction(p.y), Fraction(p.z))
-
-    pos = 2 * f.hyperbolic_count
-    neg = 2 * f.hyperbolic_count
-    sq_a = squarefree_part(a)
-    rational_s = sq_a == 1
-    if rational_s:
-        s_rat = Fraction(
-            math.isqrt(Fraction(a).numerator), math.isqrt(Fraction(a).denominator)
-        )
-        fld = None
-    else:
-        fld = QuadraticField(sq_a)
-        w2 = Fraction(a) / sq_a
-        w = Fraction(math.isqrt(w2.numerator), math.isqrt(w2.denominator))
-
-    def lift(r: Fraction, s_coeff: Fraction):
-        # r + s_coeff * sqrt(a) as an exactly signed quantity
-        if rational_s:
-            return r + s_coeff * s_rat
-        return fld.element(r, s_coeff * w)
-
-    def sign(v) -> int:
-        if isinstance(v, QuadElement):
-            return _sign_of_quad(v)
-        return 0 if v == 0 else (1 if v > 0 else -1)
-
+    A hyperbolic plane contributes (2, 2).  A pure entry p becomes a binary
+    block of determinant Nrd(p): indefinite, (1, 1), when Nrd(p) < 0.  On
+    pure quaternions Nrd has signature (1, 2) when D splits at infinity, so
+    the entries with Nrd(p) > 0 lie on the two sheets of a cone, and the
+    blocks of one sheet are all positive or all negative definite.  Pure p
+    and q share a sheet iff B(p, q) > 0 for the polar form B of Nrd, and
+    Trd(pq) = pq + qp = -2 B(p, q).  The sheet of the first such entry counts
+    as positive."""
+    pos = neg = 2 * f.hyperbolic_count
+    first = None
     for p in f.diagonal:
-        x, y, z = entry_coords(p)
-        # M(p) = [[x s, y + z s], [b(y - z s), -x s]]; J M(p) symmetric:
-        # [[b(y - z s), -x s], [-x s, -(y + z s)]]
-        g11 = lift(b * y, -b * z)
-        g12 = lift(Fraction(0), -x)
-        g22 = lift(-y, -z)
-        det = Fraction(p.nrd())  # = det M(p) = det(J M(p))
-        if det < 0:
+        norm = Fraction(p.nrd())
+        if norm == 0:
+            raise quadform.Degenerate("skew entry with zero reduced norm")
+        if norm < 0:
             pos += 1
             neg += 1
             continue
-        if det == 0:
-            raise quadform.Degenerate("skew entry with zero reduced norm")
-        # definite block: det = g11 g22 - g12^2 > 0 forces g11 != 0
-        s = sign(g11)
-        assert s != 0, "definite block with vanishing corner"
-        if s > 0:
+        if first is None:
+            first = p
+        if Fraction((first * p).trd()) < 0:
             pos += 2
         else:
             neg += 2
@@ -695,10 +579,8 @@ def is_absolutely_almost_simple(g: GroupSpec) -> Union[bool, ConvertibleTo]:
                 " algebra over the discriminant field, which this model does"
                 " not represent"
             )
-        conv = ResSL2(numfield.quadratic_field_cert(disc))
-        _check_conversion_ranks(g, conv)
         return ConvertibleTo(
-            conv,
+            ResSL2(numfield.quadratic_field_cert(disc)),
             f"isotropic SO4 of discriminant {disc} is isogenous to the"
             f" restriction of scalars of SL2 from Q(sqrt({disc}))",
         )
@@ -727,7 +609,6 @@ def is_absolutely_almost_simple(g: GroupSpec) -> Union[bool, ConvertibleTo]:
                 " nonsplit quaternion algebra over the discriminant field;"
                 " this model does not represent it"
             )
-        _check_conversion_ranks(g, conv)
         return ConvertibleTo(
             conv,
             f"rank-2 skew-hermitian unitary group of discriminant {disc} is"
@@ -738,11 +619,3 @@ def is_absolutely_almost_simple(g: GroupSpec) -> Union[bool, ConvertibleTo]:
         return ConvertibleTo(g, "already a restriction of scalars")
     return True
 
-
-def _check_conversion_ranks(src: GroupSpec, dst: GroupSpec):
-    try:
-        same_q = q_rank(src) == q_rank(dst)
-    except (TailNotCertified, Unsupported, InvalidSpec):
-        same_q = True  # undecidable source rank; conversion carries the claim
-    if not (same_q and real_rank(src) == real_rank(dst)):
-        raise AssertionError("conversion changed the rank profile")

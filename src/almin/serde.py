@@ -315,7 +315,9 @@ def group_to_doc(g: GroupSpec) -> dict:
     raise TypeError(f"unknown group spec {type(g)!r}")
 
 
-def group_from_doc(doc: Any, path: str = "$") -> GroupSpec:
+def group_from_doc(doc: Any, path: str = "$", in_witness: bool = False) -> GroupSpec:
+    """Parse a group specification.  Only a witness subgroup (in_witness)
+    may set witness_context, which admits a real k_field in res_su3."""
     kind = _require(doc, "kind", path)
     try:
         if kind == "sl":
@@ -399,11 +401,17 @@ def group_from_doc(doc: Any, path: str = "$") -> GroupSpec:
             return ResSL2(cert_from(_require(doc, "field", path), f"{path}.field"))
         if kind == "res_su3":
             k_d = _int_from(_require(doc, "k_d", path), f"{path}.k_d")
+            witness_context = _flag_from(doc, "witness_context", False, path)
+            if witness_context and not in_witness:
+                raise ParseError(
+                    f"{path}.witness_context",
+                    "only a witness subgroup may set witness_context",
+                )
             return ResSU3(
                 QuadraticField(k_d),
                 cert_from(_require(doc, "l_quartic", path), f"{path}.l_quartic"),
                 std_form=_flag_from(doc, "std_form", True, path),
-                witness_context=_flag_from(doc, "witness_context", False, path),
+                witness_context=witness_context,
             )
     except _PASS_THROUGH:
         raise
@@ -612,7 +620,9 @@ def witness_to_doc(w: Witness) -> dict:
 
 
 def witness_from_doc(doc: Any, path: str = "$.witness") -> Witness:
-    sub = group_from_doc(_require(doc, "subgroup", path), f"{path}.subgroup")
+    sub = group_from_doc(
+        _require(doc, "subgroup", path), f"{path}.subgroup", in_witness=True
+    )
     emb = embedding_from_doc(
         _require(doc, "embedding", path), f"{path}.embedding"
     )

@@ -242,6 +242,14 @@ ISOTROPIC_SKEW_TAIL = {
     "hyperbolic_count": 1,
     "assume_tail_anisotropic": True,
 }
+# witness_context admits a real k_field (here Q(sqrt 2)); only a witness
+# subgroup may set it
+WITNESS_CONTEXT = {
+    "kind": "res_su3",
+    "k_d": 2,
+    "l_quartic": {"poly": [1, 0, -10, 0, 1]},
+    "witness_context": True,
+}
 OCTIC = {"kind": "res_sl2", "field": {"poly": [576, 0, -960, 0, 352, 0, -40, 0, 1]}}
 BIG_FIELD = {"kind": "res_sl2", "field": {"poly": [-1000003 * 1000033, 0, 1]}}
 MALFORMED = json.loads((CORPUS / "malformed.json").read_text())
@@ -263,6 +271,10 @@ ERROR_TABLE = [
         ("analyze", "rank", "witness", "verify"), (3, "factorization_exceeded", None))),
     ("isotropic skew tail", ISOTROPIC_SKEW_TAIL, dict.fromkeys(
         ("analyze", "rank", "witness"), (1, "invalid_spec", None))),
+    ("witness context", WITNESS_CONTEXT, {
+        **dict.fromkeys(("analyze", "rank", "witness"), (1, "parse_error", "$.witness_context")),
+        "verify": (1, "parse_error", "$.input.witness_context"),
+    }),
 ]
 
 
@@ -285,6 +297,37 @@ def test_error_table(run_cli, monkeypatch, tmp_path, name, spec, command, want):
     doc = r.json
     assert (r.code, doc["error"], doc.get("path")) == want
     assert sorted(doc) == sorted(["schema", "error", "detail"] + (["path"] if want[2] else []))
+
+
+def test_witness_subgroup_keeps_its_witness_context(run_cli, tmp_path):
+    doc = json.loads((CORPUS / "expected" / "su2quat_rank3.json").read_text())
+    assert doc["witness"]["subgroup"]["witness_context"] is True
+    path = tmp_path / "verdict.json"
+    path.write_text(json.dumps(doc))
+    r = run_cli("verify", str(path))
+    assert r.code == 0 and r.json["verification"]["ok"] is True
+
+
+def test_undecided_long_skew_tail_is_unsupported_at_once(tmp_path):
+    # a rank-3 skew tail over a division algebra is undecided; this one,
+    # <i, j, 3k> over (-1, -3), is reached with real rank 2
+    spec = {
+        "kind": "su1",
+        "algebra": {"a": "-1", "b": "-3"},
+        "form_kind": "skew_hermitian",
+        "diagonal": [["0", "1", "0", "0"], ["0", "0", "1", "0"], ["0", "0", "0", "3"]],
+        "hyperbolic_count": 1,
+    }
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(spec))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    p = subprocess.run(
+        [sys.executable, "-m", "almin.cli", "analyze", str(path)],
+        capture_output=True, text=True, env=env, timeout=5,
+    )
+    assert p.returncode == 3, p.stderr
+    assert json.loads(p.stdout)["verdict"] == "unsupported"
 
 
 def test_verify_rejects_a_document_of_another_schema(run_cli):

@@ -5,16 +5,21 @@ from fractions import Fraction
 
 import pytest
 
+from almin import algebra as alg
 from almin.algebra import (
     HermForm,
+    QuatElement,
     QuatForm,
     QuatSecondKindForm,
     QuaternionAlgebra,
+    second_kind_involution,
 )
 from almin.numfield import QuadraticField
-from almin.quadform import QuadForm, is_isotropic, witt_index
+from almin.quadform import Degenerate as QuadDegenerate
+from almin.quadform import QuadForm, is_isotropic, signature
 from almin.qgroup import (
     ConvertibleTo,
+    _skew_split_real_signature,
     InvalidSpec,
     Orthogonal,
     RankProfile,
@@ -382,3 +387,192 @@ def test_skew_pair_isotropy_against_search():
         else:
             assert _norm_test(a, b, e1, e2, decision[0], c), (a, b, e1, e2)
     assert tally["ratio"] > 20 and tally["built"] > 20, tally
+
+
+# ---------------------------------------------------------------------------
+# Real signatures from rational signs, against the explicit real models they
+# replaced
+
+
+def _skew_signature_by_trivialisation(a, b, entries, hyperbolic_count):
+    """Signature of the Morita transfer of <p_1, ..., p_k> + H^h over (a, b)
+    split at infinity, from an explicit trivialisation of D tensor R:
+    i -> diag(s, -s), j -> [[0, 1], [b, 0]] with s = sqrt(a) (i and j swap
+    when a < 0).  The entry xi + yj + zk becomes the symmetric block
+    [[b(y - zs), -xs], [-xs, -(y + zs)]] of determinant Nrd(p); the sign of
+    its corner is taken in floating point."""
+    swap = a < 0
+    if swap:
+        a, b = b, a
+    s = math.sqrt(a)
+    pos = neg = 2 * hyperbolic_count
+    for x, y, z in entries:
+        norm = _qnrd((0, x, y, z), *((b, a) if swap else (a, b)))
+        if swap:
+            x, y, z = y, x, -z
+        if norm < 0:
+            pos, neg = pos + 1, neg + 1
+        elif b * (y - z * s) > 0:
+            pos += 2
+        else:
+            neg += 2
+    return pos, neg
+
+
+def test_skew_split_signature_against_trivialisation():
+    rng = random.Random(7001)
+    nonzero = [n for n in range(-10, 11) if n]
+    checked = 0
+    while checked < 1200:
+        a, b = rng.choice(nonzero), rng.choice(nonzero)
+        if a < 0 and b < 0:
+            continue  # ramified at infinity
+        d = QuaternionAlgebra(a, b)
+        entries = []
+        while len(entries) < rng.randint(1, 4):
+            e = tuple(rng.randint(-3, 3) for _ in range(3))
+            if _qnrd((0, *e), a, b) != 0:
+                entries.append(e)
+        hyp = rng.randint(0, 2)
+        form = QuatForm(d, "skew_hermitian", tuple(d.element(0, *e) for e in entries), hyp)
+        want = _skew_signature_by_trivialisation(a, b, entries, hyp)
+        assert _skew_split_real_signature(form) in (want, want[::-1]), (a, b, entries, hyp)
+        assert real_rank(Unitary1(form)) == min(want)
+        checked += 1
+
+
+def test_skew_split_signature_hand_cases():
+    d = QuaternionAlgebra(1, 1)  # M_2(Q); Nrd(xi + yj + zk) = -x^2 - y^2 + z^2
+    i, j, k = d.gen_i(), d.gen_j(), d.gen_k()
+    assert _skew_split_real_signature(QuatForm(d, "skew_hermitian", (i, j))) == (2, 2)
+    # k and -k lie on opposite sheets, k and 2k + i on the same one
+    assert _skew_split_real_signature(QuatForm(d, "skew_hermitian", (k, -k))) == (2, 2)
+    assert _skew_split_real_signature(QuatForm(d, "skew_hermitian", (k, k * 2 + i))) == (4, 0)
+    with pytest.raises(QuadDegenerate):
+        _skew_split_real_signature(QuatForm(d, "skew_hermitian", (i + k,)))
+
+
+def _second_kind_trace_form(f):
+    """The full rational Gram of x -> Trd(f(x, x)) on the 8n-dimensional
+    Q-space underneath D^n, with a 16 x 16 block per hyperbolic plane."""
+    L, dp = f.l_field, f.inner_algebra
+    basis = []
+    for s in (L.element(1), L.sqrt_gen()):
+        for g in range(4):
+            coeffs = [L.element(0)] * 4
+            coeffs[g] = s
+            basis.append(QuatElement(dp, *coeffs))
+
+    def tr_pair(z1, z2):
+        t = z1.trd() + z2.trd()
+        assert t.y == 0, "symmetrized trace escaped Q"
+        return t.x / 2
+
+    def bil(entry, x, y):
+        tx, ty = second_kind_involution(f, x), second_kind_involution(f, y)
+        return tr_pair(tx * entry * y, ty * entry * x)
+
+    blocks = [[[bil(e, u, v) for v in basis] for u in basis] for e in f.diagonal]
+    for _ in range(f.hyperbolic_count):
+        blk = [[Fraction(0)] * 16 for _ in range(16)]
+        for i, u in enumerate(basis):
+            for j, v in enumerate(basis):
+                tu, tv = second_kind_involution(f, u), second_kind_involution(f, v)
+                blk[i][8 + j] = blk[8 + j][i] = tr_pair(tu * v, tv * u)
+        blocks.append(blk)
+    n = sum(len(b) for b in blocks)
+    gram = [[Fraction(0)] * n for _ in range(n)]
+    off = 0
+    for b in blocks:
+        for i, row in enumerate(b):
+            gram[off + i][off : off + len(b)] = row
+        off += len(b)
+    return QuadForm.from_rows(gram)
+
+
+def test_second_kind_real_rank_against_trace_form():
+    rng = random.Random(7002)
+    # (tail entries, hyperbolic planes), two forms of each shape
+    shapes = [(1, 0), (2, 0), (0, 1), (1, 1), (2, 1)] * 2
+    signatures = set()
+    while shapes:
+        L = QuadraticField(rng.choice([-1, -2, -3, -5, -7]))
+        d = QuaternionAlgebra(rng.choice([-3, -1, 2, 5]), rng.choice([-2, -1, 3]))
+        # the unit is fixed by conj_D' tensor conj_L: t + sqrt(d) * pure
+        unit = QuatElement(
+            d, L.element(rng.randint(-2, 2)), *(L.element(0, rng.randint(-2, 2)) for _ in range(3))
+        ) if rng.randrange(2) else QuatElement(d, L.element(1), *[L.element(0)] * 3)
+        if unit.nrd().is_zero():
+            continue
+        base = QuatSecondKindForm(L, d, unit, ())
+        n_entries, hyp = shapes[-1]
+        entries = []
+        while len(entries) < n_entries:
+            # a rational entry, or a symmetrized z + tau(z)
+            z = QuatElement(d, *(L.element(rng.randint(-2, 2), rng.randint(-2, 2)) for _ in range(4)))
+            e = d.element(rng.choice([-3, -1, 1, 2])) if rng.randrange(2) else z + second_kind_involution(base, z)
+            if not e.is_zero():
+                entries.append(e)
+        f = QuatSecondKindForm(L, d, unit, tuple(entries), hyp)
+        try:
+            p, q = signature(_second_kind_trace_form(f))
+        except QuadDegenerate:
+            continue  # an entry of reduced norm 0: D' tensor L splits
+        assert real_rank(Unitary2Quat(f)) == min(p, q) // 4, (L.d, d, unit, entries, hyp)
+        signatures.add((p // 4, q // 4))
+        shapes.pop()
+    assert any(p != q for p, q in signatures), signatures  # some definite entries
+
+
+def test_conversions_keep_both_ranks(corpus_docs):
+    """A conversion to Res SL2 keeps the real rank, and the Q-rank wherever
+    the source's Q-rank is decided."""
+    from almin import serde
+    from almin.qgroup import NotAlmostSimple, TailNotCertified
+
+    def converted(g):
+        try:
+            conv = is_absolutely_almost_simple(g)
+        except (NotAlmostSimple, Unsupported):
+            return None
+        return conv.spec if isinstance(conv, ConvertibleTo) and conv.spec is not g else None
+
+    sources = [serde.group_from_doc(doc) for name, doc in corpus_docs.items() if name != "malformed"]
+    sources = [g for g in sources if converted(g)]
+    assert sources, "the corpus converts so4_res_sl2"
+    rng = random.Random(7003)
+    nonzero = [n for n in range(-12, 13) if n]
+    # isotropic quaternary forms with non-square discriminant
+    forms = 0
+    while forms < 200:
+        f = QuadForm.diagonal([rng.choice(nonzero) for _ in range(4)])
+        if _is_square(f.determinant()) or not is_isotropic(f, "global"):
+            continue
+        sources.append(Orthogonal(f))
+        forms += 1
+    # rank-2 skew forms over split algebras whose real ranks agree with Res SL2
+    skew = 0
+    while skew < 40:
+        d = QuaternionAlgebra(rng.choice(nonzero), rng.choice(nonzero))
+        if alg.is_division(d):
+            continue
+        entries = [_random_quat(rng, pure=True) for _ in range(2)]
+        if any(_qnrd(e, d.a, d.b) == 0 for e in entries):
+            continue
+        g = Unitary1(QuatForm(d, "skew_hermitian", tuple(d.element(*e) for e in entries)))
+        if converted(g):
+            sources.append(g)
+            skew += 1
+    decided = 0
+    for g in sources:
+        target = converted(g)
+        assert isinstance(target, ResSL2)
+        assert real_rank(g) == real_rank(target), g
+        try:
+            q = q_rank(g)
+        except TailNotCertified:
+            assert isinstance(g, Unitary1)  # a skew tail over a split algebra
+            continue
+        assert q == q_rank(target), g
+        decided += 1
+    assert decided >= 201
