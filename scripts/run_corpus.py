@@ -1,13 +1,15 @@
 #!/usr/bin/env python3
 """Run `almin analyze` over every specification in corpus/ and print a
 verdict table; with --check, also compare each output with its golden copy
-in corpus/expected/, re-verify each emitted witness from its serialized
-form, and confirm the output is byte-stable across two runs."""
+in corpus/expected/ (printing the first differing lines of a mismatch),
+re-verify each emitted witness from its serialized form, and confirm the
+output is byte-stable across two runs."""
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import difflib
 import io
 import json
 import pathlib
@@ -31,6 +33,18 @@ def reverify(doc) -> int:
         return cli.cmd_verify(argparse.Namespace(path="-"), io.StringIO())
     finally:
         sys.stdin = saved
+
+
+def first_diff(golden: str, text: str, path: pathlib.Path, limit: int = 12) -> str:
+    """The first lines of a unified diff from the golden to the output."""
+    lines = list(
+        difflib.unified_diff(
+            golden.splitlines(), text.splitlines(),
+            f"expected/{path.name}", f"analyze {path.name}", lineterm="",
+        )
+    )
+    more = [f"... ({len(lines) - limit} more diff lines)"] if len(lines) > limit else []
+    return "\n".join("    " + line for line in lines[:limit] + more)
 
 
 def summarize(doc) -> str:
@@ -61,11 +75,14 @@ def main() -> int:
         text = analyze_text(path)
         doc = json.loads(text)
         line = summarize(doc)
+        diff = ""
         if args.check:
             golden = expected / path.name
-            if not golden.exists() or golden.read_text(encoding="utf-8") != text:
+            want = golden.read_text(encoding="utf-8") if golden.exists() else ""
+            if want != text:
                 failures += 1
                 line += "  GOLDEN MISMATCH"
+                diff = first_diff(want, text, path)
             if doc.get("verdict") == "not_minimal":
                 if not doc["verification"]["ok"]:
                     failures += 1
@@ -77,6 +94,8 @@ def main() -> int:
                 failures += 1
                 line += "  NONDETERMINISTIC"
         print(f"{path.name:28s} {line}")
+        if diff:
+            print(diff)
     if failures:
         print(f"{failures} failure(s)")
     return 1 if failures else 0

@@ -17,6 +17,7 @@ from .arith import (
     ZeroInput,
     hilbert_symbol,
     is_rational_square,
+    rational_sqrt,
     relevant_places,
     squarefree_part,
 )
@@ -505,10 +506,7 @@ def skew_restriction(form: QuatForm, i3: int, i4: int) -> SkewRestriction:
         )
     dprime = squarefree_part(alpha_sq)
     fprime = QuadraticField(dprime)
-    import math
-
-    w2 = alpha_sq / dprime
-    w = Fraction(math.isqrt(w2.numerator), math.isqrt(w2.denominator))
+    w = rational_sqrt(alpha_sq / dprime)
     # c = a3^{-1} a4 commutes with alpha, hence c = u + v*alpha with u, v in Q
     cq = a3.inverse() * a4
     u = Fraction(cq.t)
@@ -546,9 +544,8 @@ def _pure_ratio(cq: QuatElement, alpha: QuatElement) -> Optional[Fraction]:
 
 def _integral_quartic_cert(raw: polys.Poly) -> NumberFieldCert:
     """Rescale the generator so the monic quartic has integer coefficients,
-    then certify the field (signature and complete quadratic subfields)."""
-    import math
-
+    then certify the field (signature and the quadratic subfields of its
+    resolvent cubic)."""
     m = 1
     while True:
         scaled = polys.poly(

@@ -171,6 +171,12 @@ def is_rational_square(x: Rational) -> bool:
     )
 
 
+def rational_sqrt(x: Rational) -> Fraction:
+    """The nonnegative square root of a rational square x."""
+    x = Fraction(x)
+    return Fraction(math.isqrt(x.numerator), math.isqrt(x.denominator))
+
+
 def legendre(a: int, p: int) -> int:
     """Legendre symbol (a|p) for an odd prime p."""
     if p == 2 or not is_prime(p):

@@ -7,12 +7,12 @@ verify serialized witnesses, and run the built-in verification suites.
     almin roots | selftest
 
 A command takes no tuning options: every search runs to a fixed bound kept
-beside it (quadform.ISOTROPIC_HEIGHT_BOUND, quadform.REPRESENT_HEIGHT_BOUND,
-arith.TRIAL_DIVISION_BOUND).  A failure is reported
-as a JSON document {"schema", "error", "detail"[, "path"]} whose error tag
-is read_error, parse_error, invalid_spec, invalid_input (exit 1),
-nothing_to_verify (exit 2), search_exhausted, unsupported or
-factorization_exceeded (exit 3).
+beside it (quadform._SEARCH_BUDGET, which sets the height of the isotropic
+vector search, quadform.REPRESENT_HEIGHT_BOUND, arith.TRIAL_DIVISION_BOUND).
+A failure is reported as a JSON document {"schema", "error", "detail"[,
+"path"]} whose error tag is read_error, parse_error, invalid_spec,
+invalid_input (exit 1), nothing_to_verify (exit 2), search_exhausted,
+unsupported or factorization_exceeded (exit 3).
 
 Exit codes: 0 decided (minimal or not minimal, or requested data printed);
 1 parse/internal error; 2 not applicable; 3 search exhausted, effort budget
@@ -378,7 +378,7 @@ def main(argv=None) -> int:
         return _fail(out, EXIT_ERROR, "invalid_spec", str(exc))
     except minimal.SearchExhausted as exc:
         return _fail(out, EXIT_EXHAUSTED, "search_exhausted", str(exc))
-    except (qgroup.Unsupported, qgroup.TailNotCertified, polys.IrreducibilityUnproven) as exc:
+    except (qgroup.Unsupported, polys.IrreducibilityUnproven) as exc:
         return _fail(out, EXIT_EXHAUSTED, "unsupported", str(exc))
     except arith.FactorizationExceeded as exc:
         return _fail(out, EXIT_EXHAUSTED, "factorization_exceeded", str(exc))

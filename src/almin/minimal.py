@@ -18,7 +18,7 @@ from typing import Optional, Union
 from . import algebra as alg
 from . import numfield, polys, qgroup, quadform
 from .algebra import HermForm, QuatForm, QuaternionAlgebra, is_ramified_at_infinity
-from .arith import is_rational_square, squarefree_part
+from .arith import is_rational_square, rational_sqrt, squarefree_part
 from .numfield import (
     NumberFieldCert,
     QuadElement,
@@ -36,7 +36,6 @@ from .qgroup import (
     ResSU3,
     SpecialLinear,
     Symplectic,
-    TailNotCertified,
     Unitary1,
     Unitary2,
     Unitary2Quat,
@@ -184,7 +183,6 @@ class Witness:
 @dataclass(frozen=True)
 class Minimal:
     matched_case: str  # one of "i", "ii", "iii", "iv"
-    conditions: tuple[str, ...]
     derivation: tuple[DerivationStep, ...]
 
 
@@ -851,8 +849,6 @@ def analyze(g: GroupSpec) -> Verdict:
         return NotApplicable(f"real_rank = {rr}")
     try:
         qr = q_rank(g)
-    except TailNotCertified as exc:
-        return UnsupportedVerdict(str(exc))
     except Unsupported as exc:
         return UnsupportedVerdict(str(exc))
     if qr == 0:
@@ -860,74 +856,55 @@ def analyze(g: GroupSpec) -> Verdict:
     deriv.append(
         _step("rank-computation", f"q_rank = {qr}, real_rank = {rr}")
     )
-    conditions: tuple[str, ...] = ()
-    if isinstance(g, (Unitary1, Unitary2Quat)) and getattr(
-        g, "assume_tail_anisotropic", False
-    ):
-        conditions = ("conditional_on_assumed_tail_anisotropy",)
-
     try:
-        return _dispatch(g, qr, tuple(deriv), conditions)
-    except TailNotCertified as exc:
-        return UnsupportedVerdict(str(exc))
+        return _dispatch(g, qr, tuple(deriv))
     except Unsupported as exc:
         return UnsupportedVerdict(str(exc))
 
 
 def _dispatch(
-    g: GroupSpec,
-    qr: int,
-    deriv: tuple[DerivationStep, ...],
-    conditions: tuple[str, ...],
+    g: GroupSpec, qr: int, deriv: tuple[DerivationStep, ...]
 ) -> Verdict:
     if isinstance(g, SpecialLinear):
+        if g.algebra is None and g.m == 3:
+            return Minimal(
+                "i",
+                deriv + (_step("standard-sl3", "the split rank-2 special"
+                               " linear group of degree 3"),),
+            )
         if g.algebra is None:
-            if g.m == 3:
-                return Minimal(
-                    "i",
-                    conditions,
-                    deriv + (_step("standard-sl3", "the split rank-2 special"
-                                   " linear group of degree 3"),),
-                )
-            w = Witness(
-                SpecialLinear(3),
-                BlockEmbedding(0),
-                deriv
-                + (
-                    _step(
-                        "sl3-block",
-                        f"the leading 3x3 block of the degree-{g.m} special"
-                        f" linear group is a proper isotropic almost simple"
-                        f" subgroup of rank 2",
-                    ),
+            steps = (
+                _step(
+                    "sl3-block",
+                    f"the leading 3x3 block of the degree-{g.m} special"
+                    f" linear group is a proper isotropic almost simple"
+                    f" subgroup of rank 2",
                 ),
             )
-            return _not_minimal(g, w)
-        if not alg.is_division(g.algebra):
-            m_eff = 2 * g.m
-            w = Witness(
-                SpecialLinear(3),
-                BlockEmbedding(0),
-                deriv
-                + (
-                    _step(
-                        "matrix-algebra-reduction",
-                        f"the algebra is split, so the group is the degree-"
-                        f"{m_eff} special linear group over Q",
-                    ),
-                    _step("sl3-block", "leading 3x3 block"),
+        elif not alg.is_division(g.algebra):
+            steps = (
+                _step(
+                    "matrix-algebra-reduction",
+                    f"the algebra is split, so the group is the degree-"
+                    f"{2 * g.m} special linear group over Q",
                 ),
+                _step("sl3-block", "leading 3x3 block"),
             )
-            return _not_minimal(g, w)
-        if is_ramified_at_infinity(g.algebra):
+        elif is_ramified_at_infinity(g.algebra):
             # definite algebra: only reachable with m >= 3 (rank >= 2)
-            w = _split_so5_witness(
-                "special linear group over a definite quaternion algebra with"
-                " rational rank at least 2"
+            steps = (
+                _step(
+                    "rational-sl3-block",
+                    f"the leading 3x3 block of the degree-{g.m} special"
+                    f" linear group over Q, a proper subgroup of the one"
+                    f" over the definite algebra",
+                ),
             )
+        else:
+            w = _sl2_quaternion_witness(g.algebra, g.m)
             return _not_minimal(g, _prefix(w, deriv))
-        w = _sl2_quaternion_witness(g.algebra, g.m)
-        return _not_minimal(g, _prefix(w, deriv))
+        w = Witness(SpecialLinear(3), BlockEmbedding(0), deriv + steps)
+        return _not_minimal(g, w)
 
     if isinstance(g, Symplectic):
         w = _split_so5_witness(
@@ -945,7 +922,6 @@ def _dispatch(
             assert g.form.field.is_real
             return Minimal(
                 "ii",
-                conditions,
                 deriv
                 + (
                     _step(
@@ -986,10 +962,10 @@ def _dispatch(
         return _not_minimal(g, _prefix(w, deriv))
 
     if isinstance(g, ResSL2):
-        return _analyze_res_sl2(g, deriv, conditions)
+        return _analyze_res_sl2(g, deriv)
 
     if isinstance(g, ResSU3):
-        return _analyze_res_su3(g, deriv, conditions)
+        return _analyze_res_su3(g, deriv)
 
     raise TypeError(f"unknown spec {type(g)!r}")
 
@@ -1004,14 +980,40 @@ def _quadratic_disc(sub_poly) -> Fraction:
     return b * b - 4 * c
 
 
-def _analyze_res_sl2(
-    g: ResSL2, deriv: tuple[DerivationStep, ...], conditions: tuple[str, ...]
-) -> Verdict:
+def _analyze_res_sl2(g: ResSL2, deriv: tuple[DerivationStep, ...]) -> Verdict:
     K = g.field
-    certs = sorted(
-        K.subfields, key=lambda c: (polys.degree(c.sub_poly), c.sub_poly)
+    w = _subfield_descent(K, K.subfields, deriv)
+    if w is None and not K.subfields_complete:
+        if K.degree != 4:
+            return UnsupportedVerdict(
+                f"no listed subfield of the degree-{K.degree} field is real"
+                f" quadratic or of degree >= 3, and the proper subfields are"
+                f" computed only at prime degree and for quartics"
+            )
+        # the resolvent cubic gives every proper subfield of a quartic
+        quadratics = numfield.quadratic_subfields_of_quartic(K.defining_poly)
+        w = _subfield_descent(K, quadratics.values(), deriv)
+    if w is not None:
+        return _not_minimal(g, w)
+    return Minimal(
+        "iv",
+        deriv
+        + (
+            _step(
+                "res-sl2-field-criterion",
+                "every certified proper subfield is Q or imaginary quadratic"
+                " and the field has at least two archimedean places",
+            ),
+        ),
     )
-    for cert in certs:
+
+
+def _subfield_descent(
+    K: NumberFieldCert, certs, deriv: tuple[DerivationStep, ...]
+) -> Optional[Witness]:
+    """The restriction of scalars from the first certified subfield that is
+    neither Q nor imaginary quadratic, or None."""
+    for cert in sorted(certs, key=lambda c: (polys.degree(c.sub_poly), c.sub_poly)):
         if not verify_subfield(K, cert):
             raise qgroup.InvalidSpec("subfield certificate fails verification")
         deg = polys.degree(cert.sub_poly)
@@ -1020,9 +1022,8 @@ def _analyze_res_sl2(
         if deg == 2 and _quadratic_disc(cert.sub_poly) < 0:
             continue  # imaginary quadratic subfields are admissible
         sub_coeffs = [int(c) for c in cert.sub_poly]
-        mfield = numfield.field_cert(sub_coeffs)
-        w = Witness(
-            ResSL2(mfield),
+        return Witness(
+            ResSL2(numfield.field_cert(sub_coeffs)),
             SubfieldRestriction(cert),
             deriv
             + (
@@ -1035,26 +1036,10 @@ def _analyze_res_sl2(
                 ),
             ),
         )
-        return _not_minimal(g, w)
-    if not K.subfields_complete:
-        conditions = conditions + ("conditional_on_certified_subfield_list",)
-    return Minimal(
-        "iv",
-        conditions,
-        deriv
-        + (
-            _step(
-                "res-sl2-field-criterion",
-                "every certified proper subfield is Q or imaginary quadratic"
-                " and the field has at least two archimedean places",
-            ),
-        ),
-    )
+    return None
 
 
-def _analyze_res_su3(
-    g: ResSU3, deriv: tuple[DerivationStep, ...], conditions: tuple[str, ...]
-) -> Verdict:
+def _analyze_res_su3(g: ResSU3, deriv: tuple[DerivationStep, ...]) -> Verdict:
     subs = numfield.quadratic_subfields_of_quartic(g.l_quartic.defining_poly)
     deriv = deriv + (
         _step(
@@ -1084,7 +1069,6 @@ def _analyze_res_su3(
         return _not_minimal(g, w)
     return Minimal(
         "iii",
-        conditions,
         deriv
         + (
             _step(
@@ -1396,23 +1380,19 @@ def _verify_subfield_element(
 def _verify_block(parent, emb: BlockEmbedding, w: Witness) -> list[VerifyCheck]:
     if not isinstance(parent, SpecialLinear):
         return [_check("embedding applies to the parent", False, "")]
-    if parent.algebra is None:
-        m_eff = parent.m
-    elif not alg.is_division(parent.algebra):
+    # SL_m over M_2(Q) is SL_2m over Q; over a division algebra D the block
+    # lies in SL_m(Q), a proper subgroup of SL_m(D)
+    if parent.algebra is not None and not alg.is_division(parent.algebra):
         m_eff = 2 * parent.m
     else:
-        return [
-            _check(
-                "embedding applies to the parent",
-                False,
-                "block embedding needs a split coefficient algebra",
-            )
-        ]
+        m_eff = parent.m
+    proper = parent.algebra is not None or parent.m > 3
     return [
         _check(
             "block fits",
-            0 <= emb.offset and emb.offset + 3 <= m_eff,
-            f"offset {emb.offset} in degree {m_eff}",
+            0 <= emb.offset and emb.offset + 3 <= m_eff and proper,
+            f"offset {emb.offset} in degree {m_eff}"
+            + ("" if proper else "; the block is the whole group"),
         ),
         _check(
             "witness is the degree-3 special linear group",
@@ -1466,10 +1446,17 @@ def _verify_split_so5(parent, emb: SplitSO5, w: Witness) -> list[VerifyCheck]:
             )
     try:
         qr = q_rank(parent)
+        special_linear = isinstance(parent, SpecialLinear)
         out.append(
-            _check("parent has rational rank >= 2", qr >= 2, f"q_rank = {qr}")
+            _check(
+                "parent has rational rank >= 2",
+                qr >= 2 and not special_linear,
+                f"q_rank = {qr}"
+                + ("; a special linear parent takes the block witness"
+                   if special_linear else ""),
+            )
         )
-    except (TailNotCertified, Unsupported, qgroup.InvalidSpec) as exc:
+    except (Unsupported, qgroup.InvalidSpec) as exc:
         out.append(_check("parent has rational rank >= 2", False, str(exc)))
     return out
 
@@ -1617,11 +1604,8 @@ def _verify_quartic_tower(
     )
     if not ok_sq:
         return out
-    import math
-
     fprime = QuadraticField(dprime)
-    w2 = alpha_sq / dprime
-    wr = Fraction(math.isqrt(w2.numerator), math.isqrt(w2.denominator))
+    wr = rational_sqrt(alpha_sq / dprime)
     c = fprime.element(emb.c_x, emb.c_y)
     # a3 * (c_x + c_y * alpha / wr) should equal a4
     c_in_d = d.element(emb.c_x) + (emb.c_y / wr) * alpha
@@ -1679,11 +1663,7 @@ def _verify_quartic_tower(
                 )
             )
             if ok_delta:
-                md = delta / dprime
-                mr = Fraction(
-                    math.isqrt(md.numerator), math.isqrt(md.denominator)
-                )
-                sdelta = fprime.element(0, mr)
+                sdelta = fprime.element(0, rational_sqrt(delta / dprime))
                 two_c = c + c
                 found = False
                 for sgn in (1, -1):
@@ -1807,7 +1787,7 @@ def verify_witness(parent: GroupSpec, w: Witness) -> VerifyReport:
     try:
         qr = q_rank(w.subgroup)
         checks.append(_check("witness q_rank >= 1", qr >= 1, f"q_rank = {qr}"))
-    except (TailNotCertified, Unsupported, qgroup.InvalidSpec) as exc:
+    except (Unsupported, qgroup.InvalidSpec) as exc:
         checks.append(_check("witness q_rank >= 1", False, str(exc)))
     try:
         rr = real_rank(w.subgroup)

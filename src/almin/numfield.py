@@ -1,11 +1,14 @@
 """Number fields by certificate: quadratic fields with exact arithmetic,
-and general fields given by a monic integer defining polynomial together
-with signature and subfield certificates.
+and general fields given by a monic integer defining polynomial, its
+signature (always counted by Sturm) and a list of certified subfields.
 
-Complete subfield lattices are computed here only for degree <= 4 (nothing
-for prime degree, the resolvent cubic for quartics).  Larger fields carry
-caller-supplied certificates, and the `subfields_complete` flag records
-whether a verdict downstream may rely on the list being exhaustive.
+A listed subfield is a claim that verify_subfield checks; the list itself
+is never believed to be exhaustive.  Completeness is read off the
+certificate (`NumberFieldCert.subfields_complete`): a field of prime degree
+has no proper subfield but Q, and a quartic listing three distinct quadratic
+subfields lists the most a quartic has.  The complete list of a quartic
+comes from its resolvent cubic (quadratic_subfields_of_quartic); no larger
+field has a computed list.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import polys
-from .arith import is_rational_square, squarefree_part
+from .arith import is_prime, is_rational_square, rational_sqrt, squarefree_part
 from .polys import Poly
 
 
@@ -144,9 +147,7 @@ def is_square_in_quadfield(e: QuadElement) -> bool:
     n = e.norm()
     if not is_rational_square(n):
         return False
-    import math
-
-    s = Fraction(math.isqrt(n.numerator), math.isqrt(n.denominator))
+    s = rational_sqrt(n)
     if e.y == 0:
         # e = x: a square iff x or x/d is a rational square (u=0 case gives v^2 d)
         return is_rational_square(e.x) or is_rational_square(e.x / e.fld.d)
@@ -176,7 +177,6 @@ class NumberFieldCert:
     degree: int
     signature: tuple[int, int]
     subfields: tuple[SubfieldCert, ...] = ()
-    subfields_complete: bool = False
 
     def __post_init__(self):
         f = self.defining_poly
@@ -193,36 +193,45 @@ class NumberFieldCert:
         if r1 + 2 * r2 != d:
             raise InvalidCertificate("signature must satisfy r1 + 2*r2 = degree")
 
+    @property
+    def subfields_complete(self) -> bool:
+        """Whether the listed subfields are all proper subfields other than
+        Q, granted that each listed one verifies: at prime degree there are
+        none, and a quartic has at most three quadratic subfields."""
+        if is_prime(self.degree):
+            return True
+        if self.degree != 4:
+            return False
+        classes = set()
+        for cert in self.subfields:
+            if polys.degree(cert.sub_poly) == 2:
+                b, c = cert.sub_poly[1], cert.sub_poly[0]
+                if not is_rational_square(b * b - 4 * c):
+                    classes.add(squarefree_part(b * b - 4 * c))
+        return len(classes) == 3
+
 
 def sturm_signature(f: Poly) -> tuple[int, int]:
     """(r1, r2) of a monic squarefree polynomial, by Sturm sequences."""
     f = polys.poly(f)
-    if not polys.is_squarefree(f):
+    chain = polys.sturm_chain(f)
+    if polys.degree(chain[-1]) > 0:  # gcd(f, f') is not constant
         raise NotSquarefree("polynomial has repeated roots")
-    r1 = polys.count_real_roots(f)
+    r1 = polys.real_roots_of_chain(chain)
     return r1, (polys.degree(f) - r1) // 2
 
 
-def field_cert(coeffs, subfields=(), subfields_complete=None) -> NumberFieldCert:
+def field_cert(coeffs, subfields=()) -> NumberFieldCert:
     """Build a NumberFieldCert from integer coefficients (low degree first),
-    computing the signature by Sturm.  Prime degree implies a complete
-    (empty) proper-subfield list; quartics get the resolvent treatment."""
-    from .arith import is_prime
-
+    computing the signature by Sturm.  A quartic listing no subfield gets
+    the quadratic subfields of its resolvent cubic."""
     f = polys.poly(coeffs)
     deg = polys.degree(f)
     sig = sturm_signature(f)
     subs = tuple(subfields)
-    complete = subfields_complete
-    if complete is None:
-        if is_prime(deg):
-            complete = True
-        elif deg == 4 and not subs:
-            subs = tuple(quadratic_subfields_of_quartic(f).values())
-            complete = True
-        else:
-            complete = False
-    return NumberFieldCert(f, deg, sig, subs, complete)
+    if deg == 4 and not subs:
+        subs = tuple(quadratic_subfields_of_quartic(f).values())
+    return NumberFieldCert(f, deg, sig, subs)
 
 
 def verify_subfield(parent: NumberFieldCert, cert: SubfieldCert) -> bool:
@@ -274,10 +283,7 @@ def quadratic_subfields_of_quartic(f) -> dict[int, SubfieldCert]:
             if disc == 0 or is_rational_square(disc):
                 continue
             d = squarefree_part(disc)
-            w2 = disc / d
-            import math
-
-            w = Fraction(math.isqrt(w2.numerator), math.isqrt(w2.denominator))
+            w = rational_sqrt(disc / d)
             # sqrt(disc) = 2 theta^2 + p, so sqrt(d) = (2 theta^2 + p)/w
             emb = polys.scale(
                 polys.add(polys.scale(polys.mulmod(theta, theta, f), 2), polys.poly([p])),
@@ -287,10 +293,7 @@ def quadratic_subfields_of_quartic(f) -> dict[int, SubfieldCert]:
             if is_rational_square(z):
                 continue  # would make the quartic reducible
             d = squarefree_part(z)
-            w2 = z / d
-            import math
-
-            w = Fraction(math.isqrt(w2.numerator), math.isqrt(w2.denominator))
+            w = rational_sqrt(z / d)
             # s = theta1 + theta2 satisfies s^2 = z and
             # s = (2 z theta - q) / (2 theta^2 + p + z) in the field.
             numer = polys.sub(polys.scale(theta, 2 * z), polys.poly([q]))
@@ -322,22 +325,18 @@ def compositum_quadratic(e: QuadraticField, l: QuadraticField) -> NumberFieldCer
         polys.sub(t3, polys.scale(theta, 3 * d2 + d1)), Fraction(1, 2 * (d1 - d2))
     )
     d3 = squarefree_part(d1 * d2)
-    w2 = Fraction(d1 * d2, d3)
-    import math
-
-    w = Fraction(math.isqrt(w2.numerator), math.isqrt(w2.denominator))
+    w = rational_sqrt(Fraction(d1 * d2, d3))
     emb3 = polys.scale(polys.poly([-(d1 + d2), 0, 1]), Fraction(1, 2) / w)
     subs = (
         SubfieldCert(polys.poly([-d1, 0, 1]), polys.mod(emb1, f)),
         SubfieldCert(polys.poly([-d2, 0, 1]), polys.mod(emb2, f)),
         SubfieldCert(polys.poly([-d3, 0, 1]), polys.mod(emb3, f)),
     )
-    sig = sturm_signature(f)
-    return NumberFieldCert(f, 4, sig, subs, subfields_complete=True)
+    return NumberFieldCert(f, 4, sturm_signature(f), subs)
 
 
 def quadratic_field_cert(d: int) -> NumberFieldCert:
     """NumberFieldCert for Q(sqrt(d))."""
     fld = QuadraticField(d)
     sig = (2, 0) if fld.is_real else (0, 1)
-    return NumberFieldCert(polys.poly([-d, 0, 1]), 2, sig, (), True)
+    return NumberFieldCert(polys.poly([-d, 0, 1]), 2, sig)

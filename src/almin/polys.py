@@ -134,19 +134,50 @@ def _sign_changes(signs: list[int]) -> int:
     return sum(1 for a, b in zip(signs, signs[1:]) if a * b < 0)
 
 
+def _positive_remainder(a: list[int], b: list[int]) -> list[int]:
+    """A positive multiple of the remainder of a by b, primitive (integer
+    coefficients low degree first, no trailing zeros; [] is zero)."""
+    r = a[:]
+    db, lb = len(b) - 1, b[-1]
+    m, s = abs(lb), (1 if lb > 0 else -1)
+    while len(r) - 1 >= db:
+        # m*r - s*lead(r)*x^shift*b cancels the leading term, as s*lb = m
+        lr, shift = r[-1], len(r) - 1 - db
+        r = [m * x for x in r]
+        for i, y in enumerate(b):
+            r[shift + i] -= s * lr * y
+        while r and r[-1] == 0:
+            r.pop()
+    g = 0
+    for x in r:
+        g = math.gcd(g, x)
+    return [x // g for x in r] if g > 1 else r
+
+
 def sturm_chain(f: Poly) -> list[Poly]:
-    chain = [f, derivative(f)]
-    while degree(chain[-1]) > 0:
-        r = mod(chain[-2], chain[-1])
-        if is_zero(r):
+    """The Sturm sequence f, f', -rem(f, f'), ... up to positive factors,
+    computed in integer arithmetic; it stops at the last nonzero member,
+    gcd(f, f') up to a scalar."""
+    c = _integer_coeffs(f)
+    while c and c[-1] == 0:
+        c.pop()
+    chain = [c, [i * x for i, x in enumerate(c)][1:]]
+    while len(chain[-1]) > 1:
+        r = _positive_remainder(chain[-2], chain[-1])
+        if not r:
             break
-        chain.append(neg(r))
-    return chain
+        chain.append([-x for x in r])
+    return [poly(g or [0]) for g in chain]
 
 
 def count_real_roots(f: Poly) -> int:
     """Number of distinct real roots of a squarefree polynomial (Sturm)."""
-    chain = sturm_chain(f)
+    return real_roots_of_chain(sturm_chain(f))
+
+
+def real_roots_of_chain(chain: list[Poly]) -> int:
+    """The number of distinct real roots that a Sturm sequence counts: its
+    sign changes at -infinity minus those at +infinity."""
 
     def sign_at_inf(g: Poly, positive: bool) -> int:
         d = degree(g)

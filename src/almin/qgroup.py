@@ -10,7 +10,6 @@ rank-2 skew cases into restrictions of scalars).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Union
@@ -26,13 +25,9 @@ from .algebra import (
     is_ramified_at_infinity,
     second_kind_involution,
 )
-from .arith import is_rational_square, squarefree_part
+from .arith import is_rational_square, rational_sqrt, squarefree_part
 from .numfield import NumberFieldCert, QuadElement, QuadraticField
 from .quadform import QuadForm, witt_index
-
-
-class TailNotCertified(RuntimeError):
-    """Anisotropy of a quaternionic tail could be neither proven nor refuted."""
 
 
 class NotAlmostSimple(ValueError):
@@ -100,7 +95,6 @@ class Unitary2Quat:
     """SU_n(D, f, tau) for D = D' tensor L with a second-kind involution."""
 
     form: QuatSecondKindForm
-    assume_tail_anisotropic: bool = False
 
 
 @dataclass(frozen=True)
@@ -108,7 +102,6 @@ class Unitary1:
     """SU_n(D, f) for a first-kind (hermitian or skew-hermitian) form."""
 
     form: QuatForm
-    assume_tail_anisotropic: bool = False
 
 
 @dataclass(frozen=True)
@@ -340,7 +333,7 @@ def skew_pair_isotropy(
     ratio = Fraction(e1.nrd()) / Fraction(e2.nrd())
     if not is_rational_square(ratio):
         return None
-    c = Fraction(math.isqrt(ratio.numerator), math.isqrt(ratio.denominator))
+    c = rational_sqrt(ratio)
     d = e1.alg
     delta = -Fraction(e1.nrd())
     basis = (d.one(), d.gen_i(), d.gen_j(), d.gen_k())
@@ -383,12 +376,9 @@ def q_rank(g: GroupSpec) -> int:
                 # a single invertible entry over a division algebra is
                 # anisotropic; an empty tail trivially so
                 return f.hyperbolic_count
-            if g.assume_tail_anisotropic:
-                return f.hyperbolic_count
-            raise TailNotCertified(
+            raise Unsupported(
                 "anisotropy of a second-kind quaternionic tail of rank >= 2 is"
-                " not decided; pass assume_tail_anisotropic for a conditional"
-                " analysis"
+                " not decided"
             )
         raise Unsupported(
             "D' splits over L; the Morita reduction to a hermitian form over"
@@ -413,12 +403,7 @@ def q_rank(g: GroupSpec) -> int:
                 " is a norm from Q(e1)); renormalize the input with a larger"
                 " hyperbolic_count"
             )
-        if g.assume_tail_anisotropic:
-            return f.hyperbolic_count
-        raise TailNotCertified(
-            "skew tail anisotropy undecided; pass assume_tail_anisotropic for"
-            " a conditional analysis"
-        )
+        raise Unsupported("skew tail anisotropy undecided")
     if isinstance(g, (ResSL2, ResSU3)):
         return 1
     raise TypeError(f"unknown spec {type(g)!r}")

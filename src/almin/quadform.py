@@ -21,6 +21,7 @@ from .arith import (
     hilbert_symbol,
     is_rational_square,
     legendre,
+    rational_sqrt,
     relevant_places,
     squarefree_part,
 )
@@ -344,14 +345,12 @@ class WittDecomposition:
 
 
 _SEARCH_BUDGET = 3_000_000  # max tuples enumerated per half of the search
-ISOTROPIC_HEIGHT_BOUND = 10000  # max coordinate of an isotropic-vector search
 
 
 def find_isotropic_vector(f: QuadForm) -> Optional[Vector]:
     """A nonzero rational vector with q(v) = 0, or None if the form is
     globally anisotropic.  Raises SearchExhausted if isotropy is certified by
-    the local criteria but no vector of height <= ISOTROPIC_HEIGHT_BOUND
-    turns up."""
+    the local criteria but the search (_search_height) finds no vector."""
     if not is_isotropic(f, "global"):
         return None
     d = diagonalize(f)
@@ -359,7 +358,7 @@ def find_isotropic_vector(f: QuadForm) -> Optional[Vector]:
     if v is None:
         raise SearchExhausted(
             "form is isotropic but no vector of height"
-            f" <= {ISOTROPIC_HEIGHT_BOUND} found"
+            f" <= {_search_height(f.dim)} found"
         )
     # translate back through the basis change: columns of B are the diag basis
     n = f.dim
@@ -388,16 +387,20 @@ def _scale_primitive(v: Vector) -> Vector:
     return tuple(Fraction(x) for x in ints)
 
 
+def _search_height(n: int) -> int:
+    """The largest coordinate the search tries in dimension n: the height
+    at which a half of (n + 1) // 2 coordinates reaches _SEARCH_BUDGET."""
+    k = max((n + 1) // 2, 1)
+    return max(10, int(_SEARCH_BUDGET ** (1.0 / k)) - 1)
+
+
 def _search_isotropic_diag(coeffs: Sequence[Fraction]) -> Optional[Vector]:
     """Meet-in-the-middle search for sum c_i x_i^2 = 0 with integer x_i."""
     cs = [squarefree_part(c) for c in coeffs]  # same isotropy, smaller values
     n = len(cs)
     left = cs[: (n + 1) // 2]
     right = cs[(n + 1) // 2 :]
-    k = max(len(left), 1)
-    max_bound = min(
-        ISOTROPIC_HEIGHT_BOUND, max(10, int(_SEARCH_BUDGET ** (1.0 / k)) - 1)
-    )
+    max_bound = _search_height(n)
     bounds = [b for b in (10, 40, max_bound) if b <= max_bound]
     if not bounds or bounds[-1] != max_bound:
         bounds.append(max_bound)
@@ -414,16 +417,10 @@ def _search_isotropic_diag(coeffs: Sequence[Fraction]) -> Optional[Vector]:
                 v = xs + ys
                 # undo the square-class scaling: c_i = cs_i * w_i^2 means
                 # x_i in the original diagonal basis is x_i / w_i
-                import math
-
-                out = []
-                for c0, c1, x in zip(coeffs, cs, v):
-                    w2 = Fraction(c0, c1)
-                    w = Fraction(
-                        math.isqrt(w2.numerator), math.isqrt(w2.denominator)
-                    )
-                    out.append(Fraction(x) / w)
-                return tuple(out)
+                return tuple(
+                    Fraction(x) / rational_sqrt(Fraction(c0, c1))
+                    for c0, c1, x in zip(coeffs, cs, v)
+                )
     return None
 
 

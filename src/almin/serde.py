@@ -193,6 +193,9 @@ _PASS_THROUGH = (ParseError, polys.IrreducibilityUnproven, arith.FactorizationEx
 
 
 def cert_from(obj: Any, path: str) -> NumberFieldCert:
+    """Parse a field certificate.  The signature is always counted by Sturm:
+    a declared one must agree.  A declared subfields_complete is not read
+    (completeness is a property of the certificate)."""
     raw_poly = _require(obj, "poly", path)
     if not isinstance(raw_poly, list):
         raise ParseError(f"{path}.poly", "expected a coefficient list")
@@ -203,30 +206,20 @@ def cert_from(obj: Any, path: str) -> NumberFieldCert:
         subcert_from(s, f"{path}.subfields[{i}]")
         for i, s in enumerate(obj.get("subfields", []))
     )
-    complete = obj.get("subfields_complete")
-    if complete is not None and not isinstance(complete, bool):
-        raise ParseError(f"{path}.subfields_complete", "expected a boolean")
     try:
-        if "signature" in obj:
-            sig = obj["signature"]
-            if (
-                not isinstance(sig, list)
-                or len(sig) != 2
-                or any(isinstance(v, bool) or not isinstance(v, int) for v in sig)
-            ):
-                raise ParseError(f"{path}.signature", "expected [r1, r2]")
-            return NumberFieldCert(
-                polys.poly(coeffs),
-                len(coeffs) - 1,
-                (sig[0], sig[1]),
-                subs,
-                bool(complete),
-            )
-        return field_cert(coeffs, subfields=subs, subfields_complete=complete)
+        cert = field_cert(coeffs, subfields=subs)
     except _PASS_THROUGH:
         raise
     except Exception as exc:
         raise ParseError(path, f"invalid field certificate: {exc}") from None
+    counted = list(cert.signature)
+    declared = obj.get("signature", counted)
+    if declared != counted or any(isinstance(v, bool) for v in declared):
+        raise ParseError(
+            f"{path}.signature",
+            f"declared {declared!r}, but the Sturm count is {counted}",
+        )
+    return cert
 
 
 # --------------------------------------------------------------------------
@@ -290,7 +283,6 @@ def group_to_doc(g: GroupSpec) -> dict:
             "unit": quat_to_doc(f.unit),
             "diagonal": [quat_to_doc(e) for e in f.diagonal],
             "hyperbolic_count": f.hyperbolic_count,
-            "assume_tail_anisotropic": g.assume_tail_anisotropic,
         }
     if isinstance(g, Unitary1):
         f = g.form
@@ -300,7 +292,6 @@ def group_to_doc(g: GroupSpec) -> dict:
             "form_kind": f.kind,
             "diagonal": [quat_to_doc(e) for e in f.diagonal],
             "hyperbolic_count": f.hyperbolic_count,
-            "assume_tail_anisotropic": g.assume_tail_anisotropic,
         }
     if isinstance(g, ResSL2):
         return {"kind": "res_sl2", "field": cert_to_doc(g.field)}
@@ -374,10 +365,7 @@ def group_from_doc(doc: Any, path: str = "$", in_witness: bool = False) -> Group
             hyp = _int_from(
                 doc.get("hyperbolic_count", 0), f"{path}.hyperbolic_count"
             )
-            return Unitary2Quat(
-                QuatSecondKindForm(l_field, alg, unit, diag, hyp),
-                _flag_from(doc, "assume_tail_anisotropic", False, path),
-            )
+            return Unitary2Quat(QuatSecondKindForm(l_field, alg, unit, diag, hyp))
         if kind == "su1":
             alg = _algebra_from(_require(doc, "algebra", path), f"{path}.algebra")
             form_kind = _require(doc, "form_kind", path)
@@ -393,10 +381,7 @@ def group_from_doc(doc: Any, path: str = "$", in_witness: bool = False) -> Group
             hyp = _int_from(
                 doc.get("hyperbolic_count", 0), f"{path}.hyperbolic_count"
             )
-            return Unitary1(
-                QuatForm(alg, form_kind, diag, hyp),
-                _flag_from(doc, "assume_tail_anisotropic", False, path),
-            )
+            return Unitary1(QuatForm(alg, form_kind, diag, hyp))
         if kind == "res_sl2":
             return ResSL2(cert_from(_require(doc, "field", path), f"{path}.field"))
         if kind == "res_su3":
@@ -648,7 +633,7 @@ def verdict_to_doc(input_doc: Any, verdict: Verdict) -> dict:
     if isinstance(verdict, Minimal):
         doc["verdict"] = "minimal"
         doc["matched_case"] = verdict.matched_case
-        doc["conditions"] = list(verdict.conditions)
+        doc["conditions"] = []  # almin/1 keeps the field; nothing is assumed
         doc["derivation"] = [
             {"rule": s.rule, "detail": s.detail} for s in verdict.derivation
         ]

@@ -257,7 +257,7 @@ def test_criterion_7_byte_identical_verdict_documents(monkeypatch):
     assert outputs[0] == outputs[1]
     assert len(outputs[0]) == 41
     not_minimal = sum('"verdict": "not_minimal"' in text for _, text in outputs[0])
-    assert not_minimal == 22 and len(calls) == not_minimal
+    assert not_minimal == 23 and len(calls) == not_minimal
     # golden copies of `almin analyze` stdout, malformed.json's error included
     expected = CORPUS / "expected"
     assert sorted(p.name for p in expected.glob("*.json")) == [p.name for p in paths]

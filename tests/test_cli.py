@@ -233,14 +233,13 @@ INVALID_SPEC = {  # <1, -1> is isotropic, so it may not be declared a tail
     "hyperbolic_count": 2,
 }
 # the former corpus tower: x = (1 - i + j - k)/2 gives conj(x) j x = -i, so
-# its assumed-anisotropic tail <i, j> is isotropic
+# its tail <i, j> is isotropic
 ISOTROPIC_SKEW_TAIL = {
     "kind": "su1",
     "algebra": {"a": "-1", "b": "-1"},
     "form_kind": "skew_hermitian",
     "diagonal": [["0", "1", "0", "0"], ["0", "0", "1", "0"]],
     "hyperbolic_count": 1,
-    "assume_tail_anisotropic": True,
 }
 # witness_context admits a real k_field (here Q(sqrt 2)); only a witness
 # subgroup may set it
@@ -251,6 +250,8 @@ WITNESS_CONTEXT = {
     "witness_context": True,
 }
 OCTIC = {"kind": "res_sl2", "field": {"poly": [576, 0, -960, 0, 352, 0, -40, 0, 1]}}
+# Q(i) has one complex place, not two real ones
+FORGED_SIGNATURE = {"kind": "res_sl2", "field": {"poly": [1, 0, 1], "signature": [2, 0]}}
 BIG_FIELD = {"kind": "res_sl2", "field": {"poly": [-1000003 * 1000033, 0, 1]}}
 MALFORMED = json.loads((CORPUS / "malformed.json").read_text())
 ERROR_TABLE = [
@@ -274,6 +275,10 @@ ERROR_TABLE = [
     ("witness context", WITNESS_CONTEXT, {
         **dict.fromkeys(("analyze", "rank", "witness"), (1, "parse_error", "$.witness_context")),
         "verify": (1, "parse_error", "$.input.witness_context"),
+    }),
+    ("forged signature", FORGED_SIGNATURE, {
+        **dict.fromkeys(("analyze", "rank", "witness"), (1, "parse_error", "$.field.signature")),
+        "verify": (1, "parse_error", "$.input.field.signature"),
     }),
 ]
 
@@ -369,3 +374,82 @@ def test_closed_stdout_is_not_a_read_error(monkeypatch):
     with pytest.raises(BrokenPipeError) as exc:
         cli.main(["rank", corpus("sl3")])
     assert exc.value.__context__ is None  # no error document was attempted
+
+
+def _write(tmp_path, doc, name="doc.json") -> str:
+    path = tmp_path / name
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+def test_declared_certificate_claims_decide_nothing(run_cli, tmp_path):
+    # x^4 - 2 contains Q(sqrt 2), whatever its document declares
+    spec = {"kind": "res_sl2", "field": {"poly": [-2, 0, 0, 0, 1], "subfields": [],
+                                         "subfields_complete": True}}
+    r = run_cli("analyze", _write(tmp_path, spec))
+    assert (r.code, r.json["verdict"]) == (0, "not_minimal")
+    assert r.json["witness"]["subgroup"]["field"]["poly"] == [-2, 0, 1]
+    r2 = run_cli("verify", _write(tmp_path, r.json, "verdict.json"))
+    assert r2.code == 0 and r2.json["verification"]["ok"] is True
+    # a declared signature that agrees with the Sturm count is accepted
+    spec["field"]["signature"] = [2, 1]
+    assert run_cli("analyze", _write(tmp_path, spec)).code == 0
+    # x^6 + 108 contains the real cubic Q(2^(1/3)); a sextic's subfields are
+    # not computed, so the verdict is unsupported, not a conditional minimal
+    r3 = run_cli("analyze", _write(tmp_path, {"kind": "res_sl2", "field": {"poly": [108, 0, 0, 0, 0, 0, 1]}}))
+    assert (r3.code, r3.json["verdict"]) == (3, "unsupported")
+
+
+def test_assumed_tail_anisotropy_is_not_read(run_cli, tmp_path):
+    # <i, j, k> over (-1, -1) is isotropic; with the old flag this gave a
+    # not_minimal verdict stating q_rank = 1
+    spec = {
+        "kind": "su1",
+        "algebra": {"a": "-1", "b": "-1"},
+        "form_kind": "skew_hermitian",
+        "diagonal": [["0", "1", "0", "0"], ["0", "0", "1", "0"], ["0", "0", "0", "1"]],
+        "hyperbolic_count": 1,
+        "assume_tail_anisotropic": True,
+    }
+    r = run_cli("analyze", _write(tmp_path, spec))
+    assert (r.code, r.json["verdict"]) == (3, "unsupported")
+    r2 = run_cli("rank", _write(tmp_path, spec))
+    assert (r2.code, r2.json["error"]) == (3, "unsupported")
+
+
+def test_forged_witness_signature_is_a_parse_error(run_cli, tmp_path):
+    doc = json.loads((CORPUS / "expected" / "res_sl2_x4m2.json").read_text())
+    doc["witness"]["subgroup"]["field"]["signature"] = [0, 1]
+    r = run_cli("verify", _write(tmp_path, doc))
+    assert (r.code, r.json["error"], r.json["path"]) == (
+        1, "parse_error", "$.witness.subgroup.field.signature")
+
+
+def _failed_checks(r) -> list:
+    return [c["name"] for c in r.json["verification"]["checks"] if not c["passed"]]
+
+
+def test_forged_sl3_documents_fail_verification(run_cli, tmp_path):
+    """SL3 over Q is minimal (case i): neither a split-so5 nor a 3x3 block
+    witness may verify inside it."""
+    sl3 = {"kind": "sl", "m": 3}
+    for golden, failed in (("sp4", "parent has rational rank >= 2"), ("sl4", "block fits")):
+        doc = json.loads((CORPUS / "expected" / f"{golden}.json").read_text())
+        doc["input"] = sl3
+        r = run_cli("verify", _write(tmp_path, doc))
+        assert r.code == 3 and _failed_checks(r) == [failed], golden
+    # the former sl3_quat_definite golden: a split-so5 witness inside SL3 over
+    # a definite algebra, whose relative root system is A2
+    from almin import minimal, serde
+
+    definite = json.loads((CORPUS / "sl3_quat_definite.json").read_text())
+    witness = minimal._split_so5_witness(
+        "special linear group over a definite quaternion algebra with rational rank at least 2"
+    )
+    doc = {"schema": "almin/1", "input": definite, "verdict": "not_minimal",
+           "witness": serde.witness_to_doc(witness)}
+    r = run_cli("verify", _write(tmp_path, doc))
+    assert r.code == 3 and _failed_checks(r) == ["parent has rational rank >= 2"]
+    # its golden now carries the block SL3(Q) in SL3(Q) in SL3(D), which verifies
+    r2 = run_cli("verify", corpus("expected/sl3_quat_definite"))
+    assert r2.code == 0 and r2.json["verification"]["ok"] is True

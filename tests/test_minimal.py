@@ -32,6 +32,7 @@ from almin.qgroup import (
     Unitary1,
     Unitary2,
     Unitary2Quat,
+    Unsupported,
     q_rank,
 )
 
@@ -50,7 +51,7 @@ def _assert_verified(g, verdict):
 def test_sl3_is_minimal():
     v = analyze(SpecialLinear(3))
     assert isinstance(v, Minimal) and v.matched_case == "i"
-    assert v.conditions == ()
+    assert serde.verdict_to_doc({}, v)["conditions"] == []
 
 
 def test_isotropic_ternary_unitary_is_minimal():
@@ -167,11 +168,22 @@ def test_isotropic_skew_tail_is_an_invalid_spec():
     # x = (1 - i + j - k)/2 gives conj(x) j x = -i, so <i, j> is no tail
     d = QuaternionAlgebra(-1, -1)
     g = Unitary1(
-        QuatForm(d, "skew_hermitian", (d.gen_i(), d.gen_j()), hyperbolic_count=1),
-        assume_tail_anisotropic=True,
+        QuatForm(d, "skew_hermitian", (d.gen_i(), d.gen_j()), hyperbolic_count=1)
     )
     with pytest.raises(InvalidSpec, match="skew tail is isotropic"):
         analyze(g)
+
+
+def test_undecided_skew_tail_is_unsupported():
+    # <i, j, k> over (-1, -1) is isotropic, so its Q-rank is at least 2; a
+    # rank-3 tail is undecided, and no spec field can declare it anisotropic
+    d = QuaternionAlgebra(-1, -1)
+    tail = (d.gen_i(), d.gen_j(), d.gen_k())
+    g = Unitary1(QuatForm(d, "skew_hermitian", tail, hyperbolic_count=1))
+    with pytest.raises(Unsupported, match="skew tail anisotropy undecided"):
+        q_rank(g)
+    v = analyze(g)
+    assert isinstance(v, UnsupportedVerdict) and "undecided" in v.reason
 
 
 def test_second_kind_rank2_descends_to_res_sl2():
@@ -269,22 +281,32 @@ def test_anisotropic_rank2_skew_unsupported():
 
 
 def test_conditional_verdicts_are_flagged():
+    """No verdict is conditional any more: the former conditional ones are
+    decided, or unsupported."""
+    from almin import polys
+    from almin.numfield import NumberFieldCert, quadratic_subfields_of_quartic
+
     d = QuaternionAlgebra(-1, -1)
     g = Unitary1(
         QuatForm(d, "skew_hermitian", (d.gen_i(), d.gen_j() + d.gen_k()), hyperbolic_count=1)
     )
-    v = analyze(g)
-    assert isinstance(v, NotMinimal)
-    # uncertified subfield list yields a conditional minimality claim
-    from almin.numfield import NumberFieldCert
-    from almin import polys
-
-    cert = NumberFieldCert(
-        polys.poly([-2, 0, 0, 0, 1]), 4, (2, 1), (), subfields_complete=False
-    )
-    v2 = analyze(ResSL2(cert))
-    assert isinstance(v2, Minimal)
-    assert "conditional_on_certified_subfield_list" in v2.conditions
+    assert isinstance(analyze(g), NotMinimal)
+    # x^4 - 2 with an empty subfield list: the resolvent cubic finds Q(sqrt 2)
+    x4m2 = ResSL2(NumberFieldCert(polys.poly([-2, 0, 0, 0, 1]), 4, (2, 1)))
+    w = _assert_verified(x4m2, analyze(x4m2))
+    assert w.subgroup.field.defining_poly == polys.poly([-2, 0, 1])
+    # Q(sqrt 2, i) listing only its imaginary quadratic subfields
+    f = [9, 0, -2, 0, 1]  # minimal polynomial of sqrt 2 + i
+    subs = quadratic_subfields_of_quartic(f)
+    assert sorted(subs) == [-2, -1, 2]
+    g2 = ResSL2(field_cert(f, subfields=(subs[-1], subs[-2])))
+    assert not g2.field.subfields_complete
+    w2 = _assert_verified(g2, analyze(g2))
+    assert w2.subgroup.field.defining_poly == polys.poly([-2, 0, 1])
+    # x^6 + 108 contains the real cubic Q(2^(1/3)) (x^2 = -3 * 2^(2/3)); no
+    # subfield of a sextic is computed, so the verdict is unsupported
+    v = analyze(ResSL2(field_cert([108, 0, 0, 0, 0, 0, 1])))
+    assert isinstance(v, UnsupportedVerdict) and "degree-6" in v.reason
 
 
 # ---------------------------------------------------------------------------

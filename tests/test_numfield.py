@@ -77,6 +77,27 @@ def test_quartic_subfield_certs_verify():
         assert verify_subfield(f, cert)
 
 
+def test_subfields_complete_is_read_off_the_certificate():
+    # prime degree: no proper subfield to list
+    assert field_cert([-2, 0, 1]).subfields_complete
+    assert field_cert([-2, 0, 0, 0, 0, 1]).subfields_complete
+    # a quartic with fewer than three quadratic subfields is never known
+    # complete, though the resolvent cubic listed all of them
+    x4p2 = field_cert([2, 0, 0, 0, 1])
+    assert len(x4p2.subfields) == 1 and not x4p2.subfields_complete
+    # three distinct quadratic subfields are all a quartic has
+    subs = quadratic_subfields_of_quartic([1, 0, 0, 0, 1])
+    assert field_cert([1, 0, 0, 0, 1], subfields=subs.values()).subfields_complete
+    assert compositum_quadratic(QuadraticField(2), QuadraticField(3)).subfields_complete
+    # Q(sqrt 2) listed twice, by x^2 - 2 and by x^2 - 8, is one subfield
+    sqrt8 = SubfieldCert.make([-8, 0, 1], polys.scale(subs[2].embedding, 2))
+    assert verify_subfield(field_cert([1, 0, 0, 0, 1]), sqrt8)
+    twice = field_cert([1, 0, 0, 0, 1], subfields=(subs[-1], subs[2], sqrt8))
+    assert not twice.subfields_complete
+    # nothing is computed above degree 4
+    assert not field_cert([108, 0, 0, 0, 0, 0, 1]).subfields_complete
+
+
 def test_verify_subfield_rejects_garbage():
     f = field_cert([-2, 0, 0, 0, 1])
     good = f.subfields[0]

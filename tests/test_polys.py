@@ -155,3 +155,42 @@ def test_sturm_chain_endpoints():
     chain = polys.sturm_chain(polys.poly([-2, 0, 1]))
     assert polys.degree(chain[0]) == 2
     assert polys.degree(chain[1]) == 1
+
+
+def _fraction_sturm_chain(f):
+    """The Sturm sequence by exact remainders over Q."""
+    chain = [f, polys.derivative(f)]
+    while polys.degree(chain[-1]) > 0:
+        r = polys.mod(chain[-2], chain[-1])
+        if polys.is_zero(r):
+            break
+        chain.append(polys.neg(r))
+    return chain
+
+
+def test_integer_sturm_chain_against_fraction_chain():
+    """The integer chain is the rational Sturm sequence up to positive
+    factors: same length, and each member a positive multiple of the
+    rational one; so it counts the same real roots, and its last member
+    has the degree of gcd(f, f')."""
+    rng = random.Random(8101)
+    for trial in range(600):
+        factors = [
+            polys.poly([Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(rng.randint(2, 4))])
+            for _ in range(rng.randint(1, 3))
+        ]
+        if trial % 3 == 0:
+            factors.append(factors[0])  # a repeated factor
+        f = polys.poly([1])
+        for g in factors:
+            f = polys.mul(f, g)
+        if polys.degree(f) < 1:
+            continue
+        want, got = _fraction_sturm_chain(f), polys.sturm_chain(f)
+        assert len(got) == len(want), f
+        for a, b in zip(got, want):
+            assert polys.degree(a) == polys.degree(b), f
+            ratio = a[polys.degree(a)] / b[polys.degree(b)] if polys.degree(b) >= 0 else 1
+            assert ratio > 0 and polys.scale(b, ratio) == a, f
+        assert polys.degree(got[-1]) == polys.degree(polys.gcd(f, polys.derivative(f)))
+        assert polys.real_roots_of_chain(got) == polys.real_roots_of_chain(want)

@@ -131,8 +131,6 @@ def test_parse_errors_carry_paths():
 @pytest.mark.parametrize(
     "name,flag",
     [
-        ("su1_skew_tower", "assume_tail_anisotropic"),
-        ("su2quat_rank2", "assume_tail_anisotropic"),
         ("res_su3_minimal", "std_form"),
         ("res_su3_minimal", "witness_context"),
     ],
@@ -147,6 +145,25 @@ def test_spec_flags_must_be_booleans(corpus_docs, name, flag):
         assert "expected a boolean" in str(e.value)
     doc[flag] = flag == "std_form"  # the default, spelled out
     assert serde.group_from_doc(doc) == serde.group_from_doc(corpus_docs[name])
+
+
+def test_declared_signature_must_match_the_sturm_count():
+    cert = serde.cert_from({"poly": [-2, 0, 0, 1], "signature": [1, 1]}, "$.field")
+    assert cert.signature == (1, 1)
+    for forged in ([3, 0], [1, 2], [0, 0], [1], [True, True], "1,1", None):
+        with pytest.raises(ParseError) as e:
+            serde.cert_from({"poly": [-2, 0, 0, 1], "signature": forged}, "$.field")
+        assert e.value.path == "$.field.signature"
+        assert e.value.message == f"declared {forged!r}, but the Sturm count is [1, 1]"
+
+
+def test_declared_subfields_complete_is_not_read():
+    x4p2 = {"poly": [2, 0, 0, 0, 1]}
+    plain = serde.cert_from(x4p2, "$.field")
+    for declared in (True, False, "yes"):
+        cert = serde.cert_from({**x4p2, "subfields_complete": declared}, "$.field")
+        assert cert == plain and not cert.subfields_complete
+    assert serde.cert_to_doc(plain)["subfields_complete"] is False
 
 
 def test_witness_flag_must_be_a_boolean():
