@@ -7,6 +7,7 @@ All values are immutable and all functions are pure.  Rationals are
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -75,6 +76,7 @@ def _miller_rabin(n: int, a: int) -> bool:
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
+@functools.lru_cache(maxsize=4096)  # Hilbert symbols test the same places again and again
 def is_prime(n: int) -> bool:
     if n < 2:
         return False
@@ -132,8 +134,12 @@ def factorize(n: int) -> dict[int, int]:
             n //= d
         d += wheel[i]
         i = (i + 1) % 8
-    # Remaining cofactor is either 1, prime, or has no factor <= the bound.
-    stack = [n] if n > 1 else []
+    if d * d > n:  # no factor up to sqrt(n) is left: n is 1 or prime
+        if n > 1:
+            out[n] = out.get(n, 0) + 1
+        return out
+    # Remaining cofactor has no factor <= the bound.
+    stack = [n]
     while stack:
         m = stack.pop()
         if m == 1:

@@ -1021,9 +1021,8 @@ def _subfield_descent(
             raise qgroup.InvalidSpec("subfield certificate must be proper")
         if deg == 2 and _quadratic_disc(cert.sub_poly) < 0:
             continue  # imaginary quadratic subfields are admissible
-        sub_coeffs = [int(c) for c in cert.sub_poly]
         return Witness(
-            ResSL2(numfield.field_cert(sub_coeffs)),
+            ResSL2(numfield.field_cert(cert.sub_poly)),
             SubfieldRestriction(cert),
             deriv
             + (

@@ -13,6 +13,7 @@ field has a computed list.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -241,7 +242,9 @@ def verify_subfield(parent: NumberFieldCert, cert: SubfieldCert) -> bool:
         ds = polys.degree(cert.sub_poly)
         if ds in (0, -1) or ds == 1 or ds >= parent.degree or parent.degree % ds != 0:
             return False
-        if cert.sub_poly[ds] != 1 or not polys.is_irreducible(cert.sub_poly):
+        if cert.sub_poly[ds] != 1 or any(c.denominator != 1 for c in cert.sub_poly):
+            return False
+        if not polys.is_irreducible(cert.sub_poly):
             return False
         value = polys.mod(
             polys.compose(cert.sub_poly, cert.embedding), parent.defining_poly
@@ -263,8 +266,13 @@ def _depress_quartic(f: Poly) -> tuple[Poly, Fraction]:
 def quadratic_subfields_of_quartic(f) -> dict[int, SubfieldCert]:
     """All squarefree d with Q(sqrt(d)) inside the quartic field Q[x]/(f),
     each with an embedding certificate, found via rational roots of the
-    resolvent cubic y^3 - p y^2 - 4 r y + (4 p r - q^2)."""
-    f = polys.poly(f)
+    resolvent cubic y^3 - p y^2 - 4 r y + (4 p r - q^2).  Memoized on the
+    polynomial: parsing a quartic and analyzing it both ask."""
+    return dict(_quadratic_subfields(polys.poly(f)))
+
+
+@functools.lru_cache(maxsize=256)
+def _quadratic_subfields(f: Poly) -> tuple[tuple[int, SubfieldCert], ...]:
     if polys.degree(f) != 4 or f[4] != 1:
         raise InvalidCertificate("need a monic quartic")
     if not polys.is_irreducible(f):
@@ -304,7 +312,7 @@ def quadratic_subfields_of_quartic(f) -> dict[int, SubfieldCert]:
             emb = polys.scale(s, Fraction(1) / w)
         cert = SubfieldCert(polys.poly([-d, 0, 1]), polys.mod(emb, f))
         out[d] = cert
-    return out
+    return tuple(out.items())
 
 
 def compositum_quadratic(e: QuadraticField, l: QuadraticField) -> NumberFieldCert:

@@ -2,27 +2,32 @@
 
 Forms are symmetric Gram matrices of Fractions.  The module provides
 congruence diagonalization, signatures, Hasse invariants, local and global
-isotropy tests, the Witt index from those invariants, explicit Witt
-decompositions (with isotropic vectors found by search), and a constrained
-search for represented values.
+isotropy tests, the Witt index from those invariants, isotropic vectors
+constructed from theory (a pair c, -c of square classes, Legendre's descent
+for ternary forms, and for dimension >= 4 the splitting step of the proof of
+Hasse-Minkowski), explicit Witt decompositions built on them, and a
+constrained search for represented values.
 """
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Literal, Optional, Sequence, Union
 
 from .arith import (
     FinitePrime,
+    REAL,
     Place,
     RealPlace,
     _two_adic_split,
+    factorize,
     hilbert_symbol,
     is_rational_square,
     legendre,
     rational_sqrt,
-    relevant_places,
     squarefree_part,
 )
 
@@ -39,7 +44,7 @@ class NotSymmetric(ValueError):
 
 
 class SearchExhausted(RuntimeError):
-    """An isotropic vector provably exists but was not found within bounds."""
+    """A value or vector provably exists but a budgeted loop did not reach it."""
 
 
 def _mat(rows: Sequence[Sequence]) -> Matrix:
@@ -249,24 +254,29 @@ def is_isotropic(f: QuadForm, place: Union[Place, Literal["global"]]) -> bool:
     """Isotropy over a completion, or over Q ("global", by Hasse-Minkowski)."""
     if place != "global":
         return _is_isotropic_local(f, place)
-    return _isotropic(*_invariants(f))
+    return _isotropic(*_invariants(diagonalize(f).coeffs))
 
 
-def _invariants(f: QuadForm) -> tuple[int, int, Fraction, dict[FinitePrime, int]]:
-    """(n, p, d, eps): dimension, positive index of inertia, discriminant and
-    the Hasse invariants eps_v = prod_{i<j} (c_i, c_j)_v of one
-    diagonalization, at the finite places dividing a coefficient and at 2.
-    Elsewhere every coefficient is a unit, and a unit form of dimension >= 3
-    is isotropic."""
-    cs = diagonalize(f).coeffs
-    eps = {v: 1 for v in relevant_places(cs) if isinstance(v, FinitePrime)}
-    d = cs[0] if cs else Fraction(1)
-    for c in cs[1:]:
-        # eps_v = prod_j (c_1 ... c_{j-1}, c_j)_v by bilinearity
-        for v in eps:
-            eps[v] *= hilbert_symbol(d, c, v)
-        d *= c
-    return len(cs), sum(1 for c in cs if c > 0), d, eps
+def _invariants(cs: Sequence) -> tuple[int, int, Fraction, dict[FinitePrime, int]]:
+    """(n, p, d, eps) of the diagonal form sum cs_i x_i^2: dimension,
+    positive index of inertia, discriminant and the Hasse invariants
+    eps_v = prod_{i<j} (c_i, c_j)_v, at 2 and the primes dividing a
+    coefficient.  Elsewhere every coefficient is a unit, and a unit form of
+    dimension >= 3 is isotropic."""
+    inv = (0, 0, Fraction(1), {FinitePrime(2): 1})
+    for c in cs:
+        inv = _extend(inv, c)
+    return inv
+
+
+def _extend(inv, c) -> tuple[int, int, Fraction, dict[FinitePrime, int]]:
+    """The invariants of q + <c> from those of q: eps_v picks up (d, c)_v by
+    bilinearity, and the primes of c join with eps_v = 1."""
+    n, pos, d, eps = inv
+    c = Fraction(c)
+    places = {**{FinitePrime(p): 1 for p in factorize(c.numerator * c.denominator)}, **eps}
+    eps = {v: e * hilbert_symbol(d, c, v) for v, e in places.items()}
+    return n + 1, pos + (c > 0), d * c, eps
 
 
 def _isotropic(n: int, pos: int, d: Fraction, eps: dict[FinitePrime, int]) -> bool:
@@ -344,100 +354,283 @@ class WittDecomposition:
         return True
 
 
-_SEARCH_BUDGET = 3_000_000  # max tuples enumerated per half of the search
+# values k tried for the splitting value t = f k of a form of dimension >= 4
+# (1-3 s when exhausted)
+SPLIT_VALUE_BUDGET = 2**19
 
 
 def find_isotropic_vector(f: QuadForm) -> Optional[Vector]:
-    """A nonzero rational vector with q(v) = 0, or None if the form is
-    globally anisotropic.  Raises SearchExhausted if isotropy is certified by
-    the local criteria but the search (_search_height) finds no vector."""
+    """A primitive integer vector with q(v) = 0, or None if the form is
+    globally anisotropic.  The vector is built on the squarefree classes of
+    a diagonalization (_isotropic_diag) and carried back through its basis."""
     if not is_isotropic(f, "global"):
         return None
     d = diagonalize(f)
-    v = _search_isotropic_diag(d.coeffs)
-    if v is None:
-        raise SearchExhausted(
-            "form is isotropic but no vector of height"
-            f" <= {_search_height(f.dim)} found"
-        )
-    # translate back through the basis change: columns of B are the diag basis
+    cs = [squarefree_part(c) for c in d.coeffs]
+    # c_i = cs_i w_i^2, so x_i = v_i / w_i is a zero of sum c_i x_i^2
+    xs = [v / rational_sqrt(c / s) for v, c, s in zip(_isotropic_diag(cs), d.coeffs, cs)]
     n = f.dim
     out = tuple(
-        sum(d.basis_change[i][j] * v[j] for j in range(n)) for i in range(n)
+        sum(d.basis_change[i][j] * xs[j] for j in range(n)) for i in range(n)
     )
     assert f.value(out) == 0 and any(x != 0 for x in out)
     return _scale_primitive(out)
 
 
 def _scale_primitive(v: Vector) -> Vector:
-    import math
-
-    den = 1
-    for x in v:
-        den = den * x.denominator // math.gcd(den, x.denominator)
-    ints = [int(x * den) for x in v]
-    g = 0
-    for x in ints:
-        g = math.gcd(g, x)
-    ints = [x // g for x in ints]
-    # deterministic sign: first nonzero coordinate positive
-    first = next(x for x in ints if x != 0)
-    if first < 0:
-        ints = [-x for x in ints]
-    return tuple(Fraction(x) for x in ints)
+    """The primitive integer multiple of v whose first nonzero coordinate
+    is positive."""
+    ints = [int(x * math.lcm(*(y.denominator for y in v))) for x in v]
+    g = math.gcd(*ints) if next(x for x in ints if x) > 0 else -math.gcd(*ints)
+    return tuple(Fraction(x // g) for x in ints)
 
 
-def _search_height(n: int) -> int:
-    """The largest coordinate the search tries in dimension n: the height
-    at which a half of (n + 1) // 2 coordinates reaches _SEARCH_BUDGET."""
-    k = max((n + 1) // 2, 1)
-    return max(10, int(_SEARCH_BUDGET ** (1.0 / k)) - 1)
-
-
-def _search_isotropic_diag(coeffs: Sequence[Fraction]) -> Optional[Vector]:
-    """Meet-in-the-middle search for sum c_i x_i^2 = 0 with integer x_i."""
-    cs = [squarefree_part(c) for c in coeffs]  # same isotropy, smaller values
+def _isotropic_diag(cs: list[int]) -> list[int]:
+    """A nonzero integer zero of sum cs_i x_i^2, for the squarefree classes
+    cs_i of an isotropic form: e_i + e_j for a pair cs_i = -cs_j, Legendre
+    descent in dimension 3, and otherwise a splitting (_split)."""
     n = len(cs)
-    left = cs[: (n + 1) // 2]
-    right = cs[(n + 1) // 2 :]
-    max_bound = _search_height(n)
-    bounds = [b for b in (10, 40, max_bound) if b <= max_bound]
-    if not bounds or bounds[-1] != max_bound:
-        bounds.append(max_bound)
-    for bound in sorted(set(bounds)):
-        table: dict[int, tuple[int, ...]] = {}
-        for xs in _int_tuples(len(left), bound):
-            s = sum(c * x * x for c, x in zip(left, xs))
-            if s not in table:
-                table[s] = xs
-        for ys in _int_tuples(len(right), bound):
-            s = sum(c * y * y for c, y in zip(right, ys))
-            xs = table.get(-s)
-            if xs is not None and (any(xs) or any(ys)):
-                v = xs + ys
-                # undo the square-class scaling: c_i = cs_i * w_i^2 means
-                # x_i in the original diagonal basis is x_i / w_i
-                return tuple(
-                    Fraction(x) / rational_sqrt(Fraction(c0, c1))
-                    for c0, c1, x in zip(coeffs, cs, v)
-                )
-    return None
+    for i, c in enumerate(cs):
+        if -c in cs[i + 1 :]:
+            j = cs.index(-c, i + 1)
+            return [int(k in (i, j)) for k in range(n)]
+    assert n >= 3, "an isotropic binary form has a pair c, -c"
+    if n == 3:
+        return list(_ternary(*cs))
+    # The t loop of _split costs about 2^k for the k primes dividing just one
+    # class of a binary half (a prime dividing both only fixes the parity
+    # of its valuation in t), and Legendre descent factors numbers of the
+    # size of its coefficients.  So: from dimension 5 on, a five-dimensional
+    # indefinite (hence isotropic) subform on the smallest classes, and the
+    # half q_1 (and q_2, in dimension 4) with the fewest such primes.
+    primes = [set(factorize(c)) for c in cs]
+    order = sorted(range(n), key=lambda i: abs(cs[i]))[:5]
+    if n > 5 and len({cs[i] > 0 for i in order}) == 1:
+        order[-1] = next(i for i in range(n) if (cs[i] > 0) != (cs[order[0]] > 0))
+
+    def cost(half: tuple[int, int]) -> int:
+        rest = [k for k in order if k not in half]
+        halves = [half, rest] if len(rest) == 2 else [half]
+        return sum(len(primes[i] ^ primes[j]) for i, j in halves)
+
+    half = min(itertools.combinations(order, 2), key=cost)
+    order = [*half, *(k for k in order if k not in half)]
+    v = _split([cs[i] for i in order])
+    out = [0] * n
+    for i, x in zip(order, v):
+        out[i] = x
+    return out
 
 
-def _int_tuples(k: int, bound: int):
-    """All integer tuples with 0 <= x_i <= bound in lexicographic order.
+def _split(cs: list[int]) -> list[int]:
+    """A zero of the form q_1 + q_2, q_1 = <cs_1, cs_2>, dimension >= 4 and
+    no pair c, -c: a zero of q_2 if it has one, or else zeros (x, y, z) of
+    <cs_1, cs_2, -t> and (w, z') of q_2 + <t> glued as (x z', y z', w z),
+    for the first squarefree t = f k, k in the order 1, -1, 2, -2, ...,
+    with both isotropic; f is the product of the primes p of 2 cs_1 ... cs_n
+    at which no p-adic unit t makes both isotropic.  Such a t exists: q_1(x,
+    y) for any zero (x, y, w) of the form (the splitting step of Hasse-
+    Minkowski; Cassels, Rational Quadratic Forms, ch. 6).  |k| is at most
+    SPLIT_VALUE_BUDGET."""
+    q2 = _invariants(cs[2:])
+    if _isotropic(*q2):
+        return [0, 0] + _isotropic_diag(cs[2:])
+    represents = _binary_represents(cs[0], cs[1])
 
-    Signs are unnecessary for the meet-in-the-middle matching since
-    c x^2 only depends on |x|; sign choices are resolved by the caller
-    accepting any nonzero match (both halves use nonnegative entries, and
-    a sum of the two halves being zero is sign-independent).
-    """
-    if k == 0:
-        yield ()
-        return
-    for x in range(bound + 1):
-        for rest in _int_tuples(k - 1, bound):
-            yield (x,) + rest
+    def local(t: int, v: FinitePrime) -> bool:
+        return _is_isotropic_local(QuadForm.diagonal(cs[:2] + [-t]), v) and (
+            _is_isotropic_local(QuadForm.diagonal(cs[2:] + [t]), v)
+        )
+
+    forced = [
+        v.p
+        for v in _invariants(cs)[3]
+        if not any(local(u, v) for u in _unit_classes(v.p))
+    ]
+    f = math.prod(forced)
+    for k, primes in itertools.islice(_factored_integers(), SPLIT_VALUE_BUDGET):
+        if math.gcd(k, f) != 1 or math.prod(primes) != k:
+            continue
+        for t in (f * k, -f * k):
+            if represents(t, [*forced, *primes]) and _isotropic(*_extend(q2, t)):
+                x, y, z = _isotropic_diag(cs[:2] + [-t])
+                *w, z2 = _isotropic_diag(cs[2:] + [t])
+                return [x * z2, y * z2] + [wi * z for wi in w]
+    raise SearchExhausted(
+        f"no splitting value t = {f} k with 0 < |k| <= SPLIT_VALUE_BUDGET ="
+        f" {SPLIT_VALUE_BUDGET}"
+    )
+
+
+def _factored_integers():
+    """(k, the primes of k) for k = 1, 2, 3, ..., by an incremental sieve:
+    each prime p found waits at its next multiple."""
+    waiting: dict[int, list[int]] = {}
+    for k in itertools.count(1):
+        primes = waiting.pop(k, [k] if k > 1 else [])
+        for p in primes:
+            waiting.setdefault(k + p, []).append(p)
+        yield k, primes
+
+
+def _unit_classes(p: int) -> tuple[int, ...]:
+    """Representatives of the square classes of p-adic units."""
+    if p == 2:
+        return (1, 3, 5, 7)
+    return (1, next(u for u in range(2, p) if pow(u, (p - 1) // 2, p) == p - 1))
+
+
+def _binary_represents(a: int, b: int):
+    """A test of whether the anisotropic form <a, b> represents the
+    squarefree t with prime factors `primes`, i.e. whether <a, b, -t> is
+    isotropic: (t, d)_v = (a, b)_v at every place v, d = -ab (Serre, A
+    Course in Arithmetic, IV.2.2).  A prime outside 2d must have (d|p) = 1;
+    at the places of 2d the symbols multiply, and are kept per prime."""
+    d = -a * b
+    places = [REAL] + [FinitePrime(p) for p in sorted({2, *factorize(d)})]
+
+    def mask(x: int) -> int:  # bit i: (x, d) = -1 at places[i]
+        return sum(1 << i for i, v in enumerate(places) if hilbert_symbol(x, d, v) == -1)
+
+    target = sum(1 << i for i, v in enumerate(places) if hilbert_symbol(a, b, v) == -1)
+    masks: dict[int, Optional[int]] = {-1: mask(-1)}
+
+    def represents(t: int, primes) -> bool:
+        m = masks[-1] if t < 0 else 0
+        for p in primes:
+            if p not in masks:
+                good = 2 * d % p == 0 or legendre(d, p) == 1
+                masks[p] = mask(p) if good else None
+            if masks[p] is None:
+                return False
+            m ^= masks[p]
+        return m == target
+
+    return represents
+
+
+def _ternary(a: int, b: int, c: int) -> tuple[int, int, int]:
+    """A primitive zero of a x^2 + b y^2 + c z^2 for squarefree a, b, c of
+    an isotropic form, within Holzer's bound when a, b, c are pairwise
+    coprime: |x| <= sqrt|bc|, |y| <= sqrt|ac|, |z| <= sqrt|ab|."""
+    cs, scale = [a, b, c], [Fraction(1)] * 3
+    i = 0
+    while i < 3:
+        # p | c_i, c_j: zeros of <c_i, c_j, c_k> are those of
+        # <c_i/g, c_j/g, g c_k/h^2> with x_i, x_j scaled by g, x_k by h
+        j, k = (i + 1) % 3, (i + 2) % 3
+        g = math.gcd(cs[i], cs[j])
+        if g == 1:
+            i += 1
+            continue
+        h = math.gcd(g, cs[k])
+        cs[i], cs[j], cs[k] = cs[i] // g, cs[j] // g, cs[k] * g // (h * h)
+        scale[i], scale[j], scale[k] = scale[i] / g, scale[j] / g, scale[k] / h
+        i = 0
+    # order as a, b of one sign and c of the other, then make a, b > 0
+    k = next(k for k in range(3) if sum(cs[m] * cs[k] > 0 for m in range(3)) == 1)
+    order = [m for m in range(3) if m != k] + [k]
+    sign = 1 if cs[order[0]] > 0 else -1
+    pa, pb, pc = (sign * cs[m] for m in order)
+    x, y, z = _legendre(-pa * pc, -pb * pc)
+    # (-ac) x^2 + (-bc) y^2 = z^2 gives a (cx)^2 + b (cy)^2 + c z^2 = 0
+    sol = _holzer(pa, pb, pc, *_primitive3(pc * x, pc * y, z))
+    out = [Fraction(0)] * 3
+    for m, v in zip(order, sol):
+        out[m] = v * scale[m]
+    den = math.lcm(*(v.denominator for v in out))
+    return _primitive3(*(int(v * den) for v in out))
+
+
+def _primitive3(x: int, y: int, z: int) -> tuple[int, int, int]:
+    g = math.gcd(x, y, z)
+    return x // g, y // g, z // g
+
+
+def _legendre(a: int, b: int) -> tuple[int, int, int]:
+    """(x, y, z) != 0 with a x^2 + b y^2 = z^2, for squarefree a, b with a
+    solution, by Legendre's descent: with |a| <= |b| and r^2 = a (mod b),
+    r^2 - a = b b' m^2 with |b'| < |b|, and a solution of (a, b') gives one
+    of (a, b) through the norm form of Q(sqrt a)."""
+    if a == 1:
+        return 1, 0, 1
+    if b == 1:
+        return 0, 1, 1
+    if abs(a) > abs(b):
+        y, x, z = _legendre(b, a)
+        return x, y, z
+    r = _sqrt_mod(a, b)
+    k = (r * r - a) // b
+    b2 = squarefree_part(k)
+    x, y, z = _legendre(a, b2)
+    # b (b2 m y)^2 = N(z + x sqrt a) N(r + sqrt a) with k = b2 m^2
+    return z + r * x, b2 * math.isqrt(k // b2) * y, r * z + a * x
+
+
+def _sqrt_mod(a: int, m: int) -> int:
+    """r with r^2 = a (mod m) and |r| <= |m|/2, for squarefree m and a a
+    square modulo each prime of m: Tonelli-Shanks per prime, then CRT."""
+    m = abs(m)
+    r, mod = 0, 1
+    for p in factorize(m):
+        s = _sqrt_mod_prime(a, p)
+        r += mod * ((s - r) * pow(mod, -1, p) % p)
+        mod *= p
+    r %= m
+    return r - m if 2 * r > m else r
+
+
+def _sqrt_mod_prime(a: int, p: int) -> int:
+    a %= p
+    if a == 0 or p == 2:
+        return a
+    assert pow(a, (p - 1) // 2, p) == 1, "not a square modulo p"
+    q, s = p - 1, 0
+    while q % 2 == 0:
+        q, s = q // 2, s + 1
+    z = next(z for z in range(2, p) if pow(z, (p - 1) // 2, p) == p - 1)
+    c, t, r = pow(z, q, p), pow(a, q, p), pow(a, (q + 1) // 2, p)
+    while t != 1:
+        i, t2 = 0, t
+        while t2 != 1:
+            t2, i = t2 * t2 % p, i + 1
+        b = pow(c, 1 << (s - i - 1), p)
+        s, c, t, r = i, b * b % p, t * b * b % p, r * b % p
+    return r
+
+
+def _holzer(a: int, b: int, c: int, x: int, y: int, z: int) -> tuple[int, int, int]:
+    """Reduce a primitive zero of a x^2 + b y^2 + c z^2 (a, b > 0 > c,
+    pairwise coprime and squarefree) towards |z| <= sqrt(ab) (Mordell's
+    descent; Cremona-Rusin, Math. Comp. 72 (2003), section 2).  For W =
+    (u, v, 0) with (u, v) = lambda (x, y) (mod z), the second zero on the
+    line through P and W is (Q(W) P - 2 B(P, W) W) / z^2, with third
+    coordinate (a u^2 + b v^2) / z; W runs over short vectors of that
+    lattice."""
+
+    def dot(p, q):
+        return a * p[0] * q[0] + b * p[1] * q[1]
+
+    while z * z > a * b:
+        e1, e2 = (1, y * pow(x, -1, abs(z)) % abs(z)), (0, abs(z))
+        while True:  # Lagrange-Gauss reduction for a u^2 + b v^2
+            if dot(e1, e1) > dot(e2, e2):
+                e1, e2 = e2, e1
+            mu = (2 * dot(e1, e2) + dot(e1, e1)) // (2 * dot(e1, e1))
+            if mu == 0:
+                break
+            e2 = (e2[0] - mu * e1[0], e2[1] - mu * e1[1])
+        best = (x, y, z)
+        for u, v in (e1, e2, (e1[0] + e2[0], e1[1] + e2[1]), (e1[0] - e2[0], e1[1] - e2[1])):
+            q = (a * u * u + b * v * v) // z
+            m2 = 2 * (a * x * u + b * y * v) // z
+            cand = _primitive3((q * x - m2 * u) // z, (q * y - m2 * v) // z, q)
+            if abs(cand[2]) < abs(best[2]):
+                best = cand
+        if best[2] == z:
+            break
+        x, y, z = best
+    return x, y, z
 
 
 def witt_decompose(f: QuadForm) -> WittDecomposition:
@@ -539,7 +732,7 @@ def witt_index(f: QuadForm) -> int:
     isotropic form is H + f' with H the hyperbolic plane, where f' has
     dimension n - 2, signature (p - 1, q - 1), discriminant -d and Hasse
     invariants eps'_v = eps_v (-1, -d)_v; split planes while isotropic."""
-    n, pos, d, eps = _invariants(f)
+    n, pos, d, eps = _invariants(diagonalize(f).coeffs)
     index = 0
     while _isotropic(n, pos, d, eps):
         index += 1

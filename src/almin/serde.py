@@ -182,6 +182,8 @@ def subcert_to_doc(s: SubfieldCert) -> dict:
 
 def subcert_from(obj: Any, path: str) -> SubfieldCert:
     sub = _rat_list(_require(obj, "poly", path), f"{path}.poly")
+    if any(c.denominator != 1 for c in sub):
+        raise ParseError(f"{path}.poly", "a subfield polynomial needs integer coefficients")
     embedding = _rat_list(_require(obj, "embedding", path), f"{path}.embedding")
     return SubfieldCert(polys.poly(sub), polys.poly(embedding))
 

@@ -122,6 +122,25 @@ def test_form_witt_and_diag(run_cli):
     assert r2.code == 0 and len(r2.json["diagonal"]) == 2
 
 
+def test_form_witt_with_a_ten_digit_prime(run_cli, monkeypatch):
+    # the isotropic vector comes from Legendre descent; a height-bounded
+    # search ended this in search_exhausted (exit 3)
+    from almin import cli
+
+    made = []
+
+    def recording(f):
+        made.append(cli_witt(f))
+        return made[-1]
+
+    cli_witt = cli.witt_decompose
+    monkeypatch.setattr(cli, "witt_decompose", recording)
+    r = run_cli("form", "witt", "1,1,-1000000009")
+    assert r.code == 0
+    assert r.json["witt_index"] == 1 and r.json["anisotropic_dimension"] == 1
+    assert len(made) == 1 and made[0].check()
+
+
 def test_form_isotropic(run_cli):
     r = run_cli("form", "isotropic", "1,-1,-1,3,5")
     assert r.json == {"isotropic": True}

@@ -70,6 +70,23 @@ def test_quartic_subfields():
     assert set(subs3) == {2}
 
 
+def test_resolvent_cubic_is_computed_once_per_quartic(run_cli):
+    # parsing x^4 - 2x^2 + 2 lists its one quadratic subfield from the
+    # resolvent cubic, and the analysis, which cannot know that list
+    # complete, asks again: the second ask is a cache hit
+    from almin import numfield
+    from conftest import CORPUS
+
+    path = str(CORPUS / "res_sl2_imag_quartic.json")
+    numfield._quadratic_subfields.cache_clear()
+    r = run_cli("analyze", path)
+    assert r.code == 0 and r.json["verdict"] == "minimal"
+    info = numfield._quadratic_subfields.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+    run_cli("analyze", path)
+    assert numfield._quadratic_subfields.cache_info().misses == 1
+
+
 def test_quartic_subfield_certs_verify():
     f = field_cert([1, 0, 0, 0, 1])
     assert len(f.subfields) == 3 and f.subfields_complete

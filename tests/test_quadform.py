@@ -1,16 +1,19 @@
+import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from almin.arith import REAL, FinitePrime, relevant_places
+from almin.arith import REAL, FinitePrime, relevant_places, squarefree_part
 from almin.quadform import (
     Degenerate,
     REPRESENT_HEIGHT_BOUND,
     QuadForm,
     SearchExhausted,
+    _ternary,
     diagonalize,
     find_isotropic_vector,
     is_isotropic,
@@ -83,6 +86,84 @@ def test_find_isotropic_vector_is_a_zero():
     v = find_isotropic_vector(f)
     assert v is not None and any(x != 0 for x in v)
     assert f.value(v) == 0
+
+
+def _assert_primitive_zero(f, v):
+    assert f.value(v) == 0 and any(x != 0 for x in v)
+    assert all(x.denominator == 1 for x in v)
+    assert math.gcd(*(int(x) for x in v)) == 1
+
+
+BIG_PRIMES = [10007, 65537, 999983, 1000003, 1000000007, 2**31 - 1]
+
+
+def test_find_isotropic_vector_matches_is_isotropic_random():
+    # diagonal forms of dimension 2-10, entries up to 10^4 and about one in
+    # seven a large prime, and sheared Gram forms of dimension 2-4: a
+    # primitive integer zero exactly when the invariants say isotropic
+    rng = random.Random(20261018)
+    found = 0
+    for k in range(240):
+        sheared = k % 5 == 4
+        n = rng.randint(2, 4 if sheared else 10)
+        coeffs = [
+            rng.choice([-1, 1])
+            * (rng.choice(BIG_PRIMES) if rng.random() < 0.15 and not sheared else rng.randint(1, 10**4))
+            for _ in range(n)
+        ]
+        f = QuadForm.diagonal(coeffs)
+        if sheared:
+            t = _random_unimodular(n, rng)
+            f = QuadForm.from_rows(
+                [
+                    [sum(t[i][m] * coeffs[m] * t[j][m] for m in range(n)) for j in range(n)]
+                    for i in range(n)
+                ]
+            )
+        v = find_isotropic_vector(f)
+        if is_isotropic(f, "global"):
+            _assert_primitive_zero(f, v)
+            found += 1
+        else:
+            assert v is None, coeffs
+    assert found > 120
+
+
+def test_find_isotropic_vector_hand_cases():
+    # a pair c, -c is taken as it stands (the first two coordinates here)
+    assert find_isotropic_vector(QuadForm.diagonal([1, -1, 3, 7])) == (1, 1, 0, 0)
+    # no isotropic subform on four of the coordinates, so the splitting
+    # value t is needed
+    f = QuadForm.diagonal([1, 1, 1, 1, -7])
+    for i in range(5):
+        rest = [c for j, c in enumerate([1, 1, 1, 1, -7]) if j != i]
+        assert not is_isotropic(QuadForm.diagonal(rest), "global")
+    _assert_primitive_zero(f, find_isotropic_vector(f))
+    # a ternary with a ten-digit prime: Legendre descent, no search
+    t0 = time.perf_counter()
+    f = QuadForm.diagonal([1, 1, -1000000009])
+    _assert_primitive_zero(f, find_isotropic_vector(f))
+    assert time.perf_counter() - t0 < 1
+    assert find_isotropic_vector(QuadForm.diagonal([1, 1, -1000000007])) is None
+
+
+def test_ternary_solution_within_holzer_bound():
+    # Holzer: |x| <= sqrt|bc|, |y| <= sqrt|ca|, |z| <= sqrt|ab| for pairwise
+    # coprime squarefree a, b, c
+    rng = random.Random(3)
+    checked = 0
+    while checked < 150:
+        a, b, c = (rng.choice([-1, 1]) * rng.randint(1, 3000) for _ in range(3))
+        if any(squarefree_part(x) != x for x in (a, b, c)):
+            continue
+        if math.gcd(a, b) != 1 or math.gcd(b, c) != 1 or math.gcd(a, c) != 1:
+            continue
+        if not is_isotropic(QuadForm.diagonal([a, b, c]), "global"):
+            continue
+        x, y, z = _ternary(a, b, c)
+        assert a * x * x + b * y * y + c * z * z == 0 and (x, y, z) != (0, 0, 0)
+        assert x * x <= abs(b * c) and y * y <= abs(a * c) and z * z <= abs(a * b), (a, b, c)
+        checked += 1
 
 
 def test_witt_decompose_structure():

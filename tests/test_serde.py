@@ -157,6 +157,25 @@ def test_declared_signature_must_match_the_sturm_count():
         assert e.value.message == f"declared {forged!r}, but the Sturm count is [1, 1]"
 
 
+def test_subfield_polynomial_must_be_integral():
+    # x^2 - 1/2 has the root sqrt(2)/2 in Q(2^(1/4)); a non-integral
+    # subfield polynomial is refused where it is read
+    doc = {
+        "kind": "res_sl2",
+        "field": {
+            "poly": [-2, 0, 0, 0, 1],
+            "subfields": [{"poly": ["-1/2", "0", "1"], "embedding": ["0", "0", "1/2"]}],
+        },
+    }
+    with pytest.raises(ParseError) as e:
+        serde.group_from_doc(doc)
+    assert e.value.path == "$.field.subfields[0].poly"
+    doc["field"]["subfields"][0] = {"poly": ["-2", "0", "1"], "embedding": ["0", "0", "1"]}
+    v = analyze(serde.group_from_doc(doc))
+    assert isinstance(v, NotMinimal)
+    assert v.witness.subgroup.field.defining_poly == polys.poly([-2, 0, 1])
+
+
 def test_declared_subfields_complete_is_not_read():
     x4p2 = {"poly": [2, 0, 0, 0, 1]}
     plain = serde.cert_from(x4p2, "$.field")
