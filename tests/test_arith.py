@@ -1,3 +1,5 @@
+import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -28,6 +30,11 @@ def test_factorize_known():
     assert factorize(1) == {}
     with pytest.raises(ZeroInput):
         factorize(0)
+    # trial division stops once its divisor passes sqrt of the cofactor
+    rng = random.Random(5)
+    for n in [999983, 999983**2, 2 * 1000003] + [rng.randint(2, 10**13) for _ in range(200)]:
+        f = factorize(n)
+        assert math.prod(p**e for p, e in f.items()) == n and all(is_prime(p) for p in f), n
 
 
 def test_pollard_rho_budget(monkeypatch):

@@ -7,12 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from almin.arith import REAL, FinitePrime, relevant_places, squarefree_part
+from almin.arith import REAL, FinitePrime, factorize, relevant_places, squarefree_part
 from almin.quadform import (
     Degenerate,
     REPRESENT_HEIGHT_BOUND,
     QuadForm,
     SearchExhausted,
+    _binary_represents,
     _ternary,
     diagonalize,
     find_isotropic_vector,
@@ -145,6 +146,21 @@ def test_find_isotropic_vector_hand_cases():
     _assert_primitive_zero(f, find_isotropic_vector(f))
     assert time.perf_counter() - t0 < 1
     assert find_isotropic_vector(QuadForm.diagonal([1, 1, -1000000007])) is None
+
+
+def test_binary_represents_matches_is_isotropic():
+    # the per-prime symbol masks of the splitting loop against the
+    # invariants of <a, b, -t>
+    rng = random.Random(11)
+    for _ in range(40):
+        a, b = (squarefree_part(rng.choice([-1, 1]) * rng.randint(1, 3000)) for _ in range(2))
+        if a == -b:
+            continue
+        represents = _binary_represents(a, b)
+        for _ in range(15):
+            t = squarefree_part(rng.choice([-1, 1]) * rng.randint(1, 5000))
+            want = is_isotropic(QuadForm.diagonal([a, b, -t]), "global")
+            assert represents(t, list(factorize(t))) == want, (a, b, t)
 
 
 def test_ternary_solution_within_holzer_bound():
