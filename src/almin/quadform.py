@@ -474,7 +474,8 @@ def _factored_integers():
 
 
 def _unit_classes(p: int) -> tuple[int, ...]:
-    """Representatives of the square classes of p-adic units."""
+    """Representatives of the square classes of p-adic units: 1 and the
+    least quadratic non-residue for odd p."""
     if p == 2:
         return (1, 3, 5, 7)
     return (1, next(u for u in range(2, p) if pow(u, (p - 1) // 2, p) == p - 1))
@@ -581,6 +582,7 @@ def _sqrt_mod(a: int, m: int) -> int:
 
 
 def _sqrt_mod_prime(a: int, p: int) -> int:
+    """A square root of a modulo the prime p, by Tonelli-Shanks."""
     a %= p
     if a == 0 or p == 2:
         return a
@@ -588,8 +590,7 @@ def _sqrt_mod_prime(a: int, p: int) -> int:
     q, s = p - 1, 0
     while q % 2 == 0:
         q, s = q // 2, s + 1
-    z = next(z for z in range(2, p) if pow(z, (p - 1) // 2, p) == p - 1)
-    c, t, r = pow(z, q, p), pow(a, q, p), pow(a, (q + 1) // 2, p)
+    c, t, r = pow(_unit_classes(p)[1], q, p), pow(a, q, p), pow(a, (q + 1) // 2, p)
     while t != 1:
         i, t2 = 0, t
         while t2 != 1:
