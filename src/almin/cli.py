@@ -7,8 +7,8 @@ verify serialized witnesses, and run the built-in verification suites.
     almin roots | selftest
 
 A command takes no tuning options: every search runs to a fixed bound kept
-beside it (quadform.SPLIT_VALUE_BUDGET, the largest splitting value t tried
-when an isotropic vector of a form of dimension >= 4 is constructed,
+beside it (quadform.SPLIT_VALUE_BUDGET, the number of splitting values t
+tried when an isotropic vector of a form of dimension >= 4 is constructed,
 quadform.REPRESENT_HEIGHT_BOUND, arith.TRIAL_DIVISION_BOUND,
 arith.RHO_ITERATION_BUDGET).
 A failure is reported as a JSON document {"schema", "error", "detail"[,

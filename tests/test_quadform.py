@@ -107,11 +107,11 @@ def test_find_isotropic_vector_matches_is_isotropic_random():
     for k in range(240):
         sheared = k % 5 == 4
         n = rng.randint(2, 4 if sheared else 10)
-        coeffs = [
-            rng.choice([-1, 1])
-            * (rng.choice(BIG_PRIMES) if rng.random() < 0.15 and not sheared else rng.randint(1, 10**4))
-            for _ in range(n)
-        ]
+        coeffs = []
+        for _ in range(n):
+            sign = rng.choice([-1, 1])
+            big = rng.random() < 0.15 and not sheared
+            coeffs.append(sign * (rng.choice(BIG_PRIMES) if big else rng.randint(1, 10**4)))
         f = QuadForm.diagonal(coeffs)
         if sheared:
             t = _random_unimodular(n, rng)
