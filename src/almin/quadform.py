@@ -397,7 +397,7 @@ def _isotropic_diag(cs: list[int]) -> list[int]:
     assert n >= 3, "an isotropic binary form has a pair c, -c"
     if n == 3:
         return list(_ternary(*cs))
-    # The t loop of _split costs about 2^k for the k primes dividing just one
+    # The t loop of _split costs about 2^r for the r primes dividing just one
     # class of a binary half (a prime dividing both only fixes the parity
     # of its valuation in t), and Legendre descent factors numbers of the
     # size of its coefficients.  So: from dimension 5 on, a five-dimensional
