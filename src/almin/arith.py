@@ -7,7 +7,6 @@ All values are immutable and all functions are pure.  Rationals are
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -76,7 +75,6 @@ def _miller_rabin(n: int, a: int) -> bool:
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
-@functools.lru_cache(maxsize=4096)  # Hilbert symbols test the same places again and again
 def is_prime(n: int) -> bool:
     if n < 2:
         return False

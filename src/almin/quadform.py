@@ -11,15 +11,13 @@ constrained search for represented values.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Literal, Optional, Sequence, Union
+from typing import Iterable, Literal, Optional, Sequence, Union
 
 from .arith import (
     FinitePrime,
-    REAL,
     Place,
     RealPlace,
     _two_adic_split,
@@ -257,26 +255,26 @@ def is_isotropic(f: QuadForm, place: Union[Place, Literal["global"]]) -> bool:
     return _isotropic(*_invariants(diagonalize(f).coeffs))
 
 
-def _invariants(cs: Sequence) -> tuple[int, int, Fraction, dict[FinitePrime, int]]:
+def _invariants(
+    cs: Sequence, primes: Optional[Iterable[int]] = None
+) -> tuple[int, int, Fraction, dict[FinitePrime, int]]:
     """(n, p, d, eps) of the diagonal form sum cs_i x_i^2: dimension,
     positive index of inertia, discriminant and the Hasse invariants
     eps_v = prod_{i<j} (c_i, c_j)_v, at 2 and the primes dividing a
-    coefficient.  Elsewhere every coefficient is a unit, and a unit form of
-    dimension >= 3 is isotropic."""
-    inv = (0, 0, Fraction(1), {FinitePrime(2): 1})
-    for c in cs:
-        inv = _extend(inv, c)
-    return inv
-
-
-def _extend(inv, c) -> tuple[int, int, Fraction, dict[FinitePrime, int]]:
-    """The invariants of q + <c> from those of q: eps_v picks up (d, c)_v by
-    bilinearity, and the primes of c join with eps_v = 1."""
-    n, pos, d, eps = inv
-    c = Fraction(c)
-    places = {**{FinitePrime(p): 1 for p in factorize(c.numerator * c.denominator)}, **eps}
-    eps = {v: e * hilbert_symbol(d, c, v) for v, e in places.items()}
-    return n + 1, pos + (c > 0), d * c, eps
+    coefficient, taken from `primes` (any set of primes holding them) or
+    else found by factoring.  Elsewhere every coefficient is a unit, and a
+    unit form of dimension >= 3 is isotropic."""
+    ms = [Fraction(c).numerator * Fraction(c).denominator for c in cs]
+    if primes is None:
+        primes = {p for m in ms for p in factorize(m)}
+    eps = {FinitePrime(p): 1 for p in {2, *primes} if p == 2 or any(m % p == 0 for m in ms)}
+    d = cs[0] if cs else Fraction(1)
+    for c in cs[1:]:
+        # eps_v = prod_j (c_1 ... c_{j-1}, c_j)_v by bilinearity
+        for v in eps:
+            eps[v] *= hilbert_symbol(d, c, v)
+        d *= c
+    return len(cs), sum(1 for c in cs if c > 0), d, eps
 
 
 def _isotropic(n: int, pos: int, d: Fraction, eps: dict[FinitePrime, int]) -> bool:
@@ -354,21 +352,28 @@ class WittDecomposition:
         return True
 
 
-# values k tried for the splitting value t = f k of a form of dimension >= 4
-# (1-3 s when exhausted)
+# values k tried for the splitting value t = +-f k of a form of dimension
+# >= 4 (about 70 us each on a form with 15 primes on a 2-vCPU VM, so some
+# 40 s for the whole budget)
 SPLIT_VALUE_BUDGET = 2**19
 
 
 def find_isotropic_vector(f: QuadForm) -> Optional[Vector]:
     """A primitive integer vector with q(v) = 0, or None if the form is
     globally anisotropic.  The vector is built on the squarefree classes of
-    a diagonalization (_isotropic_diag) and carried back through its basis."""
-    if not is_isotropic(f, "global"):
-        return None
+    a diagonalization (_isotropic_diag) and carried back through its basis;
+    each coefficient is factored once, and its primes are passed down."""
     d = diagonalize(f)
-    cs = [squarefree_part(c) for c in d.coeffs]
+    cs, primes = [], {2}  # 2 may divide a splitting value t
+    for c in d.coeffs:
+        ps = [p for p, e in factorize(c.numerator * c.denominator).items() if e % 2]
+        cs.append(math.prod(ps) if c > 0 else -math.prod(ps))
+        primes.update(ps)
+    if not _isotropic(*_invariants(cs, primes)):
+        return None
     # c_i = cs_i w_i^2, so x_i = v_i / w_i is a zero of sum c_i x_i^2
-    xs = [v / rational_sqrt(c / s) for v, c, s in zip(_isotropic_diag(cs), d.coeffs, cs)]
+    v = _isotropic_diag(cs, primes)
+    xs = [x / rational_sqrt(c / s) for x, c, s in zip(v, d.coeffs, cs)]
     n = f.dim
     out = tuple(
         sum(d.basis_change[i][j] * xs[j] for j in range(n)) for i in range(n)
@@ -378,17 +383,26 @@ def find_isotropic_vector(f: QuadForm) -> Optional[Vector]:
 
 
 def _scale_primitive(v: Vector) -> Vector:
-    """The primitive integer multiple of v whose first nonzero coordinate
-    is positive."""
-    ints = [int(x * math.lcm(*(y.denominator for y in v))) for x in v]
-    g = math.gcd(*ints) if next(x for x in ints if x) > 0 else -math.gcd(*ints)
-    return tuple(Fraction(x // g) for x in ints)
+    den = 1
+    for x in v:
+        den = den * x.denominator // math.gcd(den, x.denominator)
+    ints = [int(x * den) for x in v]
+    g = 0
+    for x in ints:
+        g = math.gcd(g, x)
+    ints = [x // g for x in ints]
+    # deterministic sign: first nonzero coordinate positive
+    first = next(x for x in ints if x != 0)
+    if first < 0:
+        ints = [-x for x in ints]
+    return tuple(Fraction(x) for x in ints)
 
 
-def _isotropic_diag(cs: list[int]) -> list[int]:
+def _isotropic_diag(cs: list[int], primes: set[int]) -> list[int]:
     """A nonzero integer zero of sum cs_i x_i^2, for the squarefree classes
-    cs_i of an isotropic form: e_i + e_j for a pair cs_i = -cs_j, Legendre
-    descent in dimension 3, and otherwise a splitting (_split)."""
+    cs_i of an isotropic form whose primes all lie in `primes`: e_i + e_j
+    for a pair cs_i = -cs_j, Legendre descent in dimension 3, and otherwise
+    a splitting (_split)."""
     n = len(cs)
     for i, c in enumerate(cs):
         if -c in cs[i + 1 :]:
@@ -396,81 +410,49 @@ def _isotropic_diag(cs: list[int]) -> list[int]:
             return [int(k in (i, j)) for k in range(n)]
     assert n >= 3, "an isotropic binary form has a pair c, -c"
     if n == 3:
-        return list(_ternary(*cs))
-    # The t loop of _split costs about 2^r for the r primes dividing just one
-    # class of a binary half (a prime dividing both only fixes the parity
-    # of its valuation in t), and Legendre descent factors numbers of the
-    # size of its coefficients.  So: from dimension 5 on, a five-dimensional
-    # indefinite (hence isotropic) subform on the smallest classes, and the
-    # half q_1 (and q_2, in dimension 4) with the fewest such primes.
-    primes = [set(factorize(c)) for c in cs]
-    order = sorted(range(n), key=lambda i: abs(cs[i]))[:5]
-    if n > 5 and len({cs[i] > 0 for i in order}) == 1:
-        order[-1] = next(i for i in range(n) if (cs[i] > 0) != (cs[order[0]] > 0))
-
-    def cost(half: tuple[int, int]) -> int:
-        rest = [k for k in order if k not in half]
-        halves = [half, rest] if len(rest) == 2 else [half]
-        return sum(len(primes[i] ^ primes[j]) for i, j in halves)
-
-    half = min(itertools.combinations(order, 2), key=cost)
-    order = [*half, *(k for k in order if k not in half)]
-    v = _split([cs[i] for i in order])
-    out = [0] * n
-    for i, x in zip(order, v):
-        out[i] = x
-    return out
+        return list(_ternary(*cs, primes))
+    return _split(cs, primes)
 
 
-def _split(cs: list[int]) -> list[int]:
+def _split(cs: list[int], primes: set[int]) -> list[int]:
     """A zero of the form q_1 + q_2, q_1 = <cs_1, cs_2>, dimension >= 4 and
     no pair c, -c: a zero of q_2 if it has one, or else zeros (x, y, z) of
     <cs_1, cs_2, -t> and (w, z') of q_2 + <t> glued as (x z', y z', w z),
-    for the first squarefree t = f k, k in the order 1, -1, 2, -2, ...,
-    with both isotropic; f is the product of the primes p of 2 cs_1 ... cs_n
-    at which no p-adic unit t makes both isotropic.  Such a t exists: q_1(x,
-    y) for any zero (x, y, w) of the form (the splitting step of Hasse-
-    Minkowski; Cassels, Rational Quadratic Forms, ch. 6).  |k| is at most
-    SPLIT_VALUE_BUDGET."""
-    q2 = _invariants(cs[2:])
-    if _isotropic(*q2):
-        return [0, 0] + _isotropic_diag(cs[2:])
-    represents = _binary_represents(cs[0], cs[1])
+    for the first squarefree t = +-f k, k = 1, 2, ... prime to f, with both
+    isotropic; f is the product of the primes p of 2 cs_1 ... cs_n at which
+    no p-adic unit t makes both isotropic, so every such t is divisible by
+    f.  Such a t exists: q_1(x, y) for any zero (x, y, w) of the form (the
+    splitting step of Hasse-Minkowski; Cassels, Rational Quadratic Forms,
+    ch. 6).  k is at most SPLIT_VALUE_BUDGET."""
+    if _isotropic(*_invariants(cs[2:], primes)):
+        return [0, 0] + _isotropic_diag(cs[2:], primes)
 
     def local(t: int, v: FinitePrime) -> bool:
         return _is_isotropic_local(QuadForm.diagonal(cs[:2] + [-t]), v) and (
             _is_isotropic_local(QuadForm.diagonal(cs[2:] + [t]), v)
         )
 
-    forced = [
+    f = math.prod(
         v.p
-        for v in _invariants(cs)[3]
+        for v in _invariants(cs, primes)[3]
         if not any(local(u, v) for u in _unit_classes(v.p))
-    ]
-    f = math.prod(forced)
-    for k, primes in itertools.islice(_factored_integers(), SPLIT_VALUE_BUDGET):
-        if math.gcd(k, f) != 1 or math.prod(primes) != k:
+    )
+    for k in range(1, SPLIT_VALUE_BUDGET + 1):
+        ks = factorize(k)
+        if math.gcd(k, f) != 1 or any(e > 1 for e in ks.values()):
             continue
+        with_t = primes | set(ks)
         for t in (f * k, -f * k):
-            if represents(t, [*forced, *primes]) and _isotropic(*_extend(q2, t)):
-                x, y, z = _isotropic_diag(cs[:2] + [-t])
-                *w, z2 = _isotropic_diag(cs[2:] + [t])
+            if _isotropic(*_invariants(cs[:2] + [-t], with_t)) and _isotropic(
+                *_invariants(cs[2:] + [t], with_t)
+            ):
+                x, y, z = _isotropic_diag(cs[:2] + [-t], with_t)
+                *w, z2 = _isotropic_diag(cs[2:] + [t], with_t)
                 return [x * z2, y * z2] + [wi * z for wi in w]
     raise SearchExhausted(
-        f"no splitting value t = {f} k with 0 < |k| <= SPLIT_VALUE_BUDGET ="
+        f"no splitting value t = +-{f} k with 0 < k <= SPLIT_VALUE_BUDGET ="
         f" {SPLIT_VALUE_BUDGET}"
     )
-
-
-def _factored_integers():
-    """(k, the primes of k) for k = 1, 2, 3, ..., by an incremental sieve:
-    each prime p found waits at its next multiple."""
-    waiting: dict[int, list[int]] = {}
-    for k in itertools.count(1):
-        primes = waiting.pop(k, [k] if k > 1 else [])
-        for p in primes:
-            waiting.setdefault(k + p, []).append(p)
-        yield k, primes
 
 
 def _unit_classes(p: int) -> tuple[int, ...]:
@@ -481,38 +463,9 @@ def _unit_classes(p: int) -> tuple[int, ...]:
     return (1, next(u for u in range(2, p) if pow(u, (p - 1) // 2, p) == p - 1))
 
 
-def _binary_represents(a: int, b: int):
-    """A test of whether the anisotropic form <a, b> represents the
-    squarefree t with prime factors `primes`, i.e. whether <a, b, -t> is
-    isotropic: (t, d)_v = (a, b)_v at every place v, d = -ab (Serre, A
-    Course in Arithmetic, IV.2.2).  A prime outside 2d must have (d|p) = 1;
-    at the places of 2d the symbols multiply, and are kept per prime."""
-    d = -a * b
-    places = [REAL] + [FinitePrime(p) for p in sorted({2, *factorize(d)})]
-
-    def mask(x: int) -> int:  # bit i: (x, d) = -1 at places[i]
-        return sum(1 << i for i, v in enumerate(places) if hilbert_symbol(x, d, v) == -1)
-
-    target = sum(1 << i for i, v in enumerate(places) if hilbert_symbol(a, b, v) == -1)
-    masks: dict[int, Optional[int]] = {-1: mask(-1)}
-
-    def represents(t: int, primes) -> bool:
-        m = masks[-1] if t < 0 else 0
-        for p in primes:
-            if p not in masks:
-                good = 2 * d % p == 0 or legendre(d, p) == 1
-                masks[p] = mask(p) if good else None
-            if masks[p] is None:
-                return False
-            m ^= masks[p]
-        return m == target
-
-    return represents
-
-
-def _ternary(a: int, b: int, c: int) -> tuple[int, int, int]:
+def _ternary(a: int, b: int, c: int, primes: set[int]) -> tuple[int, int, int]:
     """A primitive zero of a x^2 + b y^2 + c z^2 for squarefree a, b, c of
-    an isotropic form, within Holzer's bound when a, b, c are pairwise
+    an isotropic form, whose primes all lie in `primes`, within Holzer's bound when a, b, c are pairwise
     coprime: |x| <= sqrt|bc|, |y| <= sqrt|ac|, |z| <= sqrt|ab|."""
     cs, scale = [a, b, c], [Fraction(1)] * 3
     i = 0
@@ -533,7 +486,7 @@ def _ternary(a: int, b: int, c: int) -> tuple[int, int, int]:
     order = [m for m in range(3) if m != k] + [k]
     sign = 1 if cs[order[0]] > 0 else -1
     pa, pb, pc = (sign * cs[m] for m in order)
-    x, y, z = _legendre(-pa * pc, -pb * pc)
+    x, y, z = _legendre(-pa * pc, -pb * pc, primes)
     # (-ac) x^2 + (-bc) y^2 = z^2 gives a (cx)^2 + b (cy)^2 + c z^2 = 0
     sol = _holzer(pa, pb, pc, *_primitive3(pc * x, pc * y, z))
     out = [Fraction(0)] * 3
@@ -548,9 +501,9 @@ def _primitive3(x: int, y: int, z: int) -> tuple[int, int, int]:
     return x // g, y // g, z // g
 
 
-def _legendre(a: int, b: int) -> tuple[int, int, int]:
+def _legendre(a: int, b: int, primes: set[int]) -> tuple[int, int, int]:
     """(x, y, z) != 0 with a x^2 + b y^2 = z^2, for squarefree a, b with a
-    solution, by Legendre's descent: with |a| <= |b| and r^2 = a (mod b),
+    solution whose primes all lie in `primes`, by Legendre's descent: with |a| <= |b| and r^2 = a (mod b),
     r^2 - a = b b' m^2 with |b'| < |b|, and a solution of (a, b') gives one
     of (a, b) through the norm form of Q(sqrt a)."""
     if a == 1:
@@ -558,25 +511,28 @@ def _legendre(a: int, b: int) -> tuple[int, int, int]:
     if b == 1:
         return 0, 1, 1
     if abs(a) > abs(b):
-        y, x, z = _legendre(b, a)
+        y, x, z = _legendre(b, a, primes)
         return x, y, z
-    r = _sqrt_mod(a, b)
+    r = _sqrt_mod(a, b, primes)
     k = (r * r - a) // b
-    b2 = squarefree_part(k)
-    x, y, z = _legendre(a, b2)
+    ks = factorize(k)  # new primes: the one factorization of a step
+    b2 = math.prod(p for p, e in ks.items() if e % 2) * (1 if k > 0 else -1)
+    x, y, z = _legendre(a, b2, primes | set(ks))
     # b (b2 m y)^2 = N(z + x sqrt a) N(r + sqrt a) with k = b2 m^2
     return z + r * x, b2 * math.isqrt(k // b2) * y, r * z + a * x
 
 
-def _sqrt_mod(a: int, m: int) -> int:
-    """r with r^2 = a (mod m) and |r| <= |m|/2, for squarefree m and a a
-    square modulo each prime of m: Tonelli-Shanks per prime, then CRT."""
+def _sqrt_mod(a: int, m: int, primes: set[int]) -> int:
+    """r with r^2 = a (mod m) and |r| <= |m|/2, for squarefree m, whose
+    primes all lie in `primes`, and a a square modulo each of them:
+    Tonelli-Shanks per prime, then CRT."""
     m = abs(m)
     r, mod = 0, 1
-    for p in factorize(m):
+    for p in (p for p in primes if m % p == 0):
         s = _sqrt_mod_prime(a, p)
         r += mod * ((s - r) * pow(mod, -1, p) % p)
         mod *= p
+    assert mod == m, "a prime of m is missing from primes"
     r %= m
     return r - m if 2 * r > m else r
 

@@ -13,7 +13,6 @@ from almin.quadform import (
     REPRESENT_HEIGHT_BOUND,
     QuadForm,
     SearchExhausted,
-    _binary_represents,
     _ternary,
     diagonalize,
     find_isotropic_vector,
@@ -140,6 +139,10 @@ def test_find_isotropic_vector_hand_cases():
         rest = [c for j, c in enumerate([1, 1, 1, 1, -7]) if j != i]
         assert not is_isotropic(QuadForm.diagonal(rest), "global")
     _assert_primitive_zero(f, find_isotropic_vector(f))
+    # every splitting value of <1, 1> + <1, -3> is even, though 2 divides
+    # no coefficient
+    f = QuadForm.diagonal([1, 1, 1, -3])
+    _assert_primitive_zero(f, find_isotropic_vector(f))
     # a ternary with a ten-digit prime: Legendre descent, no search
     t0 = time.perf_counter()
     f = QuadForm.diagonal([1, 1, -1000000009])
@@ -148,19 +151,17 @@ def test_find_isotropic_vector_hand_cases():
     assert find_isotropic_vector(QuadForm.diagonal([1, 1, -1000000007])) is None
 
 
-def test_binary_represents_matches_is_isotropic():
-    # the per-prime symbol masks of the splitting loop against the
-    # invariants of <a, b, -t>
-    rng = random.Random(11)
-    for _ in range(40):
-        a, b = (squarefree_part(rng.choice([-1, 1]) * rng.randint(1, 3000)) for _ in range(2))
-        if a == -b:
-            continue
-        represents = _binary_represents(a, b)
-        for _ in range(15):
-            t = squarefree_part(rng.choice([-1, 1]) * rng.randint(1, 5000))
-            want = is_isotropic(QuadForm.diagonal([a, b, -t]), "global")
-            assert represents(t, list(factorize(t))) == want, (a, b, t)
+def test_split_value_budget(monkeypatch):
+    import almin.quadform as quadform
+
+    # <1, 1> + <1, 1, -7> with <1, 1, -7> anisotropic: the first splitting
+    # value is t = 5, the fifth k tried
+    f = QuadForm.diagonal([1, 1, 1, 1, -7])
+    monkeypatch.setattr(quadform, "SPLIT_VALUE_BUDGET", 4)
+    with pytest.raises(SearchExhausted, match="SPLIT_VALUE_BUDGET = 4"):
+        find_isotropic_vector(f)
+    monkeypatch.setattr(quadform, "SPLIT_VALUE_BUDGET", 5)
+    _assert_primitive_zero(f, find_isotropic_vector(f))
 
 
 def test_ternary_solution_within_holzer_bound():
@@ -176,7 +177,7 @@ def test_ternary_solution_within_holzer_bound():
             continue
         if not is_isotropic(QuadForm.diagonal([a, b, c]), "global"):
             continue
-        x, y, z = _ternary(a, b, c)
+        x, y, z = _ternary(a, b, c, set(factorize(a * b * c)))
         assert a * x * x + b * y * y + c * z * z == 0 and (x, y, z) != (0, 0, 0)
         assert x * x <= abs(b * c) and y * y <= abs(a * c) and z * z <= abs(a * b), (a, b, c)
         checked += 1
