@@ -9,6 +9,7 @@ import pytest
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 CORPUS = ROOT / "corpus"
+GOLDEN = ROOT / "tests" / "golden"
 
 
 def corpus(name: str) -> str:
@@ -154,6 +155,16 @@ def test_roots_command(run_cli):
     lines = r.stdout.strip().splitlines()
     assert len(lines) == 44
     assert all(line.startswith("ok ") for line in lines)
+    assert r.stdout == (GOLDEN / "roots.txt").read_text(encoding="utf-8")
+
+
+def test_form_witt_matches_golden(run_cli):
+    # the anisotropic coefficients depend on the basis witt_decompose keeps,
+    # so they pin its choice of independent vectors
+    golden = json.loads((GOLDEN / "form_witt.json").read_text(encoding="utf-8"))
+    for coeffs, want in golden.items():
+        r = run_cli("form", "witt", coeffs)
+        assert r.code == 0 and r.stdout == want, coeffs
 
 
 def test_selftest_line_and_determinism(run_cli):
