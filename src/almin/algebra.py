@@ -27,7 +27,8 @@ from .numfield import (
     QuadraticField,
     is_square_in_quadfield,
 )
-from .quadform import QuadForm, SearchExhausted, represent_constrained
+from .linalg import primitive, rref
+from .quadform import QuadForm, represent_constrained
 
 Scalar = Union[Fraction, QuadElement]
 
@@ -235,7 +236,9 @@ def find_splitting_quadratic(
 
     A definite algebra (a < 0, b < 0) admits only negative e; its canonical
     generator i gives e in the class of a directly.  Otherwise the search
-    prefers a square class transverse to those of a and b.
+    prefers a square class transverse to those of a and b.  e is never zero
+    or a square: the "negative" search keeps only negative values, and the
+    others forbid squares.
     """
     a, b = d.a, d.b
     coeffs = [a, b, -a * b]
@@ -265,8 +268,6 @@ def find_splitting_quadratic(
             forbid_classes=frozenset({squarefree_part(a), squarefree_part(b)}),
         )
         val = rep.value
-    if is_rational_square(val) or val == 0:
-        raise SearchExhausted("represented value is a square; widen the bound")
     e = squarefree_part(val)
     c1, c2, c3 = rep.vector
     check = a * c1 * c1 + b * c2 * c2 - a * b * c3 * c3
@@ -374,65 +375,21 @@ def common_orthogonal_pure(a3: QuatElement, a4: QuatElement) -> QuatElement:
     For pure p, q: pq + qp = 2(a p_x q_x + b p_y q_y - ab p_z q_z), so
     anticommutation is orthogonality in the 3-dimensional pure part; a
     nonzero solution of the two linear conditions always exists.  The
-    deterministic first kernel basis vector (reduced echelon form) is chosen.
+    deterministic first kernel basis vector is chosen: 1 at the first free
+    column of the reduced echelon form, scaled to a primitive vector.
     """
     if not (a3.is_pure() and a4.is_pure()) or a3.is_zero() or a4.is_zero():
         raise ValueError("arguments must be nonzero pure quaternions")
     alg = a3.alg
     a, b = alg.a, alg.b
-    rows = [
-        [a * p.x, b * p.y, -a * b * p.z]
-        for p in (a3, a4)
-    ]
-    sol = _kernel_first_vector(rows)
-    alpha = QuatElement(alg, Fraction(0), sol[0], sol[1], sol[2])
+    rows, pivots = rref([[a * p.x, b * p.y, -a * b * p.z] for p in (a3, a4)])
+    free = next(c for c in range(3) if c not in pivots)
+    sol = [Fraction(c == free) for c in range(3)]
+    for row, c in zip(rows, pivots):
+        sol[c] = -row[free]
+    alpha = QuatElement(alg, Fraction(0), *primitive(sol))
     assert (a3 * alpha + alpha * a3).is_zero() and (a4 * alpha + alpha * a4).is_zero()
     return alpha
-
-
-def _kernel_first_vector(rows: list[list[Fraction]]) -> tuple[Fraction, ...]:
-    """First kernel basis vector of a rational matrix, in the deterministic
-    order given by reduced row echelon form with free variables set to the
-    standard basis, lowest free index first; scaled to a primitive vector."""
-    import math
-
-    m = [ [Fraction(x) for x in row] for row in rows ]
-    ncols = len(m[0]) if m else 0
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        piv = next((i for i in range(r, len(m)) if m[i][c] != 0), None)
-        if piv is None:
-            continue
-        m[r], m[piv] = m[piv], m[r]
-        pr = m[r][c]
-        m[r] = [x / pr for x in m[r]]
-        for i in range(len(m)):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-    free = [c for c in range(ncols) if c not in pivots]
-    if not free:
-        raise ValueError("kernel is trivial")
-    fc = free[0]
-    v = [Fraction(0)] * ncols
-    v[fc] = Fraction(1)
-    for i, pc in enumerate(pivots):
-        v[pc] = -m[i][fc]
-    den = 1
-    for x in v:
-        den = den * x.denominator // math.gcd(den, x.denominator)
-    ints = [int(x * den) for x in v]
-    g = 0
-    for x in ints:
-        g = math.gcd(g, x)
-    ints = [x // g for x in ints]
-    first = next(x for x in ints if x != 0)
-    if first < 0:
-        ints = [-x for x in ints]
-    return tuple(Fraction(x) for x in ints)
 
 
 def b2_realization(d: QuaternionAlgebra, h: QuatForm) -> QuadForm:

@@ -28,11 +28,17 @@ import json
 import sys
 from fractions import Fraction
 
-from . import arith, minimal, polys, qgroup, roots, serde
+from . import arith, polys, qgroup, serde
 from .arith import REAL, FinitePrime, hilbert_symbol, relevant_places
 from .algebra import QuaternionAlgebra, ramification_set
 from .minimal import NotMinimal, analyze, verify_witness
-from .quadform import QuadForm, diagonalize, is_isotropic, witt_decompose
+from .quadform import (
+    QuadForm,
+    SearchExhausted,
+    diagonalize,
+    is_isotropic,
+    witt_decompose,
+)
 from .serde import ParseError, rat_to_str
 
 EXIT_OK = 0
@@ -191,6 +197,8 @@ def cmd_form(args, out) -> int:
 
 
 def cmd_roots(args, out) -> int:
+    from . import roots  # only the two root-system commands need it
+
     report = roots.full_report()
     ok = True
     for c in report:
@@ -251,6 +259,8 @@ _E6_GROUPS = {
 
 
 def cmd_selftest(args, out) -> int:
+    from . import roots
+
     ok = True
 
     tri = roots.triality_orbit_check()
@@ -378,7 +388,7 @@ def main(argv=None) -> int:
         return _fail(out, EXIT_ERROR, "parse_error", exc.message, exc.path)
     except qgroup.InvalidSpec as exc:
         return _fail(out, EXIT_ERROR, "invalid_spec", str(exc))
-    except minimal.SearchExhausted as exc:
+    except SearchExhausted as exc:
         return _fail(out, EXIT_EXHAUSTED, "search_exhausted", str(exc))
     except (qgroup.Unsupported, polys.IrreducibilityUnproven) as exc:
         return _fail(out, EXIT_EXHAUSTED, "unsupported", str(exc))

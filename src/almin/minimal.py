@@ -11,7 +11,7 @@ state with the construction.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Optional, Union
 
@@ -44,7 +44,7 @@ from .qgroup import (
     q_rank,
     real_rank,
 )
-from .quadform import QuadForm, SearchExhausted, represent_constrained, witt_index
+from .quadform import QuadForm, represent_constrained, witt_index
 
 
 class InternalSoundnessError(AssertionError):
@@ -262,50 +262,6 @@ def _lvec_add(u, v):
 
 def _lvec_sub(u, v):
     return tuple(a - b for a, b in zip(u, v))
-
-
-def _first_squarefree_at_least(n: int) -> int:
-    a = n
-    while True:
-        if a not in (0, 1) and squarefree_part(a) == a:
-            return a
-        a += 1
-
-
-def _splitting_field(
-    dp: QuaternionAlgebra,
-    constraint: str,
-    avoid: frozenset[int] = frozenset(),
-) -> alg.SplittingField:
-    """find_splitting_quadratic, additionally avoiding square classes."""
-    first = alg.find_splitting_quadratic(dp, constraint)
-    if first.field.d not in avoid:
-        return first
-    a, b = Fraction(dp.a), Fraction(dp.b)
-    for h in range(1, quadform.REPRESENT_HEIGHT_BOUND + 1):
-        best = None
-        from .quadform import _shell_tuples
-
-        for xs in sorted(_shell_tuples(3, h)):
-            val = a * xs[0] ** 2 + b * xs[1] ** 2 - a * b * xs[2] ** 2
-            if val == 0:
-                continue
-            if constraint == "positive" and val <= 0:
-                continue
-            if constraint == "negative" and val >= 0:
-                continue
-            s = _cls(val)
-            if s == 1 or s in avoid:
-                continue
-            key = (abs(val), xs)
-            if best is None or key < best[0]:
-                best = (key, val, xs, s)
-        if best is not None:
-            _, val, xs, s = best
-            return alg.SplittingField(
-                QuadraticField(s), tuple(Fraction(x) for x in xs), val
-            )
-    raise SearchExhausted("no admissible splitting field within the bound")
 
 
 def _so4_conversion_field(g4: QuadForm):
@@ -605,7 +561,7 @@ def _sl2_quaternion_witness(d: QuaternionAlgebra, m: int) -> Witness:
 
 
 def _split_so5_witness(detail: str) -> Witness:
-    a = Fraction(_first_squarefree_at_least(2))
+    a = Fraction(2)  # the least squarefree integer > 1
     coeffs = (Fraction(1), Fraction(-1), Fraction(-1), Fraction(1), a)
     deriv = (
         _step("split-rank-2-reduction", detail),
@@ -629,7 +585,10 @@ def _second_kind_witness(g: Unitary2Quat) -> Witness:
         constraint = "positive" if d > 0 else "negative"
     else:
         constraint = "negative" if d < 0 else "any"
-    sp = _splitting_field(dp, constraint, avoid=frozenset({d}))
+    # E differs from L: q_rank proved D' tensor L division before this
+    # witness is built, so L does not split D', and no pure quaternion of D'
+    # squares into the class d of L
+    sp = alg.find_splitting_quadratic(dp, constraint)
     e = sp.field.d
     kc = numfield.compositum_quadratic(sp.field, f.l_field)
     k0 = squarefree_part(e * d)
@@ -740,13 +699,8 @@ def _quat_hermitian_witness(g: Unitary1) -> Witness:
     ck = cs[kpos]
     tail_idx = [t for t in range(len(cs)) if t != kpos]
     tail_coeffs = tuple(-cs[t] / ck for t in tail_idx)
-    try:
-        rep = represent_constrained(
-            tail_coeffs,
-            want_positive=True,
-            forbid_square=False,
-        )
-    except SearchExhausted:
+    # the tail represents a positive value unless every entry is negative
+    if all(c < 0 for c in tail_coeffs):
         if ramified:
             # real rank >= 2 with a definite tail forces at least two
             # hyperbolic planes, so the split descent applies
@@ -761,6 +715,12 @@ def _quat_hermitian_witness(g: Unitary1) -> Witness:
             forbid_square=False,
         )
         rep = quadform.RepresentedValue(-rep.value, rep.vector, rep.square_class)
+    else:
+        rep = represent_constrained(
+            tail_coeffs,
+            want_positive=True,
+            forbid_square=False,
+        )
     a = rep.value
     sp = alg.find_splitting_quadratic(d, "positive" if not ramified else "any")
     e = sp.field.d
@@ -777,13 +737,7 @@ def _quat_hermitian_witness(g: Unitary1) -> Witness:
         k_index=kpos,
     )
     assert isinstance(inner.embedding, SubformIndices)
-    emb = SubformIndices(
-        basis=inner.embedding.basis,
-        tail_coeffs=inner.embedding.tail_coeffs,
-        a_value=inner.embedding.a_value,
-        witness_vector=inner.embedding.witness_vector,
-        context=ctx,
-    )
+    emb = replace(inner.embedding, context=ctx)
     deriv = (
         _step(
             "splitting-field",
@@ -808,13 +762,7 @@ def _b2_witness(g: Unitary1) -> Witness:
     q5 = alg.b2_realization(d, h2)
     inner = _orthogonal_subform_witness(q5)
     assert isinstance(inner.embedding, SubformIndices)
-    emb = SubformIndices(
-        basis=inner.embedding.basis,
-        tail_coeffs=inner.embedding.tail_coeffs,
-        a_value=inner.embedding.a_value,
-        witness_vector=inner.embedding.witness_vector,
-        context=TraceRealizationContext(),
-    )
+    emb = replace(inner.embedding, context=TraceRealizationContext())
     deriv = (
         _step(
             "b2-trace-realization",

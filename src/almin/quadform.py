@@ -6,7 +6,8 @@ isotropy tests, the Witt index from those invariants, isotropic vectors
 constructed from theory (a pair c, -c of square classes, Legendre's descent
 for ternary forms, and for dimension >= 4 the splitting step of the proof of
 Hasse-Minkowski), explicit Witt decompositions built on them, and a
-constrained search for represented values.
+constrained search for represented values.  Ranks, independent subsets and
+primitive integer vectors come from linalg's single exact elimination.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from .arith import (
     rational_sqrt,
     squarefree_part,
 )
+from .linalg import primitive, rref
 
 Matrix = tuple[tuple[Fraction, ...], ...]
 Vector = tuple[Fraction, ...]
@@ -323,7 +325,7 @@ class WittDecomposition:
         n = f.dim
         if len(vecs) != n:
             return False
-        if _det(tuple(tuple(Fraction(x) for x in v) for v in vecs)) == 0:
+        if len(rref(vecs)[1]) < n:
             return False
         # hyperbolic pairs orthogonal to each other and to the tail; tail
         # vectors need not be pairwise orthogonal (the coefficients record a
@@ -379,23 +381,7 @@ def find_isotropic_vector(f: QuadForm) -> Optional[Vector]:
         sum(d.basis_change[i][j] * xs[j] for j in range(n)) for i in range(n)
     )
     assert f.value(out) == 0 and any(x != 0 for x in out)
-    return _scale_primitive(out)
-
-
-def _scale_primitive(v: Vector) -> Vector:
-    den = 1
-    for x in v:
-        den = den * x.denominator // math.gcd(den, x.denominator)
-    ints = [int(x * den) for x in v]
-    g = 0
-    for x in ints:
-        g = math.gcd(g, x)
-    ints = [x // g for x in ints]
-    # deterministic sign: first nonzero coordinate positive
-    first = next(x for x in ints if x != 0)
-    if first < 0:
-        ints = [-x for x in ints]
-    return tuple(Fraction(x) for x in ints)
+    return primitive(out)
 
 
 def _isotropic_diag(cs: list[int], primes: set[int]) -> list[int]:
@@ -649,39 +635,13 @@ def split_hyperbolic_plane(
         )
         if any(x != 0 for x in w2):
             projected.append(w2)
-    return u, v, _independent_subset(projected, len(basis) - 2, f)
+    return u, v, _independent_subset(projected, len(basis) - 2)
 
 
-def _independent_subset(vectors: list[Vector], k: int, f: QuadForm) -> list[Vector]:
-    """First k vectors (in given order) that are linearly independent."""
-    chosen: list[Vector] = []
-    rows: list[list[Fraction]] = []
-    for v in vectors:
-        cand = rows + [list(v)]
-        if _rank(cand) == len(cand):
-            chosen.append(v)
-            rows = cand
-            if len(chosen) == k:
-                return chosen
-    return chosen
-
-
-def _rank(rows: list[list[Fraction]]) -> int:
-    m = [row[:] for row in rows]
-    rank = 0
-    cols = len(m[0]) if m else 0
-    for col in range(cols):
-        piv = next((r for r in range(rank, len(m)) if m[r][col] != 0), None)
-        if piv is None:
-            continue
-        m[rank], m[piv] = m[piv], m[rank]
-        for r in range(len(m)):
-            if r != rank and m[r][col] != 0:
-                fct = m[r][col] / m[rank][col]
-                for c in range(cols):
-                    m[r][c] -= fct * m[rank][c]
-        rank += 1
-    return rank
+def _independent_subset(vectors: list[Vector], k: int) -> list[Vector]:
+    """The first k vectors (in given order) independent of those before
+    them: the pivot columns of the matrix whose columns are the vectors."""
+    return [vectors[c] for c in rref(list(zip(*vectors)))[1][:k]]
 
 
 def witt_index(f: QuadForm) -> int:

@@ -6,6 +6,8 @@ vector and every inner product an integer.  Subsystems generated by root
 subsets are closed under addition, their type is identified by matching
 Cartan matrices over base orderings, and simple-connectedness of the
 corresponding standard subgroup is decided by the long-root span criterion.
+Coordinates in a base and span membership are read, for many vectors at
+once, from one elimination (linalg.rref) of the base augmented by them.
 """
 
 from __future__ import annotations
@@ -14,6 +16,8 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
+
+from .linalg import rref
 
 Vec = tuple[int, ...]
 
@@ -153,33 +157,33 @@ def root_system(type_tag: str) -> RootSystem:
 
 def simple_combination(sys: RootSystem, root: Vec) -> tuple[Fraction, ...]:
     """Coordinates of a vector in the base of the system (exact)."""
-    base = sys.base
-    cols = len(base)
-    dim = len(root)
-    # solve base^T x = root by Gaussian elimination over Q
-    m = [[Fraction(base[j][i]) for j in range(cols)] + [Fraction(root[i])] for i in range(dim)]
-    rank = 0
-    pivots = []
-    for c in range(cols):
-        piv = next((r for r in range(rank, dim) if m[r][c] != 0), None)
-        if piv is None:
+    (coords,) = _coordinates(sys.base, [root])
+    if coords is None:
+        raise NotARoot("vector outside the root lattice span")
+    return coords
+
+
+def _coordinates(
+    base: Sequence[Vec], vectors: Sequence[Vec]
+) -> list[Optional[tuple[Fraction, ...]]]:
+    """The coordinates of each vector in the base, or None for a vector
+    outside its span, from one elimination of the base augmented by all the
+    vectors: a column lies in the span of the base columns iff it vanishes
+    in every row whose pivot is not a base column, and then its entries in
+    the other rows are its coordinates on the pivot base columns."""
+    k = len(base)
+    rows, pivots = rref(list(zip(*base, *vectors)))
+    r = sum(1 for c in pivots if c < k)
+    out: list[Optional[tuple[Fraction, ...]]] = []
+    for j in range(k, k + len(vectors)):
+        if any(row[j] for row in rows[r:]):
+            out.append(None)
             continue
-        m[rank], m[piv] = m[piv], m[rank]
-        pr = m[rank][c]
-        m[rank] = [x / pr for x in m[rank]]
-        for r in range(dim):
-            if r != rank and m[r][c] != 0:
-                f = m[r][c]
-                m[r] = [x - f * y for x, y in zip(m[r], m[rank])]
-        pivots.append(c)
-        rank += 1
-    for r in range(rank, dim):
-        if m[r][cols] != 0:
-            raise NotARoot("vector outside the root lattice span")
-    out = [Fraction(0)] * cols
-    for r, c in enumerate(pivots):
-        out[c] = m[r][cols]
-    return tuple(out)
+        coords = [Fraction(0)] * k
+        for row, c in zip(rows, pivots[:r]):
+            coords[c] = row[j]
+        out.append(tuple(coords))
+    return out
 
 
 def from_base_coeffs(sys: RootSystem, coeffs: Sequence[int]) -> Vec:
@@ -324,59 +328,18 @@ def is_simply_connected_subgroup(s: RootSubset) -> bool:
     if not sub.roots:
         return True
     longest = max(_dot(r, r) for r in s.system.roots)
-    span = [list(map(Fraction, v)) for v in sub.base]
-    for r in s.system.roots:
-        if _dot(r, r) != longest:
-            continue
-        if r in sub.roots:
-            continue
-        if _in_span(span, r):
-            return False
-    return True
-
-
-def _in_span(span_rows: list[list[Fraction]], v: Vec) -> bool:
-    rows = [row[:] for row in span_rows]
-    target = list(map(Fraction, v))
-    cols = len(target)
-    rank = 0
-    for c in range(cols):
-        piv = next((r for r in range(rank, len(rows)) if rows[r][c] != 0), None)
-        if piv is None:
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        pr = rows[rank][c]
-        rows[rank] = [x / pr for x in rows[rank]]
-        if target[c] != 0:
-            target = [x - target[c] * y for x, y in zip(target, rows[rank])]
-        for r in range(len(rows)):
-            if r != rank and rows[r][c] != 0:
-                f = rows[r][c]
-                rows[r] = [x - f * y for x, y in zip(rows[r], rows[rank])]
-        rank += 1
-    # second pass for columns whose pivot came after a nonzero target entry
-    for c in range(cols):
-        if target[c] != 0:
-            piv = next((r for r in range(len(rows)) if rows[r][c] != 0 and all(rows[r][cc] == 0 for cc in range(c))), None)
-            if piv is None:
-                return False
-            f = target[c] / rows[piv][c]
-            target = [x - f * y for x, y in zip(target, rows[piv])]
-    return all(x == 0 for x in target)
+    others = sorted(
+        r for r in s.system.roots if _dot(r, r) == longest and r not in sub.roots
+    )
+    return all(c is None for c in _coordinates(sub.base, others))
 
 
 def highest_root(sys: RootSystem) -> Vec:
     comps = _identify_components(sys.base)
     if len(comps) != 1:
         raise Reducible("highest root needs an irreducible system")
-    best: Optional[tuple[Fraction, Vec]] = None
-    for r in sys.roots:
-        coeffs = simple_combination(sys, r)
-        h = sum(coeffs)
-        if best is None or h > best[0]:
-            best = (h, r)
-    assert best is not None
-    return best[1]
+    roots = sorted(sys.roots)
+    return max(zip(map(sum, _coordinates(sys.base, roots)), roots))[1]
 
 
 def minimal_root(sys: RootSystem) -> Vec:

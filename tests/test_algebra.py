@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -143,3 +144,27 @@ def test_quat_form_validation():
         QuatForm(d, "hermitian", (d.element(0),))
     with pytest.raises(ValueError):
         QuatForm(d, "sesquilinear", (d.element(1),))
+
+
+def test_splitting_field_of_a_division_second_kind_algebra_is_not_l():
+    # the compositum witness of Unitary2Quat takes E from the first pick of
+    # find_splitting_quadratic; it must differ from L, which holds because
+    # D' tensor L division means L does not split D'
+    from almin.qgroup import _second_kind_is_division
+
+    rng = random.Random(10)
+    classes = [c for c in range(-40, 41) if c not in (0, 1) and squarefree_part(c) == c]
+    checked = 0
+    for _ in range(400):
+        dp = QuaternionAlgebra(rng.choice(classes), rng.choice(classes))
+        L = QuadraticField(rng.choice(classes))
+        if not _second_kind_is_division(QuatSecondKindForm(L, dp, dp.one(), ())):
+            continue
+        for sign in ("positive", "negative", "any"):
+            try:
+                sp = find_splitting_quadratic(dp, sign)
+            except InfeasibleSign:
+                continue
+            assert sp.field.d != L.d, (dp, L.d, sign)
+            checked += 1
+    assert checked > 500
