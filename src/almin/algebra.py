@@ -6,6 +6,7 @@ groups over quaternion algebras to orthogonal or field data.
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence, Union
@@ -344,11 +345,13 @@ class QuatSecondKindForm:
     unit: QuatElement
     diagonal: tuple[QuatElement, ...]
     hyperbolic_count: int = 0
+    unit_inverse: QuatElement = dataclasses.field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         u = self.unit
         if u.is_zero():
             raise Degenerate("unit must be invertible")
+        object.__setattr__(self, "unit_inverse", u.inverse())
         if second_kind_involution(self, u) != u:
             raise NotSymmetric("unit must be fixed by the involution it twists")
         for e in self.diagonal:
@@ -364,9 +367,35 @@ class QuatSecondKindForm:
 
 def second_kind_involution(form: QuatSecondKindForm, x: QuatElement) -> QuatElement:
     """tau(x) = u * (conj_D' tensor conj_L)(x) * u^{-1}."""
-    base = x.conj().field_conj()
-    u = form.unit
-    return u * base * u.inverse()
+    return form.unit * x.conj().field_conj() * form.unit_inverse
+
+
+def _re_mul(s: Scalar, o: Scalar) -> Fraction:
+    """The rational part of s o: p p' + d q q' for (p + q sqrt(d))(p' + q' sqrt(d))."""
+    if isinstance(s, QuadElement):
+        if isinstance(o, QuadElement):
+            if s.fld != o.fld:
+                raise ValueError("mixed quadratic fields")
+            return s.x * o.x + s.fld.d * s.y * o.y
+        return s.x * o
+    if isinstance(o, QuadElement):
+        return s * o.x
+    return s * o
+
+
+def re_trd_pairing(x: QuatElement, y: QuatElement) -> Fraction:
+    """The rational part of Trd(xy) for x, y in D' tensor L, read from the
+    coefficients without forming xy: Trd(xy) = 2(t t' + a x x' + b y y' -
+    ab z z'), because 1, i, j, ij are orthogonal for the norm form."""
+    if x.alg != y.alg:
+        raise ValueError("mixed quaternion algebras")
+    a, b = x.alg.a, x.alg.b
+    return 2 * (
+        _re_mul(x.t, y.t)
+        + a * _re_mul(x.x, y.x)
+        + b * _re_mul(x.y, y.y)
+        - a * b * _re_mul(x.z, y.z)
+    )
 
 
 def common_orthogonal_pure(a3: QuatElement, a4: QuatElement) -> QuatElement:
@@ -395,47 +424,25 @@ def common_orthogonal_pure(a3: QuatElement, a4: QuatElement) -> QuatElement:
 def b2_realization(d: QuaternionAlgebra, h: QuatForm) -> QuadForm:
     """The 5-dimensional rational quadratic form q(m) = Trd(m^2) on the
     h-symmetric trace-zero endomorphisms of D^2; SO(q) is isogenous to
-    SU_2(D, h).  Computed from an explicit basis by quaternion arithmetic."""
+    SU_2(D, h) (the identification B2 = C2).
+
+    For h = <h1, h2> the symmetric endomorphisms m satisfy
+    m12 = r conj(m21) with r = h2/h1, so the trace-zero ones have the
+    basis m0 = diag(1, -1) and m_g = [[0, r conj(g)], [g, 0]] for
+    g in {1, i, j, ij}.  Then m0^2 = 1 and m_g^2 = r Nrd(g) 1, so
+    q(m0) = 4 and q(m_g) = 4 r Nrd(g), with Nrd = 1, -a, -b, ab on the four
+    g.  Cross terms vanish: m0 m_g + m_g m0 = 0, and the polar form of
+    m_g -> Nrd(g) is zero between distinct g because 1, i, j, ij are
+    orthogonal for the norm form.  Hence q = <4, 4r, -4ra, -4rb, 4rab>,
+    nondegenerate because a, b, h1, h2 are nonzero."""
     if h.kind != "hermitian" or len(h.diagonal) != 2 or h.hyperbolic_count:
         raise ValueError("need a diagonal hermitian form of rank 2")
-    h1, h2 = (e.t for e in h.diagonal)
+    h1, h2 = (Fraction(e.t) for e in h.diagonal)
     if h1 == 0 or h2 == 0:
         raise Degenerate("degenerate hermitian form")
-    one = d.one()
-    zero = d.element(0)
-
-    def make(m11: QuatElement, m21: QuatElement):
-        # m12 = h1^{-1} conj(m21) h2; with rational h_i this is (h2/h1) conj(m21)
-        m12 = (Fraction(h2) / Fraction(h1)) * m21.conj()
-        return ((m11, m12), (m21, -m11))
-
-    basis = [make(one, zero)] + [
-        make(zero, g) for g in (one, d.gen_i(), d.gen_j(), d.gen_k())
-    ]
-
-    def mat_mul(p, q):
-        return tuple(
-            tuple(
-                p[i][0] * q[0][j] + p[i][1] * q[1][j] for j in range(2)
-            )
-            for i in range(2)
-        )
-
-    def trd2(p) -> Fraction:
-        return Fraction(p[0][0].trd() + p[1][1].trd())
-
-    gram = [
-        [
-            (trd2(mat_mul(u, v)) + trd2(mat_mul(v, u))) / 2
-            for v in basis
-        ]
-        for u in basis
-    ]
-    q = QuadForm.from_rows(gram)
-    from .quadform import diagonalize
-
-    diagonalize(q)  # raises Degenerate if h was degenerate in disguise
-    return q
+    r = h2 / h1
+    a, b = d.a, d.b
+    return QuadForm.diagonal([4, 4 * r, -4 * r * a, -4 * r * b, 4 * r * a * b])
 
 
 @dataclass(frozen=True)

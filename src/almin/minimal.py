@@ -1614,7 +1614,7 @@ def _verify_quartic_tower(
                 two_c = c + c
                 found = False
                 for sgn in (1, -1):
-                    r2 = (fprime.element(B) + sgn * sdelta) / (-two_c)
+                    r2 = (fprime.element(-B) + sgn * sdelta) / (-two_c)
                     if r2.is_rational() and r2.x > 0 and is_rational_square(r2.x):
                         found = True
                 out.append(

@@ -23,6 +23,7 @@ from .algebra import (
     QuatSecondKindForm,
     QuaternionAlgebra,
     is_ramified_at_infinity,
+    re_trd_pairing,
     second_kind_involution,
 )
 from .arith import is_rational_square, rational_sqrt, squarefree_part
@@ -485,7 +486,10 @@ def _second_kind_real_rank(f: QuatSecondKindForm) -> int:
     # rational form (x, y) -> Re Trd(tau(x) e y) on the 8-dimensional Q-space
     # D, which is symmetric because tau(tau(x) e y) = tau(y) e x.  The basis
     # has coefficients in L, so every reduced trace below is an element
-    # x + y sqrt(d) of L, and Re is its rational part x.
+    # x + y sqrt(d) of L, and Re is its rational part x.  The 8 images tau(x)
+    # and the 8 products e y per entry are formed once; each Gram entry is
+    # then read from their coefficients by re_trd_pairing, without the
+    # product tau(x) (e y).
     zero = L.element(0)
     basis: list[QuatElement] = []
     for s in (L.element(1), L.sqrt_gen()):
@@ -497,7 +501,7 @@ def _second_kind_real_rank(f: QuatSecondKindForm) -> int:
     pos = neg = 2 * f.hyperbolic_count
     for e in f.diagonal:
         right = [e * v for v in basis]
-        gram = [[(tu * ev).trd().x for ev in right] for tu in taus]
+        gram = [[re_trd_pairing(tu, ev) for ev in right] for tu in taus]
         p, q = quadform.signature(QuadForm.from_rows(gram))
         assert p % 4 == 0 and q % 4 == 0, "trace form signature must be divisible by 4"
         pos += p // 4

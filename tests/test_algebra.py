@@ -3,12 +3,13 @@ from fractions import Fraction
 
 import pytest
 
-from almin.arith import REAL, FinitePrime, is_rational_square, squarefree_part
+from almin.arith import REAL, FinitePrime, is_rational_square, rational_sqrt, squarefree_part
 from almin.algebra import (
     Degenerate,
     DegenerateTower,
     InfeasibleSign,
     NotSymmetric,
+    QuatElement,
     QuatForm,
     QuatSecondKindForm,
     QuaternionAlgebra,
@@ -18,6 +19,7 @@ from almin.algebra import (
     is_division,
     is_ramified_at_infinity,
     ramification_set,
+    re_trd_pairing,
     second_kind_involution,
     skew_restriction,
 )
@@ -84,6 +86,73 @@ def test_b2_realization_shape_and_split_case():
         b2_realization(d, QuatForm(d, "hermitian", (d.element(1),)))
 
 
+def _b2_gram_by_products(d, h):
+    """The reference Gram of b2_realization: (Trd(uv) + Trd(vu)) / 2 over an
+    explicit basis of h-symmetric trace-zero 2 x 2 quaternion matrices, by
+    quaternion matrix products."""
+    h1, h2 = (Fraction(e.t) for e in h.diagonal)
+    zero, one = d.element(0), d.one()
+
+    def make(m11, m21):
+        # m12 = h1^{-1} conj(m21) h2 = (h2/h1) conj(m21) for rational h_i
+        return ((m11, (h2 / h1) * m21.conj()), (m21, -m11))
+
+    basis = [make(one, zero)] + [
+        make(zero, g) for g in (one, d.gen_i(), d.gen_j(), d.gen_k())
+    ]
+
+    def trd2(p, q):  # the trace of the reduced traces on the diagonal of pq
+        return sum(
+            Fraction((p[i][0] * q[0][i] + p[i][1] * q[1][i]).trd()) for i in range(2)
+        )
+
+    return tuple(tuple((trd2(u, v) + trd2(v, u)) / 2 for v in basis) for u in basis)
+
+
+def test_b2_realization_matches_quaternion_products():
+    rng = random.Random(1101)
+
+    def nonzero():
+        while True:
+            q = Fraction(rng.randint(-9, 9), rng.randint(1, 6))
+            if q:
+                return q
+
+    draws = 0
+    while draws < 30:
+        d = QuaternionAlgebra(nonzero(), nonzero())
+        h = QuatForm(d, "hermitian", (d.element(nonzero()), d.element(nonzero())))
+        if all(x.denominator == 1 for x in (d.a, d.b, h.diagonal[0].t, h.diagonal[1].t)):
+            continue  # keep every draw non-integral somewhere
+        assert b2_realization(d, h).gram == _b2_gram_by_products(d, h), (d, h)
+        draws += 1
+
+
+def test_re_trd_pairing_matches_the_product():
+    rng = random.Random(1102)
+
+    def coeff(L):
+        return L.element(
+            Fraction(rng.randint(-5, 5), rng.randint(1, 3)),
+            Fraction(rng.randint(-5, 5), rng.randint(1, 3)),
+        )
+
+    for _ in range(60):
+        L = QuadraticField(rng.choice([-7, -3, -1, 2, 5]))
+        d = QuaternionAlgebra(
+            Fraction(rng.choice([-3, -1, 2, 5]), rng.randint(1, 2)),
+            Fraction(rng.choice([-2, -1, 3, 7]), rng.randint(1, 2)),
+        )
+        x, y = (QuatElement(d, *(coeff(L) for _ in range(4))) for _ in range(2))
+        assert re_trd_pairing(x, y) == (x * y).trd().x
+        # a rational quaternion on one side, as a rational diagonal entry is
+        r = d.element(*(rng.randint(-4, 4) for _ in range(4)))
+        assert re_trd_pairing(r, y) == (r * y).trd().x
+        assert re_trd_pairing(y, r) == (y * r).trd().x
+    with pytest.raises(ValueError):
+        re_trd_pairing(QuaternionAlgebra(2, 3).one(), QuaternionAlgebra(-1, -1).one())
+
+
 def test_common_orthogonal_pure():
     d = QuaternionAlgebra(2, 3)
     a3 = d.gen_i()
@@ -108,6 +177,49 @@ def test_skew_restriction_biquadratic():
     assert r.k_cert.degree == 4
     for cert in r.k_cert.subfields:
         assert verify_subfield(r.k_cert, cert)
+
+
+def _tower_root_scale(r):
+    """The rational s with y^2 = -c s a root of the tower quartic
+    y^4 + B y^2 + C over F', or None.  Such a root exists iff the quartic is
+    (y^2 + c s)(y^2 + conj(c) s), that is B = s Tr(c) and C = s^2 N(c)."""
+    g = r.k_cert.defining_poly
+    assert g[1] == g[3] == 0, g
+    B, C, c = Fraction(g[2]), Fraction(g[0]), r.c
+    if c.x != 0:
+        s = B / c.trace()
+    elif B == 0 and is_rational_square(C / c.norm()):
+        s = rational_sqrt(C / c.norm())
+    else:
+        return None
+    y2 = -c * s
+    return s if (y2 * y2 + y2 * B + C).is_zero() else None
+
+
+def test_skew_tower_quartic_has_the_root_sqrt_minus_c():
+    """K = F'(sqrt(-c)): some root y of the certified quartic satisfies
+    y^2 = -c m^2 in F' with m rational.  A tower built as F'(sqrt(c)) has
+    y^2 = c m^2 instead, which fails here whenever c is not pure."""
+    rng = random.Random(1103)
+    algebras = [QuaternionAlgebra(2, 3), QuaternionAlgebra(-1, -1), QuaternionAlgebra(-1, -3),
+                QuaternionAlgebra(3, 5), QuaternionAlgebra(-2, 5)]
+    checked = impure = 0
+    while checked < 25:
+        d = rng.choice(algebras)
+        a3, a4 = (d.element(0, *(rng.randint(-3, 3) for _ in range(3))) for _ in range(2))
+        if a3.is_zero() or a4.is_zero():
+            continue
+        try:
+            r = skew_restriction(QuatForm(d, "skew_hermitian", (a3, a4), 1), 0, 1)
+        except (Degenerate, DegenerateTower):
+            continue
+        if r.k_is_biquadratic:
+            continue
+        s = _tower_root_scale(r)
+        assert s is not None and s > 0 and is_rational_square(s), (d, a3, a4, r.k_cert)
+        checked += 1
+        impure += r.c.x != 0
+    assert impure >= 10
 
 
 def test_skew_restriction_rejects_commuting_entries():

@@ -483,3 +483,25 @@ def test_forged_sl3_documents_fail_verification(run_cli, tmp_path):
     # its golden now carries the block SL3(Q) in SL3(Q) in SL3(D), which verifies
     r2 = run_cli("verify", corpus("expected/sl3_quat_definite"))
     assert r2.code == 0 and r2.json["verification"]["ok"] is True
+
+
+def test_skew_tower_with_impure_ratio_verifies(run_cli, tmp_path):
+    spec = {"kind": "su1", "algebra": {"a": "2", "b": "3"}, "form_kind": "skew_hermitian",
+            "diagonal": [["0", "-2", "1", "1"], ["0", "-2", "-1", "1"]], "hyperbolic_count": 1}
+    r = run_cli("analyze", _write(tmp_path, spec, "spec.json"))
+    assert r.code == 0 and r.json["verdict"] == "not_minimal"
+    assert r.json["verification"]["ok"] is True
+    r2 = run_cli("verify", _write(tmp_path, r.json, "verdict.json"))
+    assert r2.code == 0 and r2.json["verification"]["ok"] is True
+
+
+def test_altered_b2_trace_realization_basis_fails_verification(run_cli, tmp_path):
+    """The closed-form B2 = C2 Gram still decides the subform: one altered
+    embedding basis vector of su1_herm_b2_n2 is rejected."""
+    doc = json.loads((CORPUS / "expected" / "su1_herm_b2_n2.json").read_text())
+    emb = doc["witness"]["embedding"]
+    assert emb["context"] == {"type": "trace-realization"}
+    emb["basis"][3] = ["0", "0", "1", "1", "0"]
+    r = run_cli("verify", _write(tmp_path, doc))
+    assert r.code != 0 and r.json["verification"]["ok"] is False
+    assert "subform discriminant matches the represented value" in _failed_checks(r)

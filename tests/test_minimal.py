@@ -1,4 +1,6 @@
+import collections
 import dataclasses
+import random
 from fractions import Fraction
 
 import pytest
@@ -162,6 +164,42 @@ def test_skew_unitary_tower():
     w = _assert_verified(g, v)
     assert isinstance(w.embedding, PureQuaternionTower)
     assert w.derivation[0].detail == "q_rank = 1, real_rank = 2"
+
+
+def test_skew_tower_with_impure_ratio():
+    # c = a3^{-1} a4 is not pure here, so the tower quartic has B != 0
+    d = QuaternionAlgebra(2, 3)
+    tail = (d.element(0, -2, 1, 1), d.element(0, -2, -1, 1))
+    g = Unitary1(QuatForm(d, "skew_hermitian", tail, hyperbolic_count=1))
+    w = _assert_verified(g, analyze(g))
+    assert isinstance(w.embedding, PureQuaternionTower)
+    assert w.embedding.k_cert.defining_poly[2] != 0
+
+
+def test_random_skew_specs_end_in_a_verdict():
+    """Seeded skew-hermitian specs with pure entries of coordinates in
+    [-3, 3]: each ends verified not_minimal, invalid_spec or unsupported."""
+    rng = random.Random(1104)
+    algebras = [QuaternionAlgebra(2, 3), QuaternionAlgebra(-1, -1), QuaternionAlgebra(-1, -3),
+                QuaternionAlgebra(3, 5), QuaternionAlgebra(-2, 5)]
+    outcomes = collections.Counter()
+    while sum(outcomes.values()) < 40:
+        d = rng.choice(algebras)
+        tail = tuple(d.element(0, *(rng.randint(-3, 3) for _ in range(3))) for _ in range(2))
+        if any(e.is_zero() for e in tail):
+            continue
+        g = Unitary1(QuatForm(d, "skew_hermitian", tail, hyperbolic_count=rng.choice([1, 2])))
+        try:
+            v = analyze(g)
+        except InvalidSpec:
+            outcomes["invalid_spec"] += 1
+            continue
+        if isinstance(v, UnsupportedVerdict):
+            outcomes["unsupported"] += 1
+            continue
+        _assert_verified(g, v)
+        outcomes["not_minimal"] += 1
+    assert outcomes["not_minimal"] >= 30, outcomes
 
 
 def test_isotropic_skew_tail_is_an_invalid_spec():

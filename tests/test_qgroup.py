@@ -524,6 +524,41 @@ def test_second_kind_real_rank_against_trace_form():
     assert any(p != q for p, q in signatures), signatures  # some definite entries
 
 
+def test_quaternionic_grams_form_few_quaternion_products(monkeypatch, corpus_docs):
+    """A deterministic guard on the cost of the quaternionic transfer Grams:
+    b2_realization forms no quaternion product, and the second-kind real
+    rank forms the 8 images tau(x) (2 products each) and, per diagonal
+    entry, the 8 products e y."""
+    from almin import serde
+    from almin.algebra import b2_realization
+    from almin.qgroup import _second_kind_real_rank
+
+    L = QuadraticField(-3)
+    d = QuaternionAlgebra(2, 3)
+    unit = QuatElement(d, L.element(1), L.element(0, 1), L.element(0), L.element(0))
+    forms = [
+        serde.group_from_doc(corpus_docs["su2quat_morita"]).form,
+        QuatSecondKindForm(L, d, unit, (d.element(1), d.element(-2)), 1),
+    ]
+    h = QuatForm(d, "hermitian", (d.element(Fraction(1, 2)), d.element(-3)))
+    calls = 0
+    product = QuatElement.__mul__
+
+    def counting(self, o):
+        nonlocal calls
+        calls += 1
+        return product(self, o)
+
+    monkeypatch.setattr(QuatElement, "__mul__", counting)
+    b2_realization(d, h)
+    assert calls == 0
+    for f in forms:
+        assert not f.l_field.is_real
+        calls = 0
+        _second_kind_real_rank(f)
+        assert calls <= 16 + 8 * len(f.diagonal), (f, calls)
+
+
 def test_conversions_keep_both_ranks(corpus_docs):
     """A conversion to Res SL2 keeps the real rank, and the Q-rank wherever
     the source's Q-rank is decided."""
