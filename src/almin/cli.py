@@ -13,7 +13,8 @@ quadform.REPRESENT_HEIGHT_BOUND, arith.TRIAL_DIVISION_BOUND,
 arith.RHO_ITERATION_BUDGET).
 A failure is reported as a JSON document {"schema", "error", "detail"[,
 "path"]} whose error tag is read_error, parse_error, invalid_spec,
-invalid_input (exit 1), nothing_to_verify (exit 2), search_exhausted,
+invalid_input, internal_error (a constructed witness failed its own
+verification) (exit 1), nothing_to_verify (exit 2), search_exhausted,
 unsupported or factorization_exceeded (exit 3).
 
 Exit codes: 0 decided (minimal or not minimal, or requested data printed);
@@ -31,7 +32,7 @@ from fractions import Fraction
 from . import arith, polys, qgroup, serde
 from .arith import REAL, FinitePrime, hilbert_symbol, relevant_places
 from .algebra import QuaternionAlgebra, ramification_set
-from .minimal import NotMinimal, analyze, verify_witness
+from .minimal import InternalSoundnessError, NotMinimal, analyze, verify_witness
 from .quadform import (
     QuadForm,
     SearchExhausted,
@@ -394,6 +395,8 @@ def main(argv=None) -> int:
         return _fail(out, EXIT_EXHAUSTED, "unsupported", str(exc))
     except arith.FactorizationExceeded as exc:
         return _fail(out, EXIT_EXHAUSTED, "factorization_exceeded", str(exc))
+    except InternalSoundnessError as exc:
+        return _fail(out, EXIT_ERROR, "internal_error", str(exc))
     except (ValueError, ZeroDivisionError) as exc:
         return _fail(out, EXIT_ERROR, "invalid_input", str(exc))
 

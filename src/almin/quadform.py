@@ -1,6 +1,9 @@
 """Quadratic forms over the rationals with exact arithmetic.
 
-Forms are symmetric Gram matrices of Fractions.  The module provides
+Forms are symmetric Gram matrices of Fractions.  They are evaluated over
+the integers: each form caches its Gram as N / den with N integral, each
+vector is cleared to integers over a common denominator, and a pairing or
+a restricted Gram entry is an integer sum divided once.  The module provides
 congruence diagonalization, signatures, Hasse invariants, local and global
 isotropy tests, the Witt index from those invariants, isotropic vectors
 constructed from theory (a pair c, -c of square classes, Legendre's descent
@@ -14,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import Iterable, Literal, Optional, Sequence, Union
 
@@ -82,22 +86,49 @@ class QuadForm:
     def dim(self) -> int:
         return len(self.gram)
 
+    @cached_property
+    def integral(self) -> tuple[tuple[tuple[tuple[int, int], ...], ...], int]:
+        """(rows, den) with G = N / den, N integral and den the least common
+        denominator of the entries; rows[i] lists the pairs (j, N_ij) with
+        N_ij != 0.  Computed once per form: it is not a field, so equality
+        and hashing see only the Gram."""
+        den = math.lcm(*(x.denominator for row in self.gram for x in row))
+        rows = tuple(
+            tuple(
+                (j, x.numerator * (den // x.denominator))
+                for j, x in enumerate(row)
+                if x
+            )
+            for row in self.gram
+        )
+        return rows, den
+
     def value(self, v: Sequence) -> Fraction:
         """q(v) = v^T G v."""
-        v = [Fraction(x) for x in v]
-        return sum(
-            self.gram[i][j] * v[i] * v[j] for i in range(self.dim) for j in range(self.dim)
-        )
+        return self.bilinear(v, v)
 
     def bilinear(self, u: Sequence, v: Sequence) -> Fraction:
-        u = [Fraction(x) for x in u]
-        v = [Fraction(x) for x in v]
-        return sum(
-            self.gram[i][j] * u[i] * v[j] for i in range(self.dim) for j in range(self.dim)
-        )
+        """B(u, v) = u^T G v: an integer sum over the nonzero coordinates of
+        u and the nonzero Gram entries, divided once."""
+        rows, den = self.integral
+        a, da = _cleared(u)
+        b, db = _cleared(v)
+        total = 0
+        for x, row in zip(a, rows):
+            if x:
+                total += x * sum(n * b[j] for j, n in row)
+        return Fraction(total, den * da * db)
 
     def determinant(self) -> Fraction:
         return _det(self.gram)
+
+
+def _cleared(v: Sequence) -> tuple[list[int], int]:
+    """(a, d) with v = a / d, a integral and d the least common denominator
+    of the coordinates; ints and Fractions are read without conversion."""
+    v = [x if isinstance(x, (int, Fraction)) else Fraction(x) for x in v]
+    d = math.lcm(*(x.denominator for x in v))
+    return [x.numerator * (d // x.denominator) for x in v], d
 
 
 def _det(g: Matrix) -> Fraction:
@@ -128,18 +159,8 @@ class DiagForm:
     source: QuadForm
 
     def check(self) -> bool:
-        n = len(self.coeffs)
-        b = self.basis_change
-        g = self.source.gram
-        for i in range(n):
-            for j in range(n):
-                want = self.coeffs[i] if i == j else Fraction(0)
-                got = sum(
-                    b[k][i] * g[k][l] * b[l][j] for k in range(n) for l in range(n)
-                )
-                if got != want:
-                    return False
-        return True
+        columns = list(zip(*self.basis_change))
+        return restrict(self.source, columns).gram == QuadForm.diagonal(self.coeffs).gram
 
 
 def diagonalize(f: QuadForm) -> DiagForm:
@@ -315,43 +336,29 @@ class WittDecomposition:
 
     def check(self) -> bool:
         f = self.source
-        vecs: list[Vector] = []
-        for u, v in self.hyperbolic_pairs:
-            if f.value(u) != 0 or f.value(v) != 0 or f.bilinear(u, v) != 1:
-                return False
-            vecs.extend([u, v])
-        for w in self.anisotropic_basis:
-            vecs.append(w)
+        vecs = [w for pair in self.hyperbolic_pairs for w in pair]
+        k = len(vecs)
+        vecs += self.anisotropic_basis
         n = f.dim
-        if len(vecs) != n:
+        if len(vecs) != n or len(rref(vecs)[1]) < n:
             return False
-        if len(rref(vecs)[1]) < n:
-            return False
-        # hyperbolic pairs orthogonal to each other and to the tail; tail
-        # vectors need not be pairwise orthogonal (the coefficients record a
-        # diagonalization of the restricted form, not of this basis)
-        hyp = 2 * len(self.hyperbolic_pairs)
-        for i, u in enumerate(vecs):
-            for j in range(i + 1, len(vecs)):
-                if i >= hyp:
-                    continue
-                paired = i % 2 == 0 and j == i + 1
-                if not paired and f.bilinear(u, vecs[j]) != 0:
-                    return False
-        k = 2 * len(self.hyperbolic_pairs)
-        tail = QuadForm.from_rows(
-            [[f.bilinear(vecs[k + i], vecs[k + j]) for j in range(n - k)] for i in range(n - k)]
-        )
-        if tail.dim:
-            if tuple(diagonalize(tail).coeffs) != tuple(self.anisotropic_coeffs):
-                # coefficients are basis-dependent; require same squarefree classes
-                got = tuple(squarefree_part(c) for c in diagonalize(tail).coeffs)
-                want = tuple(squarefree_part(c) for c in self.anisotropic_coeffs)
-                if sorted(got) != sorted(want):
-                    return False
-            if is_isotropic(tail, "global"):
+        g = restrict(f, vecs).gram
+        # each hyperbolic pair (rows 2i, 2i + 1) is isotropic with B(u, v) =
+        # 1 and orthogonal to every other vector; tail vectors need not be
+        # pairwise orthogonal (the coefficients record a diagonalization of
+        # the restricted form, not of this basis)
+        for i in range(k):
+            if any(g[i][j] != int(j == i ^ 1) for j in range(n)):
                 return False
-        return True
+        if k == n:
+            return True
+        cs = diagonalize(QuadForm(tuple(row[k:] for row in g[k:]))).coeffs
+        if cs != tuple(self.anisotropic_coeffs):
+            # coefficients are basis-dependent; require same squarefree classes
+            got = sorted(squarefree_part(c) for c in cs)
+            if got != sorted(squarefree_part(c) for c in self.anisotropic_coeffs):
+                return False
+        return not _isotropic(*_invariants(cs))
 
 
 # values k tried for the splitting value t = +-f k of a form of dimension
@@ -596,8 +603,18 @@ def witt_decompose(f: QuadForm) -> WittDecomposition:
 
 
 def restrict(f: QuadForm, vectors: Sequence[Vector]) -> QuadForm:
-    """The form f on the span of `vectors`, in that basis."""
-    return QuadForm.from_rows([[f.bilinear(u, v) for v in vectors] for u in vectors])
+    """The form f on the span of `vectors`, in that basis: the congruence
+    B^T N B / den over the integers, each vector cleared once and N v_j
+    formed once per vector."""
+    rows, den = f.integral
+    cleared = [_cleared(v) for v in vectors]
+    images = [[sum(n * a[j] for j, n in row) for row in rows] for a, _ in cleared]
+    g = [[None] * len(vectors) for _ in vectors]
+    for i, (a, da) in enumerate(cleared):
+        for j in range(i + 1):
+            total = sum(x * y for x, y in zip(a, images[j]) if x)
+            g[i][j] = g[j][i] = Fraction(total, den * da * cleared[j][1])
+    return QuadForm(tuple(map(tuple, g)))
 
 
 def combine(coords: Sequence, vectors: Sequence[Vector]) -> Vector:
@@ -629,10 +646,8 @@ def split_hyperbolic_plane(
     assert f.value(u) == 0 and f.value(v) == 0 and f.bilinear(u, v) == 1
     projected: list[Vector] = []
     for w in basis:
-        w2 = tuple(
-            x - f.bilinear(w, v) * a - f.bilinear(w, u) * b
-            for x, a, b in zip(w, u, v)
-        )
+        wv, wu = f.bilinear(w, v), f.bilinear(w, u)
+        w2 = tuple(x - wv * a - wu * b for x, a, b in zip(w, u, v))
         if any(x != 0 for x in w2):
             projected.append(w2)
     return u, v, _independent_subset(projected, len(basis) - 2)

@@ -406,6 +406,20 @@ def test_closed_stdout_is_not_a_read_error(monkeypatch):
     assert exc.value.__context__ is None  # no error document was attempted
 
 
+def test_witness_failing_its_own_verification_is_an_internal_error(run_cli, monkeypatch):
+    from almin import minimal
+
+    def failing(parent, w):
+        return minimal.VerifyReport(False, (minimal.VerifyCheck("forced", False, "x"),))
+
+    monkeypatch.setattr(minimal, "verify_witness", failing)
+    r = run_cli("analyze", corpus("sp4"))
+    doc = r.json
+    assert (r.code, doc["error"]) == (1, "internal_error")
+    assert sorted(doc) == ["detail", "error", "schema"]
+    assert "forced" in doc["detail"]
+
+
 def _write(tmp_path, doc, name="doc.json") -> str:
     path = tmp_path / name
     path.write_text(json.dumps(doc))

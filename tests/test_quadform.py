@@ -10,14 +10,17 @@ from hypothesis import strategies as st
 from almin.arith import REAL, FinitePrime, factorize, relevant_places, squarefree_part
 from almin.quadform import (
     Degenerate,
+    DiagForm,
     REPRESENT_HEIGHT_BOUND,
     QuadForm,
     SearchExhausted,
+    WittDecomposition,
     _ternary,
     diagonalize,
     find_isotropic_vector,
     is_isotropic,
     represent_constrained,
+    restrict,
     signature,
     witt_decompose,
     witt_index,
@@ -260,3 +263,154 @@ def test_represent_constrained():
         forbid_classes=frozenset({2, 3, 5}),
     )
     assert rep3.square_class not in {1, 2, 3, 5}
+
+
+# The Fraction double sums that QuadForm.bilinear, restrict and
+# DiagForm.check evaluated before forms were evaluated over the integers;
+# kept as the reference for the integral kernel.
+
+
+def _ref_bilinear(f, u, v):
+    u = [Fraction(x) for x in u]
+    v = [Fraction(x) for x in v]
+    return sum(f.gram[i][j] * u[i] * v[j] for i in range(f.dim) for j in range(f.dim))
+
+
+def _ref_restrict(f, vectors):
+    return [[_ref_bilinear(f, u, v) for v in vectors] for u in vectors]
+
+
+def _ref_diag_check(d):
+    n = len(d.coeffs)
+    b, g = d.basis_change, d.source.gram
+    for i in range(n):
+        for j in range(n):
+            want = d.coeffs[i] if i == j else Fraction(0)
+            got = sum(b[k][i] * g[k][l] * b[l][j] for k in range(n) for l in range(n))
+            if got != want:
+                return False
+    return True
+
+
+def _random_gram(n, rng):
+    # symmetric, about a third of the entries zero, denominators up to 12
+    g = [[Fraction(0)] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1):
+            if rng.random() > 0.35:
+                g[i][j] = g[j][i] = Fraction(rng.randint(-9, 9), rng.choice([1, 1, 2, 3, 4, 12]))
+    return QuadForm.from_rows(g)
+
+
+def _random_vector(n, rng):
+    # coordinates given as Fraction, int and str, about a third of them zero
+    out = []
+    for _ in range(n):
+        x = Fraction(rng.randint(-7, 7), rng.choice([1, 2, 5, 6])) if rng.random() > 0.3 else 0
+        out.append(rng.choice([x, str(x)]) if x.denominator > 1 else rng.choice([x, int(x), str(x)]))
+    return tuple(out)
+
+
+def test_integral_evaluation_matches_fraction_double_sums():
+    rng = random.Random(20261019)
+    checks = 0
+    for k in range(320):
+        n = k % 8
+        f = _random_gram(n, rng)
+        vecs = [_random_vector(n, rng) for _ in range(rng.randint(0, n + 1))]
+        for u in vecs:
+            assert f.value(u) == _ref_bilinear(f, u, u), (f, u)
+            for v in vecs:
+                got = f.bilinear(u, v)
+                assert isinstance(got, Fraction) and got == _ref_bilinear(f, u, v), (f, u, v)
+        g = restrict(f, vecs).gram
+        assert [list(row) for row in g] == _ref_restrict(f, vecs), (f, vecs)
+        assert all(isinstance(x, Fraction) for row in g for x in row)
+        try:
+            d = diagonalize(f)
+        except Degenerate:
+            continue
+        assert d.check() and _ref_diag_check(d)
+        if n:
+            # a scaled column or a perturbed coefficient fails both checks
+            b = [list(row) for row in d.basis_change]
+            j = rng.randrange(n)
+            for row in b:
+                row[j] *= 2
+            bad = DiagForm(d.coeffs, tuple(map(tuple, b)), f)
+            assert not bad.check() and not _ref_diag_check(bad)
+            cs = list(d.coeffs)
+            cs[j] += 1
+            bad = DiagForm(tuple(cs), d.basis_change, f)
+            assert not bad.check() and not _ref_diag_check(bad)
+            checks += 1
+    assert checks > 100
+
+
+def test_altered_witt_basis_fails_the_check():
+    rng = random.Random(7)
+    altered = 0
+    for _ in range(40):
+        n = rng.randint(3, 6)
+        coeffs = [rng.choice([c for c in range(-9, 10) if c]) for _ in range(n)]
+        t = _random_unimodular(n, rng)
+        f = QuadForm.from_rows(
+            [[sum(t[i][m] * coeffs[m] * t[j][m] for m in range(n)) for j in range(n)] for i in range(n)]
+        )
+        w = witt_decompose(f)
+        assert w.check()
+        if not w.hyperbolic_pairs:
+            continue
+        (u, v), *rest = w.hyperbolic_pairs
+        # B(2u, v) = 2
+        doubled = tuple(2 * x for x in u)
+        bad = WittDecomposition(f, ((doubled, v), *rest), w.anisotropic_basis, w.anisotropic_coeffs)
+        assert not bad.check()
+        if w.anisotropic_basis:
+            # B(v, w + u) = 1: the tail is no longer orthogonal to the plane
+            w0, *tail = w.anisotropic_basis
+            moved = tuple(a + b for a, b in zip(w0, u))
+            bad = WittDecomposition(f, w.hyperbolic_pairs, (moved, *tail), w.anisotropic_coeffs)
+            assert not bad.check()
+            # a tail coefficient moved to another square class
+            cs = (-w.anisotropic_coeffs[0],) + w.anisotropic_coeffs[1:]
+            bad = WittDecomposition(f, w.hyperbolic_pairs, w.anisotropic_basis, cs)
+            assert not bad.check()
+        altered += 1
+    assert altered > 15
+
+
+def test_bilinear_constructs_one_fraction_and_caches_the_integral_gram():
+    # the Fraction double sum made 33 Fractions for one bilinear of dimension 3
+    f = QuadForm.from_rows([[1, Fraction(1, 2), 0], [Fraction(1, 2), -3, 2], [0, 2, Fraction(5, 3)]])
+    u = (Fraction(1, 2), Fraction(-3), Fraction(2, 7))
+    v = (Fraction(4), Fraction(0), Fraction(-1, 3))
+    new, integral = Fraction.__dict__["__new__"], QuadForm.__dict__["integral"]
+    made, computed = [], []
+    func = integral.func
+
+    def counting_new(cls, *args, **kwargs):
+        made.append(args)
+        return new.__func__(cls, *args, **kwargs)
+
+    def counting_integral(form):
+        computed.append(form)
+        return func(form)
+
+    Fraction.__new__ = staticmethod(counting_new)
+    integral.func = counting_integral
+    try:
+        first = f.bilinear(u, v)
+        assert len(made) <= 1, made
+        made.clear()
+        second = f.value(u)
+        assert len(made) <= 1, made
+        made.clear()
+        g = restrict(f, [u, v, u])
+        assert len(made) <= 6, made
+    finally:
+        Fraction.__new__ = new
+        integral.func = func
+    assert len(computed) == 1
+    assert first == _ref_bilinear(f, u, v) and second == _ref_bilinear(f, u, u)
+    assert [list(row) for row in g.gram] == _ref_restrict(f, [u, v, u])
