@@ -2,12 +2,14 @@
 
 Bourbaki bases are hard-coded per type; realizations that would need
 half-integers (F4, E6/E7/E8) are scaled by 2 so every root is an integer
-vector and every inner product an integer.  Subsystems generated by root
-subsets are closed under addition, their type is identified by matching
-Cartan matrices over base orderings, and simple-connectedness of the
-corresponding standard subgroup is decided by the long-root span criterion.
-Coordinates in a base and span membership are read, for many vectors at
-once, from one elimination (linalg.rref) of the base augmented by them.
+vector and every inner product an integer.  The subsystem generated by a
+root subset is the orbit of its members under the reflections in them, its
+type is identified by matching Cartan matrices node by node, and
+simple-connectedness of the corresponding standard subgroup is decided by
+the long-root span criterion, with span membership read from integer
+normals to the span.  Heights are the values of one linear functional.
+Every elimination is linalg.rref: coordinates of many vectors in a base at
+once, the normals, and the height functional.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
-from .linalg import rref
+from .linalg import primitive, rref
 
 Vec = tuple[int, ...]
 
@@ -69,7 +71,8 @@ def _lex_positive(v: Vec) -> bool:
 
 
 def _generate(base: Sequence[Vec]) -> frozenset[Vec]:
-    """Closure of the base under simple reflections (the full root system)."""
+    """The orbit of the +-base vectors under the reflections in the base
+    vectors: for a base, the full root system."""
     roots = set(base) | {_neg(b) for b in base}
     frontier = list(roots)
     while frontier:
@@ -222,26 +225,19 @@ class Subsystem:
 
 
 def closed_subsystem(s: RootSubset) -> Subsystem:
-    """Smallest subsystem of the ambient system containing +-generators:
-    the closure under the reflections it contains, with a chosen base and
-    an identified type decomposition."""
-    roots = set()
-    for g in s.generators:
-        roots.add(g)
-        roots.add(_neg(g))
-    frontier = list(roots)
-    while frontier:
-        nxt = []
-        for x in sorted(roots):
-            for g in list(roots):
-                img = _reflect(x, g)
-                if img not in roots:
-                    roots.add(img)
-                    nxt.append(img)
-        frontier = nxt
+    """Smallest subsystem of the ambient system containing +-generators,
+    with a chosen base and an identified type decomposition.
+
+    That is the closure under the reflections it contains, and it equals
+    the orbit of the +-generators under the group W(S) generated by the
+    reflections in the generators alone: for x = w(g) with w in W(S), the
+    reflection s_x = w s_g w^-1 lies in W(S), so the orbit is closed under
+    its own reflections (Humphreys, Reflection Groups and Coxeter Groups,
+    1.2; Bourbaki, Lie VI 1.1), and every closed set holding the
+    generators holds the orbit."""
+    roots = _generate(tuple(s.generators))
     base = _base_of(roots)
-    comps = _identify_components(base)
-    return Subsystem(s.system, frozenset(roots), base, comps)
+    return Subsystem(s.system, roots, base, _identify_components(base))
 
 
 def _base_of(roots: Iterable[Vec]) -> tuple[Vec, ...]:
@@ -270,12 +266,10 @@ def _cartan_matrix(base: Sequence[Vec]) -> tuple[tuple[int, ...], ...]:
     return tuple(out)
 
 
-def _identify_components(base: Sequence[Vec]) -> tuple[str, ...]:
-    if not base:
-        return ()
+def _dynkin_components(base: Sequence[Vec]) -> list[list[int]]:
+    """The connected components of the Dynkin graph, as sorted index lists:
+    two base vectors are joined iff they are not orthogonal."""
     n = len(base)
-    cart = _cartan_matrix(base)
-    # connected components of the Dynkin graph
     seen = [False] * n
     comps = []
     for start in range(n):
@@ -287,11 +281,18 @@ def _identify_components(base: Sequence[Vec]) -> tuple[str, ...]:
             v = stack.pop()
             comp.append(v)
             for w in range(n):
-                if not seen[w] and cart[v][w] != 0 and v != w:
+                if not seen[w] and _dot(base[v], base[w]) != 0:
                     seen[w] = True
                     stack.append(w)
         comps.append(sorted(comp))
-    return tuple(_identify_irreducible([base[i] for i in comp]) for comp in comps)
+    return comps
+
+
+def _identify_components(base: Sequence[Vec]) -> tuple[str, ...]:
+    return tuple(
+        _identify_irreducible([base[i] for i in comp])
+        for comp in _dynkin_components(base)
+    )
 
 
 def _candidate_tags(k: int) -> list[str]:
@@ -308,38 +309,83 @@ def _candidate_tags(k: int) -> list[str]:
 
 
 def _identify_irreducible(base: list[Vec]) -> str:
+    """The first candidate tag whose Cartan matrix equals the base's up to
+    a reordering of the nodes, found depth first: reference node i is
+    given a base node whose Cartan entries with the nodes already given
+    match the reference's."""
     k = len(base)
     cart = _cartan_matrix(base)
-    for tag in _candidate_tags(k):
-        ref = _cartan_matrix(_base_for(tag))
-        for perm in itertools.permutations(range(k)):
-            if all(
-                cart[perm[i]][perm[j]] == ref[i][j] for i in range(k) for j in range(k)
+
+    def extend(ref, perm: list[int]) -> bool:
+        i = len(perm)
+        if i == k:
+            return True
+        for p in range(k):
+            if p not in perm and all(
+                cart[p][q] == ref[i][j] and cart[q][p] == ref[j][i]
+                for j, q in enumerate(perm)
             ):
-                return tag
+                perm.append(p)
+                if extend(ref, perm):
+                    return True
+                perm.pop()
+        return False
+
+    for tag in _candidate_tags(k):
+        if extend(_cartan_matrix(_base_for(tag)), []):
+            return tag
     raise AssertionError("unidentifiable Cartan matrix (not a root base?)")
 
 
 def is_simply_connected_subgroup(s: RootSubset) -> bool:
     """The standard subgroup generated by the subset (in a simply connected
     ambient group) is simply connected iff every long root of the ambient
-    system lying in the rational span of the subsystem belongs to it."""
+    system lying in the rational span of the subsystem belongs to it.  A
+    vector lies in that span iff it is orthogonal to every integer normal
+    read from one elimination of the subsystem's base."""
     sub = closed_subsystem(s)
     if not sub.roots:
         return True
     longest = max(_dot(r, r) for r in s.system.roots)
-    others = sorted(
-        r for r in s.system.roots if _dot(r, r) == longest and r not in sub.roots
+    normals = _normals(sub.base)
+    return not any(
+        _dot(r, r) == longest
+        and r not in sub.roots
+        and all(_dot(r, n) == 0 for n in normals)
+        for r in s.system.roots
     )
-    return all(c is None for c in _coordinates(sub.base, others))
+
+
+def _normals(vectors: Sequence[Vec]) -> list[Vec]:
+    """Primitive integer vectors spanning the orthogonal complement of the
+    vectors' span: one per free column of the vectors' reduced form."""
+    dim = len(vectors[0])
+    rows, pivots = rref(vectors)
+    out = []
+    for f in sorted(set(range(dim)) - set(pivots)):
+        v = [0] * dim
+        v[f] = 1
+        for row, c in zip(rows, pivots):
+            v[c] = -row[f]
+        out.append(tuple(map(int, primitive(v))))
+    return out
 
 
 def highest_root(sys: RootSystem) -> Vec:
-    comps = _identify_components(sys.base)
-    if len(comps) != 1:
+    """The root of greatest height in an irreducible system.
+
+    Height is linear, ht(r) = (r, w) for the w in the span of the base with
+    (alpha_i, w) = 1 for every simple root, so w = sum y_i alpha_i with
+    Gram * y = 1, solved by one elimination.  The y_i are positive (the
+    inverse Gram of a connected Dynkin graph is entrywise positive), so the
+    primitive integer multiple of w orders the roots by height, and in an
+    irreducible system the greatest height is reached by one root only."""
+    base = sys.base
+    if len(_dynkin_components(base)) != 1:
         raise Reducible("highest root needs an irreducible system")
-    roots = sorted(sys.roots)
-    return max(zip(map(sum, _coordinates(sys.base, roots)), roots))[1]
+    rows, _ = rref([[_dot(a, b) for b in base] + [1] for a in base])
+    w = from_base_coeffs(sys, [int(y) for y in primitive([row[-1] for row in rows])])
+    return max((_dot(r, w), r) for r in sys.roots)[1]
 
 
 def minimal_root(sys: RootSystem) -> Vec:

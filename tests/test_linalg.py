@@ -1,8 +1,11 @@
 """linalg.rref and linalg.primitive, and the quadform, algebra and roots
 functions built on them, against the separate eliminations they replaced.
 Those are kept below as references, as they were, and run on seeded random
-rational matrices, rank-deficient ones included."""
+rational matrices, rank-deficient ones included.  The roots closure and type
+match are also checked against the searches they replaced, on seeded random
+generator sets."""
 
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -156,6 +159,63 @@ def _old_simple_combination(base, root):
 
 
 # --------------------------------------------------------------------------
+# The former root-system searches
+
+
+def _old_closure(generators):
+    """The closure of +-generators under the reflections in every member,
+    reflecting all pairs each round."""
+    found = set(generators) | {roots._neg(g) for g in generators}
+    frontier = list(found)
+    while frontier:
+        nxt = []
+        for x in sorted(found):
+            for g in list(found):
+                img = roots._reflect(x, g)
+                if img not in found:
+                    found.add(img)
+                    nxt.append(img)
+        frontier = nxt
+    return found
+
+
+def _old_identify_irreducible(base):
+    """The first candidate tag whose Cartan matrix matches the base's under
+    one of the k! orderings of the base, trying each in turn."""
+    k = len(base)
+    cart = roots._cartan_matrix(base)
+    for tag in roots._candidate_tags(k):
+        ref = roots._cartan_matrix(roots._base_for(tag))
+        for perm in itertools.permutations(range(k)):
+            if all(cart[perm[i]][perm[j]] == ref[i][j] for i in range(k) for j in range(k)):
+                return tag
+    raise AssertionError("unidentifiable Cartan matrix")
+
+
+def _old_components(base):
+    """The type decomposition: Dynkin components by nonzero Cartan entries,
+    each typed by the ordering scan."""
+    n = len(base)
+    cart = roots._cartan_matrix(base)
+    seen = [False] * n
+    comps = []
+    for start in range(n):
+        if seen[start]:
+            continue
+        stack, comp = [start], []
+        seen[start] = True
+        while stack:
+            v = stack.pop()
+            comp.append(v)
+            for w in range(n):
+                if not seen[w] and cart[v][w] != 0 and v != w:
+                    seen[w] = True
+                    stack.append(w)
+        comps.append(sorted(comp))
+    return tuple(_old_identify_irreducible([base[i] for i in comp]) for comp in comps)
+
+
+# --------------------------------------------------------------------------
 # Seeded random rational matrices
 
 
@@ -257,7 +317,18 @@ def test_coordinates_match_the_old_span_test_and_solve():
                 assert roots.simple_combination(system, v) == old
 
 
-TAGS = ("A1", "A3", "B2", "B4", "C3", "D4", "D5", "G2", "F4", "E6", "E7", "E8")
+TAGS = (
+    "A1", "A2", "A3", "B2", "B3", "B4", "C3", "C4", "D4", "D5", "D6", "G2", "F4",
+    "E6", "E7", "E8",
+)
+
+
+def test_identify_components_names_every_tag():
+    for tag in TAGS:
+        base = roots.root_system(tag).base
+        assert roots._identify_components(base) == (tag,) == _old_components(base)
+        # a reordered base is the same type
+        assert roots._identify_components(base[::-1]) == (tag,)
 
 
 def test_highest_root_matches_one_solve_per_root():
@@ -271,11 +342,29 @@ def test_highest_root_matches_one_solve_per_root():
         assert roots.highest_root(sys) == best[1], tag
 
 
+SUBSET_TYPES = ("A3", "B3", "C3", "D4", "G2", "F4", "B4", "D5", "E6")
+
+
+def _subsets(seed, count):
+    """Seeded random sets of 1-4 roots of the ambient types above."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        sys = roots.root_system(rng.choice(SUBSET_TYPES))
+        yield sys, frozenset(rng.sample(sorted(sys.roots), rng.randint(1, 4)))
+
+
+def test_closed_subsystem_matches_the_all_pairs_closure():
+    for sys, gens in _subsets(7, 300):
+        sub = roots.closed_subsystem(RootSubset(sys, gens))
+        want = _old_closure(gens)
+        assert sub.roots == want
+        assert sub.base == roots._base_of(want)
+        assert sub.components == _old_components(sub.base)
+
+
 def test_simply_connected_matches_one_span_test_per_long_root():
-    rng = random.Random(6)
-    for _ in range(40):
-        sys = roots.root_system(rng.choice(("A3", "B3", "C3", "D4", "G2", "F4")))
-        gens = frozenset(rng.sample(sorted(sys.roots), rng.randint(1, 3)))
+    outcomes = []
+    for sys, gens in _subsets(6, 300):
         sub = roots.closed_subsystem(RootSubset(sys, gens))
         longest = max(roots._dot(r, r) for r in sys.roots)
         span = [list(map(Fraction, v)) for v in sub.base]
@@ -285,3 +374,5 @@ def test_simply_connected_matches_one_span_test_per_long_root():
             if roots._dot(r, r) == longest and r not in sub.roots
         )
         assert roots.is_simply_connected_subgroup(RootSubset(sys, gens)) == want
+        outcomes.append(want)
+    assert outcomes.count(False) >= 10

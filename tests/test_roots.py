@@ -119,3 +119,36 @@ def test_full_report_all_pass():
     results = full_report()
     assert len(results) == 44
     assert all(r.passed for r in results)
+
+
+def test_suite_makes_few_reflections_and_fractions():
+    """The subsystems are reflection orbits of their generators and the
+    highest root and span tests take one small elimination each, so the
+    D4, E6 and F4 checks stay within a fixed number of reflections and
+    Fractions (the all-pairs closure and the elimination over all roots
+    made 6,768 and 12,556)."""
+    import almin.roots as roots_mod
+    from fractions import Fraction
+
+    reflect, new = roots_mod._reflect, Fraction.__dict__["__new__"]
+    reflections, fractions = [], []
+
+    def counting_reflect(beta, alpha):
+        reflections.append(alpha)
+        return reflect(beta, alpha)
+
+    def counting_new(cls, *args, **kwargs):
+        fractions.append(args)
+        return new.__func__(cls, *args, **kwargs)
+
+    roots_mod._reflect = counting_reflect
+    Fraction.__new__ = staticmethod(counting_new)
+    try:
+        results = [triality_fixed_subgroup_not_simply_connected()]
+        results += verify_e6_identities() + f4_c3_check()
+    finally:
+        roots_mod._reflect = reflect
+        Fraction.__new__ = new
+    assert all(r.passed for r in results)
+    assert len(reflections) <= 2000, len(reflections)
+    assert len(fractions) <= 3000, len(fractions)
