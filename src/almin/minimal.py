@@ -10,6 +10,7 @@ state with the construction.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, replace
 from fractions import Fraction
@@ -264,6 +265,15 @@ def _lvec_sub(u, v):
     return tuple(a - b for a, b in zip(u, v))
 
 
+def _lvec_combine(coeffs, vectors):
+    """The L-vector sum of coeffs_i * vectors_i over the nonzero coeffs_i
+    (at least one)."""
+    return functools.reduce(
+        _lvec_add,
+        (_lvec_scale(v, c) for c, v in zip(coeffs, vectors) if not c.is_zero()),
+    )
+
+
 def _so4_conversion_field(g4: QuadForm):
     """The quadratic field certificate of the restriction of scalars that an
     isotropic nonsquare-discriminant quaternary form converts to, or an
@@ -376,80 +386,51 @@ def _orthogonal_subform_witness(form: QuadForm) -> Witness:
     return Witness(sub, emb, tuple(deriv))
 
 
-def _herm_orthogonalize(L: QuadraticField, hfun, vectors):
-    """Orthogonal L-basis and rational values for the span of `vectors` under
-    the sesquilinear form hfun (nondegenerate on the span)."""
-    work = [tuple(v) for v in vectors]
-    out_vecs, out_vals = [], []
-    while work:
-        idx = next(
-            (i for i, w in enumerate(work) if not hfun(w, w).is_zero()), None
-        )
-        if idx is None:
-            pair = next(
-                (
-                    (i, j)
-                    for i in range(len(work))
-                    for j in range(i + 1, len(work))
-                    if not hfun(work[i], work[j]).is_zero()
-                ),
-                None,
-            )
-            if pair is None:
-                break  # remaining vectors span a totally degenerate piece
-            i, j = pair
-            for lam in (L.element(1), L.sqrt_gen()):
-                if (hfun(work[i], work[j]) * lam).trace() != 0:
-                    work[i] = _lvec_add(work[i], _lvec_scale(work[j], lam))
-                    break
-            continue
-        x = work.pop(idx)
-        val = hfun(x, x)
-        assert val.is_rational()
-        out_vecs.append(x)
-        out_vals.append(val.x)
-        inv = val.inverse()
-        work = [
-            _lvec_sub(w, _lvec_scale(x, hfun(x, w) * inv)) for w in work
-        ]
-        work = [w for w in work if any(not c.is_zero() for c in w)]
-    return out_vecs, out_vals
-
-
 def _hermitian_subform_witness(form: HermForm) -> Witness:
     """The quadratic-field hermitian construction: split a hyperbolic plane,
-    normalize a slot to -1, represent a positive nonsquare a as a sum of
-    tail entries times norms, descend to the rational quaternary subform."""
+    scale a slot to -1, represent a positive nonsquare a as a sum of tail
+    entries times norms, descend to the rational quaternary subform.
+
+    The work happens in the basis of qgroup.diagonalize_hermitian, where
+    h(x, y) = sum conj(x_i) c_i y_i; the four vectors are mapped back at the
+    end.  They are h-orthogonal with rational values <2, -2, c, -c a>, so h
+    is a rational quaternary form q0 on their Q-span V0, of discriminant
+    class a.  SO(q0) embeds in SU(h): extend g in SO(q0) L-linearly to
+    V0 (x) L, where it keeps h and has determinant 1, and let it act as the
+    identity on the orthogonal complement (Scharlau, Quadratic and
+    Hermitian Forms, Ch. 10 §1).  SO(q0) is the restriction of scalars of
+    SL2 from Q(sqrt(a)).  The slot c needs no norm condition, only a scaled
+    tail trace form that takes a positive value."""
     L = form.field
     d = L.d
     n = form.dim
-    m = form.matrix
+    cs, basis = qgroup.diagonalize_hermitian(form)
+    zero = L.element(0)
     deriv: list[DerivationStep] = []
 
-    def h(u, v):
-        return _herm_eval(m, u, v)
+    def h(x, y):
+        return sum(
+            (
+                a.conj() * (b * c)
+                for a, c, b in zip(x, cs, y)
+                if not (a.is_zero() or b.is_zero())
+            ),
+            zero,
+        )
 
-    # isotropic vector via the rational trace form on Q^{2n}
-    basis_q = []
-    for j in range(n):
-        for s in (L.element(1), L.sqrt_gen()):
-            vec = [L.element(0)] * n
-            vec[j] = s
-            basis_q.append(tuple(vec))
-    gram = [
-        [(h(u, v).trace()) / 2 for v in basis_q] for u in basis_q
-    ]
-    tf = QuadForm.from_rows(gram)
-    iso = quadform.find_isotropic_vector(tf)
+    def unit(j):
+        return tuple(L.element(1 if k == j else 0) for k in range(n))
+
+    # an isotropic vector of the rational trace form <c_i, -d c_i> on the
+    # coordinates y_i = s_i + t_i sqrt(d)
+    trace = [x for c in cs for x in (c, -d * c)]
+    iso = quadform.find_isotropic_vector(QuadForm.diagonal(trace))
     if iso is None:
         raise qgroup.InvalidSpec("hermitian form is anisotropic")
-    v = tuple(
-        L.element(iso[2 * j], iso[2 * j + 1]) for j in range(n)
-    )
+    v = tuple(L.element(iso[2 * j], iso[2 * j + 1]) for j in range(n))
     assert h(v, v).is_zero()
-    j0 = next(j for j in range(n) if not h(v, basis_q[2 * j]).is_zero())
-    e_j = basis_q[2 * j0]
-    u1 = _lvec_scale(e_j, h(v, e_j).inverse())
+    j0, i1 = [j for j in range(n) if not v[j].is_zero()][:2]
+    u1 = _lvec_scale(unit(j0), h(v, unit(j0)).inverse())
     r = h(u1, u1)
     assert r.is_rational()
     u = _lvec_add(u1, _lvec_scale(v, L.element(-r.x / 2)))
@@ -462,39 +443,33 @@ def _hermitian_subform_witness(form: HermForm) -> Witness:
             " rational trace form",
         )
     )
-    # orthogonal complement of the plane
-    proj = []
-    for e in (basis_q[2 * j] for j in range(n)):
-        w = _lvec_sub(
+    # the plane is span(v, e_j0) and v_i1 != 0, so the unit vectors off
+    # {j0, i1} project onto a basis of its orthogonal complement
+    proj = [
+        _lvec_sub(
             _lvec_sub(e, _lvec_scale(u, h(v, e))), _lvec_scale(v, h(u, e))
         )
-        if any(not c.is_zero() for c in w):
-            proj.append(w)
-    o_vecs, o_vals = _herm_orthogonalize(L, h, proj)
-    assert len(o_vecs) == n - 2, "complement of a hyperbolic plane has rank n-2"
-    kpos = next(
-        (
-            t
-            for t, c in enumerate(o_vals)
-            if quadform.is_isotropic(QuadForm.diagonal([1, -d, c]), "global")
-        ),
-        None,
+        for e in (unit(j) for j in range(n) if j not in (j0, i1))
+    ]
+    o_vals, o_basis = qgroup.diagonalize_hermitian(
+        HermForm(L, tuple(tuple(h(x, y) for y in proj) for x in proj))
     )
-    if kpos is None:
-        raise Unsupported(
-            "no tail entry can be normalized to -1 by a field norm"
-        )
-    w3, ck = o_vecs[kpos], o_vals[kpos]
-    tail = [(o_vecs[t], o_vals[t]) for t in range(len(o_vecs)) if t != kpos]
+    o_vecs = [_lvec_combine(row, proj) for row in o_basis]
+    # slot 0 needs no norm condition, only a scaled tail t_i = -c_i/c whose
+    # trace form <t_i, -d t_i> takes a positive value: it is indefinite when
+    # d > 0, and when d < 0 real rank >= 2 leaves both signs off the plane
+    w3, ck = o_vecs[0], o_vals[0]
+    tail = list(zip(o_vecs[1:], o_vals[1:]))
     assert tail, "dimension >= 4 guarantees a nonempty hermitian tail"
     tail_t = [-c / ck for _, c in tail]
+    assert d > 0 or max(tail_t) > 0, "real rank >= 2 leaves both signs"
     trace_coeffs = []
     for t in tail_t:
         trace_coeffs.extend([t, -t * d])
     deriv.append(
         _step(
             "normalize-scale",
-            f"scale by -1/({ck}): -1/({ck}) is a norm of the quadratic field;"
+            f"scale the form by -1/({ck}) so the chosen slot is -1;"
             f" scaled tail {tuple(tail_t)}",
         )
     )
@@ -505,10 +480,13 @@ def _hermitian_subform_witness(form: HermForm) -> Witness:
     )
     a = rep.value
     s = _cls(a)
-    w4 = tuple(L.element(0) for _ in range(n))
-    for t in range(len(tail)):
-        b = L.element(rep.vector[2 * t], rep.vector[2 * t + 1])
-        w4 = _lvec_add(w4, _lvec_scale(tail[t][0], b))
+    w4 = _lvec_combine(
+        [
+            L.element(rep.vector[2 * t], rep.vector[2 * t + 1])
+            for t in range(len(tail))
+        ],
+        [vec for vec, _ in tail],
+    )
     assert h(w4, w4).is_rational() and h(w4, w4).x == -ck * a
     deriv.append(
         _step(
@@ -517,6 +495,7 @@ def _hermitian_subform_witness(form: HermForm) -> Witness:
             f" coefficient vector {rep.vector}",
         )
     )
+    p1, p2, w3, w4 = (_lvec_combine(y, basis) for y in (p1, p2, w3, w4))
     sub = ResSL2(quadratic_field_cert(s))
     emb = SubformIndices(
         basis=(p1, p2, w3, w4),
@@ -1693,7 +1672,7 @@ def _verify_subfield_restriction(
         ok_w = (
             isinstance(w.subgroup, Unitary2)
             and w.subgroup.form.field.d == d0
-            and qgroup.diagonalize_hermitian(w.subgroup.form)
+            and qgroup.diagonalize_hermitian(w.subgroup.form)[0]
             == (Fraction(1), Fraction(-1), Fraction(-1))
         )
         out.append(

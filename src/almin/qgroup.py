@@ -183,28 +183,34 @@ def rank_profile(g: GroupSpec) -> RankProfile:
 # Hermitian linear algebra over quadratic fields
 
 
-def diagonalize_hermitian(form: HermForm) -> tuple[Fraction, ...]:
-    """Diagonal (rational) entries congruent to the hermitian matrix.
+def diagonalize_hermitian(
+    form: HermForm,
+) -> tuple[tuple[Fraction, ...], tuple[tuple[QuadElement, ...], ...]]:
+    """Rational diagonal entries c_k and an L-basis b_k with h(b_k, b_l) equal
+    to c_k when k = l and 0 otherwise, returned as (coeffs, basis).
 
     Conjugation-symmetric Gaussian elimination; a vanishing diagonal is
     repaired by substituting x_i + lam*x_j with lam in {1, sqrt(d)}, one of
     which always yields a nonzero value when the off-diagonal entry is
-    nonzero."""
+    nonzero.  Each row operation on the matrix is applied to the basis."""
     L = form.field
     n = form.dim
     m = [list(row) for row in form.matrix]
+    b = [[L.element(1 if i == j else 0) for j in range(n)] for i in range(n)]
 
     def add_row_col(dst: int, src: int, lam: QuadElement):
-        # x_dst <- x_dst + lam x_src on the quadratic-space side
+        # b_dst <- b_dst + lam b_src
         for c in range(n):
             m[dst][c] = m[dst][c] + lam.conj() * m[src][c]
         for r in range(n):
             m[r][dst] = m[r][dst] + lam * m[r][src]
+        b[dst] = [x + lam * y for x, y in zip(b[dst], b[src])]
 
     def swap(i: int, j: int):
         m[i], m[j] = m[j], m[i]
         for r in range(n):
             m[r][i], m[r][j] = m[r][j], m[r][i]
+        b[i], b[j] = b[j], b[i]
 
     out: list[Fraction] = []
     for k in range(n):
@@ -243,13 +249,13 @@ def diagonalize_hermitian(form: HermForm) -> tuple[Fraction, ...]:
         out.append(entry.x)
     if any(c == 0 for c in out):
         raise quadform.Degenerate("hermitian form is degenerate")
-    return tuple(out)
+    return tuple(out), tuple(tuple(row) for row in b)
 
 
 def hermitian_trace_form(form: HermForm) -> QuadForm:
     """The rational quadratic form <c1, -c1 d, c2, -c2 d, ...> representing
     the hermitian form on the 2n-dimensional Q-space underneath."""
-    cs = diagonalize_hermitian(form)
+    cs, _ = diagonalize_hermitian(form)
     d = form.field.d
     coeffs: list[Fraction] = []
     for c in cs:
@@ -266,7 +272,7 @@ def hermitian_witt_index(form: HermForm) -> int:
 
 
 def hermitian_signature(form: HermForm) -> tuple[int, int]:
-    cs = diagonalize_hermitian(form)
+    cs, _ = diagonalize_hermitian(form)
     pos = sum(1 for c in cs if c > 0)
     return pos, len(cs) - pos
 

@@ -337,22 +337,22 @@ def _identify_irreducible(base: list[Vec]) -> str:
     raise AssertionError("unidentifiable Cartan matrix (not a root base?)")
 
 
-def is_simply_connected_subgroup(s: RootSubset) -> bool:
-    """The standard subgroup generated by the subset (in a simply connected
+def is_simply_connected_subgroup(sub: Subsystem) -> bool:
+    """The standard subgroup of a closed subsystem (in a simply connected
     ambient group) is simply connected iff every long root of the ambient
     system lying in the rational span of the subsystem belongs to it.  A
     vector lies in that span iff it is orthogonal to every integer normal
     read from one elimination of the subsystem's base."""
-    sub = closed_subsystem(s)
     if not sub.roots:
         return True
-    longest = max(_dot(r, r) for r in s.system.roots)
+    ambient = sub.ambient.roots
+    longest = max(_dot(r, r) for r in ambient)
     normals = _normals(sub.base)
     return not any(
         _dot(r, r) == longest
         and r not in sub.roots
         and all(_dot(r, n) == 0 for n in normals)
-        for r in s.system.roots
+        for r in ambient
     )
 
 
@@ -471,7 +471,7 @@ def triality_fixed_subgroup_not_simply_connected() -> CheckResult:
             _add(_add(a2, a3), a4),
         }
     )
-    sc = is_simply_connected_subgroup(RootSubset(d4, gens))
+    sc = is_simply_connected_subgroup(closed_subsystem(RootSubset(d4, gens)))
     return CheckResult(
         "triality-fixed rank-4 subgroup is not simply connected",
         sc is False,
@@ -484,7 +484,7 @@ def f4_c3_check() -> list[CheckResult]:
     a1, a2, a3, a4 = f4.base
     gen3 = _add(a1, _add(_add(a2, a2), _add(a3, a3)))  # a1 + 2a2 + 2a3
     sub = closed_subsystem(RootSubset(f4, frozenset({a3, a4, gen3})))
-    sc = is_simply_connected_subgroup(RootSubset(f4, frozenset({a3, a4, gen3})))
+    sc = is_simply_connected_subgroup(sub)
     hr = highest_root(f4)
     want_hr = from_base_coeffs(f4, [2, 3, 4, 2])
     return [
@@ -526,7 +526,7 @@ def verify_e6_identities() -> list[CheckResult]:
         {a[2], a[0], from_base_coeffs(e6, [0, 1, 1, 2, 1, 0]), a[5], a[4]}
     )
     a5sub = closed_subsystem(RootSubset(e6, a5gens))
-    a5sc = is_simply_connected_subgroup(RootSubset(e6, a5gens))
+    a5sc = is_simply_connected_subgroup(a5sub)
     out.append(CheckResult("A5 subsystem type", a5sub.type_string == "A5", a5sub.type_string))
     out.append(CheckResult("A5 subsystem size", len(a5sub.roots) == 30, str(len(a5sub.roots))))
     out.append(CheckResult("A5 subsystem simply connected", a5sc, str(a5sc)))

@@ -1,5 +1,6 @@
 import collections
 import dataclasses
+import json
 import random
 from fractions import Fraction
 
@@ -139,6 +140,44 @@ def test_hermitian_unitary_descends():
     g = Unitary2(HermForm.diagonal(L, [1, -1, -1, 3]))
     w = _assert_verified(g, analyze(g))
     assert isinstance(w.embedding, SubformIndices)
+
+
+@pytest.mark.parametrize(
+    "d, diagonal",
+    [
+        (3, [1, 1, 1, -1]),
+        (-1, [1, 1, -1, -3]),
+        (-2, [1, 1, -1, -5]),
+        (2, [1, -1, -3, -3]),
+    ],
+)
+def test_hermitian_slot_needs_no_norm_condition(d, diagonal):
+    # no entry c of these forms' complements has -1/c a norm from L, which
+    # once ended them unsupported; SO(q0) embeds for any slot
+    g = Unitary2(HermForm.diagonal(QuadraticField(d), diagonal))
+    w = _assert_verified(g, analyze(g))
+    back = serde.witness_from_doc(json.loads(json.dumps(serde.witness_to_doc(w))))
+    assert verify_witness(g, back).ok
+
+
+def test_random_hermitian_specs_end_verified_or_not_applicable():
+    from test_qgroup import _sheared
+
+    rng = random.Random(1401)
+    tags = collections.Counter()
+    for k in range(70):
+        L = QuadraticField(rng.choice([-1, -2, -3, -5, -7, 2, 3, 5, 6, 7]))
+        n = rng.randint(4, 5)
+        cs = [rng.choice([-1, 1]) * rng.randint(1, 7) for _ in range(n)]
+        form = HermForm.diagonal(L, cs)
+        g = Unitary2(form if k < 40 else _sheared(rng, form))
+        verdict = analyze(g)
+        tags[type(verdict).__name__] += 1
+        if isinstance(verdict, NotMinimal):
+            _assert_verified(g, verdict)
+        else:
+            assert isinstance(verdict, NotApplicable), verdict
+    assert tags["NotMinimal"] >= 40, tags
 
 
 def test_quaternion_hermitian_b2_descends():
@@ -402,3 +441,47 @@ def test_wrong_subgroup_shape_rejected():
     bad = dataclasses.replace(v.witness, subgroup=SpecialLinear(2))
     report = verify_witness(g, bad)
     assert not report.ok
+
+
+BUILDERS = {
+    "represent_constrained",
+    "find_isotropic_vector",
+    "find_splitting_quadratic",
+    "skew_restriction",
+    "split_hyperbolic_plane",
+}
+
+
+def test_verifier_names_no_builder():
+    """Every function of the module that verify_witness can reach names no
+    witness builder, so the verifier shares no construction code."""
+    import ast
+    import pathlib
+
+    from almin import minimal
+
+    tree = ast.parse(pathlib.Path(minimal.__file__).read_text())
+    funcs = {n.name: n for n in tree.body if isinstance(n, ast.FunctionDef)}
+
+    def names(node):
+        for sub in ast.walk(node):
+            if isinstance(sub, ast.Name):
+                yield sub.id
+            elif isinstance(sub, ast.Attribute):
+                yield sub.attr
+
+    reached, todo = set(), ["verify_witness"]
+    while todo:
+        f = todo.pop()
+        if f in reached:
+            continue
+        reached.add(f)
+        todo.extend(n for n in names(funcs[f]) if n in funcs)
+    assert {"_verify_subform", "_verify_quaternary"} <= reached
+    bad = {
+        (f, n)
+        for f in reached
+        for n in names(funcs[f])
+        if n in BUILDERS or (n.startswith("_") and n.endswith("_witness"))
+    }
+    assert not bad, sorted(bad)

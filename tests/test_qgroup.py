@@ -93,8 +93,8 @@ def test_orthogonal_rank_two_from_invariants():
 def test_hermitian_machinery():
     L = QuadraticField(2)
     h = HermForm.diagonal(L, [1, -1, 3])
-    cs = diagonalize_hermitian(h)
-    assert len(cs) == 3
+    cs, basis = diagonalize_hermitian(h)
+    assert len(cs) == len(basis) == 3
     assert hermitian_signature(h) == (2, 1)
     tf = hermitian_trace_form(h)
     assert tf.dim == 6
@@ -104,6 +104,68 @@ def test_hermitian_machinery():
     hyp = HermForm(L, ((zero, one), (one, zero)))
     assert hermitian_witt_index(hyp) == 1
     assert hermitian_signature(hyp) == (1, 1)
+
+
+def _herm_value(m, x, y):
+    """The sesquilinear sum of conj(x_k) m[k][l] y_l."""
+    total = m[0][0].fld.element(0)
+    for k, xk in enumerate(x):
+        for l, yl in enumerate(y):
+            total = total + xk.conj() * m[k][l] * yl
+    return total
+
+
+def _sheared(rng, form):
+    """P^H M P for a random upper unitriangular P over Z[sqrt(d)]."""
+    L, n = form.field, form.dim
+    p = [
+        [
+            L.element(1 if i == j else 0)
+            if i >= j
+            else L.element(rng.randint(-2, 2), rng.randint(-1, 1))
+            for j in range(n)
+        ]
+        for i in range(n)
+    ]
+    cols = [tuple(p[i][j] for i in range(n)) for j in range(n)]
+    return HermForm(
+        L, tuple(tuple(_herm_value(form.matrix, x, y) for y in cols) for x in cols)
+    )
+
+
+def test_diagonalize_hermitian_returns_an_orthogonal_basis():
+    rng = random.Random(14)
+    forms = []
+    for _ in range(40):
+        L = QuadraticField(rng.choice([-1, -2, -3, -5, 2, 3, 5, 6]))
+        n = rng.randint(2, 5)
+        cs = [rng.choice([-1, 1]) * rng.randint(1, 6) for _ in range(n)]
+        forms.append(HermForm.diagonal(L, cs))
+        forms.append(_sheared(rng, forms[-1]))
+    # zero diagonals force the repairs by 1 and by sqrt(d)
+    for d in (-5, 3):
+        L = QuadraticField(d)
+        z, one, s = L.element(0), L.element(1), L.sqrt_gen()
+        for off in (one, s):
+            plane = HermForm(L, ((z, off), (off.conj(), z)))
+            forms += [plane, _sheared(rng, plane)]
+        block = HermForm(
+            L, ((z, s, z), (-s, z, z), (z, z, L.element(-2)))
+        )
+        forms += [block, _sheared(rng, block)]
+    sheared = 0
+    for f in forms:
+        m, n = f.matrix, f.dim
+        sheared += any(
+            not m[i][j].is_zero() for i in range(n) for j in range(n) if i != j
+        )
+        coeffs, basis = diagonalize_hermitian(f)
+        assert len(coeffs) == len(basis) == n
+        for k in range(n):
+            for l in range(n):
+                want = coeffs[k] if k == l else 0
+                assert _herm_value(m, basis[k], basis[l]) == want, (f, k, l)
+    assert sheared >= 40
 
 
 def test_unitary2_ranks():

@@ -93,7 +93,7 @@ def test_c2_inside_b2_not_simply_connected():
     gens = frozenset(long_roots[:1])
     # a single long root generates A1; ambient long roots in its span are
     # only +-itself, so it is simply connected
-    assert is_simply_connected_subgroup(RootSubset(c2, gens))
+    assert is_simply_connected_subgroup(closed_subsystem(RootSubset(c2, gens)))
 
 
 def test_triality_suite():
@@ -152,3 +152,22 @@ def test_suite_makes_few_reflections_and_fractions():
     assert all(r.passed for r in results)
     assert len(reflections) <= 2000, len(reflections)
     assert len(fractions) <= 3000, len(fractions)
+
+
+def test_suite_closes_each_subsystem_once(monkeypatch):
+    """The D4, F4 and E6 checks build four subsystems and pass each closed
+    subsystem on to the simply-connected test instead of closing it again."""
+    import almin.roots as roots_mod
+
+    calls = []
+
+    def counting_closure(s):
+        calls.append(s)
+        return closed_subsystem(s)
+
+    monkeypatch.setattr(roots_mod, "closed_subsystem", counting_closure)
+    results = [triality_fixed_subgroup_not_simply_connected()]
+    results += verify_e6_identities() + f4_c3_check()
+    assert all(r.passed for r in results)
+    assert len(calls) == 4
+    assert len(set(calls)) == 4
