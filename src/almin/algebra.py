@@ -355,8 +355,8 @@ class QuatSecondKindForm:
         if second_kind_involution(self, u) != u:
             raise NotSymmetric("unit must be fixed by the involution it twists")
         for e in self.diagonal:
-            if e.is_zero():
-                raise Degenerate("diagonal entries must be nonzero")
+            if _is_zero_scalar(e.nrd()):
+                raise Degenerate("diagonal entries must have nonzero reduced norm")
             if second_kind_involution(self, e) != e:
                 raise NotSymmetric("diagonal entries must be involution-symmetric")
 

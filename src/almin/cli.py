@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from fractions import Fraction
 
@@ -401,5 +402,20 @@ def main(argv=None) -> int:
         return _fail(out, EXIT_ERROR, "invalid_input", str(exc))
 
 
+def run(argv=None) -> int:
+    """Entry point of the almin script and of python -m almin.cli: main,
+    with its output flushed here, so that a reader that closes the pipe
+    early (almin verify doc.json | head -3) ends the run with exit 1 instead
+    of a BrokenPipeError traceback.  stdout then points at os.devnull, so
+    the interpreter's own flush at exit finds nothing to fail on."""
+    try:
+        code = main(argv)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_ERROR
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run())

@@ -24,7 +24,6 @@ from .algebra import (
     QuaternionAlgebra,
     is_ramified_at_infinity,
     re_trd_pairing,
-    second_kind_involution,
 )
 from .arith import is_rational_square, rational_sqrt, squarefree_part
 from .numfield import NumberFieldCert, QuadElement, QuadraticField
@@ -479,40 +478,55 @@ def _second_kind_is_division(f: QuatSecondKindForm) -> bool:
 
 
 def _second_kind_real_rank(f: QuatSecondKindForm) -> int:
-    L = f.l_field
+    """The real rank of SU(f).  For L real, L tensor R = R + R and the group
+    is SL_n over D' tensor R.
+
+    For L imaginary, D tensor R = M_2(C), where conj_D' tensor conj_L is
+    X -> H^-1 X* H with H = 1 if D' is ramified at infinity (X -> X* on
+    H tensor C) and H = iJ of determinant -1 if not (the adjugate of M_2(R)
+    is X -> J X^T J^-1).  Then tau_u is adjoint to the hermitian H u^-1, and
+    by Morita an entry e becomes the hermitian matrix H u^-1 e on C^2; a
+    hyperbolic plane adds (2, 2).  That matrix has determinant
+    det(H) Nrd(e) / Nrd(u), both norms rational as u and e are symmetric, so
+    the entry adds (1, 1) exactly when eps Nrd(e) Nrd(u) < 0, eps = det(H).
+    A definite entry's sign is read under a positive involution tau_w: w = 1
+    if D' is ramified at infinity, else w = sqrt(d) g for a pure g in
+    (i, j, ij) with nrd(g) > 0, which tau_1 fixes and for which H w^-1 has
+    determinant det(H) / (d nrd(g)) > 0.  Then e' = m e with m = w u^-1 is
+    tau_w-symmetric with H w^-1 e' = H u^-1 e, and
+    Trd(e') = tr((H w^-1)^-1 (H u^-1 e)) has the entry's sign times that of
+    the definite H w^-1, which all entries share.  Trd(e') is rational and
+    nonzero, and re_trd_pairing reads it from m and e without their product.
+    (The 8-dimensional trace form x -> Trd(tau_u(x) e x) carries the
+    signature of H u^-1 e times that of H u^-1: it is hyperbolic whenever
+    tau_u is not positive.)"""
+    L, dp = f.l_field, f.inner_algebra
+    ramified = is_ramified_at_infinity(dp)
     if L.is_real:
-        # L tensor R = R + R: the group becomes SL_n over D' tensor R
-        n = f.rank
-        if is_ramified_at_infinity(f.inner_algebra):
-            return n - 1
-        return 2 * n - 1
-    # L imaginary: D tensor R = M_2(C), and the group is the special unitary
-    # group of a hermitian form over C of rank 2n.  A hyperbolic plane has
-    # signature (2, 2); an entry e has a quarter of the signature of the
-    # rational form (x, y) -> Re Trd(tau(x) e y) on the 8-dimensional Q-space
-    # D, which is symmetric because tau(tau(x) e y) = tau(y) e x.  The basis
-    # has coefficients in L, so every reduced trace below is an element
-    # x + y sqrt(d) of L, and Re is its rational part x.  The 8 images tau(x)
-    # and the 8 products e y per entry are formed once; each Gram entry is
-    # then read from their coefficients by re_trd_pairing, without the
-    # product tau(x) (e y).
-    zero = L.element(0)
-    basis: list[QuatElement] = []
-    for s in (L.element(1), L.sqrt_gen()):
-        for g in range(4):
-            coeffs = [zero] * 4
-            coeffs[g] = s
-            basis.append(QuatElement(f.inner_algebra, *coeffs))
-    taus = [second_kind_involution(f, u) for u in basis]
+        return f.rank - 1 if ramified else 2 * f.rank - 1
+    m = f.unit_inverse
+    eps_unit_norm = _rational_part(f.unit.nrd())
+    if not ramified:
+        slot = next(k for k, norm in enumerate((-dp.a, -dp.b, dp.a * dp.b), 1) if norm > 0)
+        coeffs = [L.element(0)] * 4
+        coeffs[slot] = L.sqrt_gen()
+        m = QuatElement(dp, *coeffs) * m
+        eps_unit_norm = -eps_unit_norm
     pos = neg = 2 * f.hyperbolic_count
     for e in f.diagonal:
-        right = [e * v for v in basis]
-        gram = [[re_trd_pairing(tu, ev) for ev in right] for tu in taus]
-        p, q = quadform.signature(QuadForm.from_rows(gram))
-        assert p % 4 == 0 and q % 4 == 0, "trace form signature must be divisible by 4"
-        pos += p // 4
-        neg += q // 4
+        if eps_unit_norm * _rational_part(e.nrd()) < 0:
+            pos += 1
+            neg += 1
+        elif re_trd_pairing(m, e) > 0:
+            pos += 2
+        else:
+            neg += 2
     return min(pos, neg)
+
+
+def _rational_part(s) -> Fraction:
+    """x for x + y sqrt(d) in L, or s itself when s is rational."""
+    return s.x if isinstance(s, QuadElement) else s
 
 
 def _skew_split_real_signature(f: QuatForm) -> tuple[int, int]:

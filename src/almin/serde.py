@@ -121,12 +121,15 @@ def _rat_list(obj: Any, path: str) -> tuple[Fraction, ...]:
     return tuple(rat_from(v, f"{path}[{i}]") for i, v in enumerate(obj))
 
 
-# entry of an L-vector: rational string or pair [x, y] meaning x + y*sqrt(d)
+# entry of an L-vector: rational string or pair [x, y] meaning x + y*sqrt(d);
+# lentry_from reads the pair back as a tuple (x, y), written here the same way
 def lentry_to_doc(x) -> Any:
     if isinstance(x, LElement):
-        if x.y == 0:
-            return rat_to_str(x.x)
-        return [rat_to_str(x.x), rat_to_str(x.y)]
+        x = (x.x, x.y)
+    if isinstance(x, tuple):
+        if x[1] == 0:
+            return rat_to_str(x[0])
+        return [rat_to_str(x[0]), rat_to_str(x[1])]
     return rat_to_str(x)
 
 

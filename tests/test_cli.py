@@ -406,6 +406,22 @@ def test_closed_stdout_is_not_a_read_error(monkeypatch):
     assert exc.value.__context__ is None  # no error document was attempted
 
 
+def test_closed_pipe_ends_with_exit_one_and_no_traceback():
+    # the read end closes before the child has imported almin, so its one
+    # write of the verification document meets a closed pipe
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    p = subprocess.Popen(
+        [sys.executable, "-m", "almin.cli", "verify", str(CORPUS / "expected" / "sp4.json")],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    p.stdout.close()
+    err = p.stderr.read()
+    p.stderr.close()
+    assert p.wait(timeout=10) == 1
+    assert err == b""
+
+
 def test_witness_failing_its_own_verification_is_an_internal_error(run_cli, monkeypatch):
     from almin import minimal
 

@@ -1,13 +1,14 @@
 import collections
 import dataclasses
 import json
+import pathlib
 import random
 from fractions import Fraction
 
 import pytest
 
 from almin import serde
-from almin.algebra import HermForm, QuatForm, QuatSecondKindForm, QuaternionAlgebra
+from almin.algebra import HermForm, QuatElement, QuatForm, QuatSecondKindForm, QuaternionAlgebra
 from almin.minimal import (
     BlockEmbedding,
     CompositumTower,
@@ -156,8 +157,23 @@ def test_hermitian_slot_needs_no_norm_condition(d, diagonal):
     # once ended them unsupported; SO(q0) embeds for any slot
     g = Unitary2(HermForm.diagonal(QuadraticField(d), diagonal))
     w = _assert_verified(g, analyze(g))
-    back = serde.witness_from_doc(json.loads(json.dumps(serde.witness_to_doc(w))))
+    doc = serde.witness_to_doc(w)
+    back = serde.witness_from_doc(json.loads(json.dumps(doc)))
     assert verify_witness(g, back).ok
+    assert serde.witness_to_doc(back) == doc
+
+
+def test_corpus_witnesses_survive_a_json_round_trip():
+    # an L-vector entry [x, y] is read back as a pair of rationals, and
+    # written again as the same [x, y]
+    expected = pathlib.Path(__file__).resolve().parent.parent / "corpus" / "expected"
+    docs = [json.loads(p.read_text()) for p in sorted(expected.glob("*.json"))]
+    docs = [doc for doc in docs if doc.get("verdict") == "not_minimal"]
+    assert len(docs) >= 20
+    for doc in docs:
+        back = serde.witness_from_doc(doc["witness"])
+        assert serde.witness_to_doc(back) == doc["witness"], doc["input"]
+        assert verify_witness(serde.group_from_doc(doc["input"]), back).ok
 
 
 def test_random_hermitian_specs_end_verified_or_not_applicable():
@@ -282,6 +298,28 @@ def test_second_kind_rank3_descends_to_res_su3():
     )
     w = _assert_verified(g, analyze(g))
     assert isinstance(w.subgroup, ResSU3)
+
+
+def test_second_kind_verdicts_under_a_nonpositive_involution():
+    # M_2(Q) is split at infinity, so conj tensor conj is not a positive
+    # involution; <sqrt(-1) ij, sqrt(-1) ij> is nevertheless definite
+    L = QuadraticField(-1)
+    d = QuaternionAlgebra(1, 1)
+    zero = L.element(0)
+    e = QuatElement(d, zero, zero, zero, L.sqrt_gen())
+    v = analyze(Unitary2Quat(QuatSecondKindForm(L, d, d.one(), (e, e))))
+    assert v == NotApplicable("real_rank = 0")
+    # an entry of negative reduced norm over (2, 3) adds (1, 1), not (2, 2)
+    L = QuadraticField(-2)
+    d = QuaternionAlgebra(2, 3)
+    s = L.sqrt_gen()
+    g = Unitary2Quat(
+        QuatSecondKindForm(L, d, d.one(), (QuatElement(d, L.element(-1), -s, -s, -s),), 1)
+    )
+    w = _assert_verified(g, analyze(g))
+    assert w.derivation[0].detail == "q_rank = 1, real_rank = 2"
+    back = serde.witness_from_doc(json.loads(json.dumps(serde.witness_to_doc(w))))
+    assert verify_witness(g, back).ok
 
 
 def test_res_sl2_with_real_quadratic_subfield_descends():
@@ -456,7 +494,6 @@ def test_verifier_names_no_builder():
     """Every function of the module that verify_witness can reach names no
     witness builder, so the verifier shares no construction code."""
     import ast
-    import pathlib
 
     from almin import minimal
 

@@ -530,17 +530,22 @@ def _second_kind_trace_form(f):
         assert t.y == 0, "symmetrized trace escaped Q"
         return t.x / 2
 
-    def bil(entry, x, y):
-        tx, ty = second_kind_involution(f, x), second_kind_involution(f, y)
-        return tr_pair(tx * entry * y, ty * entry * x)
+    taus = [second_kind_involution(f, x) for x in basis]
 
-    blocks = [[[bil(e, u, v) for v in basis] for u in basis] for e in f.diagonal]
+    def entry_block(entry):
+        blk = [[Fraction(0)] * 8 for _ in range(8)]
+        for i in range(8):
+            left = taus[i] * entry
+            for j in range(i, 8):
+                blk[i][j] = blk[j][i] = tr_pair(left * basis[j], taus[j] * entry * basis[i])
+        return blk
+
+    blocks = [entry_block(e) for e in f.diagonal]
     for _ in range(f.hyperbolic_count):
         blk = [[Fraction(0)] * 16 for _ in range(16)]
         for i, u in enumerate(basis):
             for j, v in enumerate(basis):
-                tu, tv = second_kind_involution(f, u), second_kind_involution(f, v)
-                blk[i][8 + j] = blk[8 + j][i] = tr_pair(tu * v, tv * u)
+                blk[i][8 + j] = blk[8 + j][i] = tr_pair(taus[i] * v, taus[j] * u)
         blocks.append(blk)
     n = sum(len(b) for b in blocks)
     gram = [[Fraction(0)] * n for _ in range(n)]
@@ -552,11 +557,40 @@ def _second_kind_trace_form(f):
     return QuadForm.from_rows(gram)
 
 
+def _positive_trace_signature(f):
+    """A quarter of the signature of the 8n trace form of f, read after f is
+    carried to a positive involution.  The trace form of a hermitian form
+    carries its signature times that of the involution, so it is hyperbolic
+    under a non-positive tau_u; tau_w is positive for the first w in
+    (1, sqrt(d) i, sqrt(d) j, sqrt(d) ij) whose trace form of <1> is
+    definite, and e -> w u^-1 e carries f to a tau_w-hermitian form with the
+    same group."""
+    L, d = f.l_field, f.inner_algebra
+    zero, one = L.element(0), L.element(1)
+    candidates = [QuatElement(d, one, zero, zero, zero)]
+    for slot in range(1, 4):
+        coeffs = [zero] * 4
+        coeffs[slot] = L.sqrt_gen()
+        candidates.append(QuatElement(d, *coeffs))
+    for w in candidates:
+        p, q = signature(_second_kind_trace_form(QuatSecondKindForm(L, d, w, (candidates[0],))))
+        if p == 0 or q == 0:
+            break
+    else:
+        raise AssertionError("no positive involution among the candidates")
+    m = w * f.unit_inverse
+    twisted = QuatSecondKindForm(L, d, w, tuple(m * e for e in f.diagonal), f.hyperbolic_count)
+    p, q = signature(_second_kind_trace_form(twisted))
+    assert p % 4 == 0 and q % 4 == 0
+    return p // 4, q // 4
+
+
 def test_second_kind_real_rank_against_trace_form():
     rng = random.Random(7002)
-    # (tail entries, hyperbolic planes), two forms of each shape
-    shapes = [(1, 0), (2, 0), (0, 1), (1, 1), (2, 1)] * 2
+    # (tail entries, hyperbolic planes), two forms of each shape and one of three entries
+    shapes = [(1, 0), (2, 0), (0, 1), (1, 1), (2, 1)] * 2 + [(3, 0)]
     signatures = set()
+    nonpositive = 0
     while shapes:
         L = QuadraticField(rng.choice([-1, -2, -3, -5, -7]))
         d = QuaternionAlgebra(rng.choice([-3, -1, 2, 5]), rng.choice([-2, -1, 3]))
@@ -573,24 +607,58 @@ def test_second_kind_real_rank_against_trace_form():
             # a rational entry, or a symmetrized z + tau(z)
             z = QuatElement(d, *(L.element(rng.randint(-2, 2), rng.randint(-2, 2)) for _ in range(4)))
             e = d.element(rng.choice([-3, -1, 1, 2])) if rng.randrange(2) else z + second_kind_involution(base, z)
-            if not e.is_zero():
+            if e.nrd() != 0:
                 entries.append(e)
         f = QuatSecondKindForm(L, d, unit, tuple(entries), hyp)
-        try:
-            p, q = signature(_second_kind_trace_form(f))
-        except QuadDegenerate:
-            continue  # an entry of reduced norm 0: D' tensor L splits
-        assert real_rank(Unitary2Quat(f)) == min(p, q) // 4, (L.d, d, unit, entries, hyp)
-        signatures.add((p // 4, q // 4))
+        p, q = _positive_trace_signature(f)
+        assert real_rank(Unitary2Quat(f)) == min(p, q), (L.d, d, unit, entries, hyp)
+        signatures.add((p, q))
+        if entries:
+            # tau_u is not positive when the trace form of <1> is hyperbolic
+            p1, q1 = signature(_second_kind_trace_form(QuatSecondKindForm(L, d, unit, (d.one(),))))
+            nonpositive += p1 == q1
         shapes.pop()
     assert any(p != q for p, q in signatures), signatures  # some definite entries
+    assert nonpositive, "no draw has a non-positive involution"
+
+
+def test_second_kind_real_rank_hand_cases():
+    # (1, 1) = M_2(Q) is split at infinity, so tau_1 is not positive; the
+    # entry sqrt(-1) ij has Nrd -1 and is definite, and two of them have
+    # real rank 0 (the 8-dim trace form is hyperbolic and would give 2)
+    L = QuadraticField(-1)
+    d = QuaternionAlgebra(1, 1)
+    zero = L.element(0)
+    e = QuatElement(d, zero, zero, zero, L.sqrt_gen())
+    assert real_rank(Unitary2Quat(QuatSecondKindForm(L, d, d.one(), (e, e)))) == 0
+    # 1 +- 2 sqrt(-1) ij have Nrd -3, so both are definite, and of opposite
+    # signs (those of Trd(sqrt(-1) ij e) = +-4), though both have Trd(e) = 2
+    pair = [QuatElement(d, L.element(1), zero, zero, L.element(0, c)) for c in (2, -2)]
+    assert real_rank(Unitary2Quat(QuatSecondKindForm(L, d, d.one(), tuple(pair)))) == 2
+    # (2, 3) over Q(sqrt(-2)): Nrd(-1 - sqrt(-2)(i + j + ij)) = 1 + 2(2 + 3 - 6) < 0,
+    # so the entry adds (1, 1) and one plane (2, 2)
+    L = QuadraticField(-2)
+    d = QuaternionAlgebra(2, 3)
+    s = L.sqrt_gen()
+    e = QuatElement(d, L.element(-1), -s, -s, -s)
+    assert real_rank(Unitary2Quat(QuatSecondKindForm(L, d, d.one(), (e,), 1))) == 2
+    # over H the involution tau_1 is positive: the sign of Trd(e) decides
+    h = QuaternionAlgebra(-1, -1)
+    L = QuadraticField(-5)
+    signs = [h.element(1), h.element(2), h.element(-3)]
+    assert real_rank(Unitary2Quat(QuatSecondKindForm(L, h, h.one(), tuple(signs)))) == 2
+    # an entry of reduced norm 0 makes the form singular
+    L = QuadraticField(-1)
+    d = QuaternionAlgebra(1, 1)
+    singular = QuatElement(d, L.element(1), zero, zero, L.sqrt_gen())
+    with pytest.raises(alg.Degenerate, match="reduced norm"):
+        QuatSecondKindForm(L, d, d.one(), (singular,))
 
 
 def test_quaternionic_grams_form_few_quaternion_products(monkeypatch, corpus_docs):
     """A deterministic guard on the cost of the quaternionic transfer Grams:
     b2_realization forms no quaternion product, and the second-kind real
-    rank forms the 8 images tau(x) (2 products each) and, per diagonal
-    entry, the 8 products e y."""
+    rank forms one, m = w u^-1, however many entries the form has."""
     from almin import serde
     from almin.algebra import b2_realization
     from almin.qgroup import _second_kind_real_rank
@@ -618,7 +686,7 @@ def test_quaternionic_grams_form_few_quaternion_products(monkeypatch, corpus_doc
         assert not f.l_field.is_real
         calls = 0
         _second_kind_real_rank(f)
-        assert calls <= 16 + 8 * len(f.diagonal), (f, calls)
+        assert calls <= 1, (f, calls)
 
 
 def test_conversions_keep_both_ranks(corpus_docs):
