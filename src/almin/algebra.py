@@ -323,8 +323,8 @@ class QuatForm:
         if self.kind not in ("hermitian", "skew_hermitian"):
             raise ValueError("kind must be hermitian or skew_hermitian")
         for e in self.diagonal:
-            if e.is_zero():
-                raise Degenerate("diagonal entries must be nonzero")
+            if _is_zero_scalar(e.nrd()):
+                raise Degenerate("diagonal entries must have nonzero reduced norm")
             if self.kind == "hermitian" and not e.is_central():
                 raise NotSymmetric("hermitian entries must be central (rational)")
             if self.kind == "skew_hermitian" and not e.is_pure():

@@ -64,21 +64,6 @@ class TraceRealizationContext:
 
 
 @dataclass(frozen=True)
-class SplitUnitaryContext:
-    """Subform vectors live in the standard 4-dimensional unitary group over
-    the splitting field recorded here, built from the parent's quaternion
-    hermitian data."""
-
-    e_value: Fraction
-    e_class: int
-    e_coords: tuple[Fraction, Fraction, Fraction]
-    a_value: Fraction
-    a_vector: tuple[int, ...]
-    tail_coeffs: tuple[Fraction, ...]
-    k_index: int
-
-
-@dataclass(frozen=True)
 class SubformIndices:
     """Four pairwise-orthogonal vectors spanning a quaternary subform whose
     special orthogonal group is the restriction of scalars of SL2 named by
@@ -89,7 +74,7 @@ class SubformIndices:
     tail_coeffs: tuple[Fraction, ...]
     a_value: Fraction
     witness_vector: tuple[int, ...]
-    context: Optional[Union[TraceRealizationContext, SplitUnitaryContext]] = None
+    context: Optional[TraceRealizationContext] = None
 
 
 @dataclass(frozen=True)
@@ -661,80 +646,6 @@ def _skew_witness(g: Unitary1) -> Witness:
     )
 
 
-def _quat_hermitian_witness(g: Unitary1) -> Witness:
-    f = g.form
-    d = f.algebra
-    cs = [Fraction(e.t) for e in f.diagonal]
-    ramified = is_ramified_at_infinity(d)
-    if ramified:
-        kpos = next((t for t, c in enumerate(cs) if c < 0), None)
-    else:
-        kpos = 0 if cs else None
-    if kpos is None or len(cs) < 2:
-        return _split_so5_witness(
-            "quaternion hermitian form with no usable anisotropic tail;"
-            " rational rank at least 2 provides a split rank-2 subgroup"
-        )
-    ck = cs[kpos]
-    tail_idx = [t for t in range(len(cs)) if t != kpos]
-    tail_coeffs = tuple(-cs[t] / ck for t in tail_idx)
-    # the tail represents a positive value unless every entry is negative
-    if all(c < 0 for c in tail_coeffs):
-        if ramified:
-            # real rank >= 2 with a definite tail forces at least two
-            # hyperbolic planes, so the split descent applies
-            return _split_so5_witness(
-                "quaternion hermitian form whose tail represents no usable"
-                " value; rational rank at least 2 provides a split rank-2"
-                " subgroup"
-            )
-        rep = represent_constrained(
-            [-c for c in tail_coeffs],
-            want_positive=True,
-            forbid_square=False,
-        )
-        rep = quadform.RepresentedValue(-rep.value, rep.vector, rep.square_class)
-    else:
-        rep = represent_constrained(
-            tail_coeffs,
-            want_positive=True,
-            forbid_square=False,
-        )
-    a = rep.value
-    sp = alg.find_splitting_quadratic(d, "positive" if not ramified else "any")
-    e = sp.field.d
-    efield = QuadraticField(e)
-    H = HermForm.diagonal(efield, [1, -1, -1, a])
-    inner = _hermitian_subform_witness(H)
-    ctx = SplitUnitaryContext(
-        e_value=sp.value,
-        e_class=e,
-        e_coords=sp.witness,
-        a_value=a,
-        a_vector=tuple(rep.vector),
-        tail_coeffs=tail_coeffs,
-        k_index=kpos,
-    )
-    assert isinstance(inner.embedding, SubformIndices)
-    emb = replace(inner.embedding, context=ctx)
-    deriv = (
-        _step(
-            "splitting-field",
-            f"E = Q(sqrt({e})) splits the quaternion algebra (pure norm value"
-            f" {sp.value} at {sp.witness}); real when the algebra is split at"
-            f" infinity",
-        ),
-        _step(
-            "split-unitary-descent",
-            f"normalize slot {kpos} to -1 and represent a = {a} on the tail"
-            f" ({'positive required: algebra ramified at infinity' if ramified else 'sign free: algebra split at infinity'});"
-            f" the standard quaternary unitary group over E of <1,-1,-1,{a}>"
-            f" embeds",
-        ),
-    ) + inner.derivation
-    return Witness(inner.subgroup, emb, deriv)
-
-
 def _b2_witness(g: Unitary1) -> Witness:
     d = g.form.algebra
     h2 = QuatForm(d, "hermitian", (d.element(1), d.element(-1)), 0)
@@ -867,22 +778,17 @@ def _dispatch(
         return _not_minimal(g, _prefix(w, deriv))
 
     if isinstance(g, Unitary1):
-        n = g.form.rank
-        if g.form.kind == "hermitian":
-            if n <= 3:
-                w = _b2_witness(g)
-            else:
-                w = _quat_hermitian_witness(g)
-            return _not_minimal(g, _prefix(w, deriv))
-        if n == 3:
+        if qr >= 2:
+            w = _split_so5_witness(
+                f"the quaternionic form has rational rank {qr} >= 2, so the"
+                f" group contains a split rank-2 subgroup"
+            )
+        elif g.form.kind == "hermitian":
+            w = _b2_witness(g)
+        elif g.form.rank == 3:
             return UnsupportedVerdict(
                 "rank-3 skew-hermitian unitary groups need a realization"
                 " transfer that is not provided"
-            )
-        if len(g.form.diagonal) < 2:
-            w = _split_so5_witness(
-                "skew-hermitian form with fewer than two anisotropic entries"
-                " and rational rank at least 2"
             )
         else:
             w = _skew_witness(g)
@@ -1150,7 +1056,7 @@ def _verify_subform(parent, emb: SubformIndices, w: Witness) -> list[VerifyCheck
             diag, emb, w
         )
     if isinstance(ctx, TraceRealizationContext) and isinstance(parent, Unitary1):
-        if parent.form.kind != "hermitian" or parent.form.hyperbolic_count < 1:
+        if parent.form.kind != "hermitian" or q_rank(parent) < 1:
             return [
                 _check(
                     "trace realization applicable",
@@ -1169,81 +1075,6 @@ def _verify_subform(parent, emb: SubformIndices, w: Witness) -> list[VerifyCheck
             _check("trace realization applicable", True, ""),
             _check("embedding basis valid", True, ""),
         ] + _verify_quaternary(diag, emb, w)
-    if isinstance(ctx, SplitUnitaryContext) and isinstance(parent, Unitary1):
-        out: list[VerifyCheck] = []
-        f = parent.form
-        if f.kind != "hermitian":
-            return [_check("split unitary context applicable", False, "not hermitian")]
-        d = parent.form.algebra
-        a_, b_ = Fraction(d.a), Fraction(d.b)
-        c1, c2, c3 = ctx.e_coords
-        e_val = a_ * c1 * c1 + b_ * c2 * c2 - a_ * b_ * c3 * c3
-        out.append(
-            _check(
-                "splitting value recomputes",
-                e_val == ctx.e_value and _cls(e_val) == ctx.e_class,
-                f"recomputed {e_val}",
-            )
-        )
-        xi = d.element(0, c1, c2, c3)
-        out.append(
-            _check(
-                "splitting element squares to its value",
-                (xi * xi - d.element(ctx.e_value)).is_zero(),
-                "",
-            )
-        )
-        ramified = is_ramified_at_infinity(d)
-        out.append(
-            _check(
-                "splitting field real when the algebra splits at infinity",
-                ramified or ctx.e_class > 0,
-                f"e class {ctx.e_class}",
-            )
-        )
-        cs = [Fraction(x.t) for x in f.diagonal]
-        k = ctx.k_index
-        if not (0 <= k < len(cs)) or len(cs) < 2:
-            out.append(_check("tail indices valid", False, ""))
-            return out
-        tail = tuple(-cs[t] / cs[k] for t in range(len(cs)) if t != k)
-        out.append(
-            _check(
-                "tail coefficients recompute from the parent diagonal",
-                tail == ctx.tail_coeffs,
-                f"recomputed {tail}",
-            )
-        )
-        a_rec = sum(c * x * x for c, x in zip(tail, ctx.a_vector))
-        out.append(
-            _check(
-                "intermediate represented value recomputes",
-                a_rec == ctx.a_value and len(ctx.a_vector) == len(tail),
-                f"recomputed {a_rec}",
-            )
-        )
-        out.append(
-            _check(
-                "intermediate value positive where the algebra ramifies",
-                (not ramified) or ctx.a_value > 0,
-                f"a = {ctx.a_value}",
-            )
-        )
-        if any(not c.passed for c in out):
-            return out
-        efield = QuadraticField(ctx.e_class)
-        H = HermForm.diagonal(efield, [1, -1, -1, ctx.a_value])
-        basis = tuple(
-            tuple(_coerce_lelem(efield, x) for x in v) for v in emb.basis
-        )
-        diag, err = _restricted_hermitian_diag(H, basis)
-        if diag is None:
-            return out + [_check("embedding basis valid", False, err)]
-        return (
-            out
-            + [_check("embedding basis valid", True, "")]
-            + _verify_quaternary(diag, emb, w)
-        )
     return [
         _check(
             "embedding applies to the parent",

@@ -170,11 +170,6 @@ def sturm_chain(f: Poly) -> list[Poly]:
     return [poly(g or [0]) for g in chain]
 
 
-def count_real_roots(f: Poly) -> int:
-    """Number of distinct real roots of a squarefree polynomial (Sturm)."""
-    return real_roots_of_chain(sturm_chain(f))
-
-
 def real_roots_of_chain(chain: list[Poly]) -> int:
     """The number of distinct real roots that a Sturm sequence counts: its
     sign changes at -infinity minus those at +infinity."""

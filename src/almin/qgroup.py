@@ -96,12 +96,20 @@ class Unitary2Quat:
 
     form: QuatSecondKindForm
 
+    def __post_init__(self):
+        if self.form.rank < 1:
+            raise InvalidSpec("empty second-kind quaternionic form")
+
 
 @dataclass(frozen=True)
 class Unitary1:
     """SU_n(D, f) for a first-kind (hermitian or skew-hermitian) form."""
 
     form: QuatForm
+
+    def __post_init__(self):
+        if self.form.rank < 1:
+            raise InvalidSpec("empty quaternionic form")
 
 
 @dataclass(frozen=True)
@@ -280,17 +288,22 @@ def hermitian_signature(form: HermForm) -> tuple[int, int]:
 # Quaternionic tails
 
 
-def quat_hermitian_tail_isotropic(d: QuaternionAlgebra, entries) -> bool:
-    """A diagonal hermitian form over (D, canonical involution) with rational
-    entries c_i is isotropic over Q iff the rational quadratic form
-    <c_i> tensor <1, -a, -b, ab> is isotropic (norm-form transfer)."""
+def quat_hermitian_witt_index(f: QuatForm) -> int:
+    """Witt index of a hermitian form over a quaternion division algebra
+    (a, b) with its canonical involution: one per hyperbolic plane, plus
+    that of the tail.  The tail entries c_i are rational and
+    conj(x) c x = c nrd(x), so the tail is the rational form
+    <c_i> tensor <1, -a, -b, ab> on the 4k-dimensional Q-space underneath,
+    and its Witt index is a quarter of that form's (Jacobson's transfer;
+    Scharlau, Quadratic and Hermitian Forms, Ch. 10 Sec. 1)."""
+    d = f.algebra
     coeffs: list[Fraction] = []
-    for e in entries:
-        c = Fraction(e.t) if isinstance(e, QuatElement) else Fraction(e)
+    for e in f.diagonal:
+        c = Fraction(e.t)
         coeffs.extend([c, -c * d.a, -c * d.b, c * d.a * d.b])
-    if not coeffs:
-        return False
-    return quadform.is_isotropic(QuadForm.diagonal(coeffs), "global")
+    w = witt_index(QuadForm.diagonal(coeffs)) if coeffs else 0
+    assert w % 4 == 0, "transfer of a hermitian form has Witt index 0 mod 4"
+    return f.hyperbolic_count + w // 4
 
 
 def certify_skew_tail_anisotropic(form: QuatForm) -> Optional[bool]:
@@ -361,8 +374,10 @@ def q_rank(g: GroupSpec) -> int:
     for unitary groups over a quadratic field that of the hermitian form
     (half the Witt index of its trace form); both come from the
     discriminant, the signature and the Hasse invariants, with no search.
-    Quaternionic tails are decided as far as certify_skew_tail_anisotropic
-    and the norm-form transfer allow."""
+    A first-kind quaternionic hermitian form is ranked by Jacobson's
+    transfer, and over a split algebra its group is Sp_2n of rank n.  A
+    skew-hermitian tail is ranked as far as certify_skew_tail_anisotropic
+    decides it: a refuted pair is a hyperbolic plane."""
     if isinstance(g, SpecialLinear):
         if g.algebra is None:
             return g.m - 1
@@ -393,23 +408,14 @@ def q_rank(g: GroupSpec) -> int:
     if isinstance(g, Unitary1):
         f = g.form
         if f.kind == "hermitian":
-            if quat_hermitian_tail_isotropic(f.algebra, f.diagonal):
-                raise InvalidSpec(
-                    "declared anisotropic tail is isotropic; renormalize the"
-                    " input with a larger hyperbolic_count"
-                )
-            return f.hyperbolic_count
+            if not alg.is_division(f.algebra):
+                return f.rank  # over M_2(Q) the group is Sp_2n
+            return quat_hermitian_witt_index(f)
         cert = certify_skew_tail_anisotropic(f)
-        if cert is True:
-            return f.hyperbolic_count
-        if cert is False:
-            s, t = skew_pair_isotropy(*f.diagonal)
-            raise InvalidSpec(
-                f"declared anisotropic skew tail is isotropic (sign {s}: t = {t}"
-                " is a norm from Q(e1)); renormalize the input with a larger"
-                " hyperbolic_count"
-            )
-        raise Unsupported("skew tail anisotropy undecided")
+        if cert is None:
+            raise Unsupported("skew tail anisotropy undecided")
+        # a pair refuted over a division algebra is a hyperbolic plane
+        return f.hyperbolic_count + (0 if cert else 1)
     if isinstance(g, (ResSL2, ResSU3)):
         return 1
     raise TypeError(f"unknown spec {type(g)!r}")
@@ -544,10 +550,7 @@ def _skew_split_real_signature(f: QuatForm) -> tuple[int, int]:
     pos = neg = 2 * f.hyperbolic_count
     first = None
     for p in f.diagonal:
-        norm = Fraction(p.nrd())
-        if norm == 0:
-            raise quadform.Degenerate("skew entry with zero reduced norm")
-        if norm < 0:
+        if Fraction(p.nrd()) < 0:
             pos += 1
             neg += 1
             continue

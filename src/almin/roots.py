@@ -158,14 +158,6 @@ def root_system(type_tag: str) -> RootSystem:
     return RootSystem(type_tag, roots, base)
 
 
-def simple_combination(sys: RootSystem, root: Vec) -> tuple[Fraction, ...]:
-    """Coordinates of a vector in the base of the system (exact)."""
-    (coords,) = _coordinates(sys.base, [root])
-    if coords is None:
-        raise NotARoot("vector outside the root lattice span")
-    return coords
-
-
 def _coordinates(
     base: Sequence[Vec], vectors: Sequence[Vec]
 ) -> list[Optional[tuple[Fraction, ...]]]:

@@ -28,7 +28,6 @@ from .minimal import (
     NotMinimal,
     PureQuaternionTower,
     SplitSO5,
-    SplitUnitaryContext,
     SubfieldElement,
     SubfieldRestriction,
     SubformIndices,
@@ -429,18 +428,6 @@ def embedding_to_doc(emb) -> dict:
         ctx: Any = None
         if isinstance(emb.context, TraceRealizationContext):
             ctx = {"type": "trace-realization"}
-        elif isinstance(emb.context, SplitUnitaryContext):
-            c = emb.context
-            ctx = {
-                "type": "split-unitary",
-                "e_value": rat_to_str(c.e_value),
-                "e_class": c.e_class,
-                "e_coords": _vec_to_doc(c.e_coords),
-                "a_value": rat_to_str(c.a_value),
-                "a_vector": _vec_to_doc(c.a_vector),
-                "tail_coeffs": _vec_to_doc(c.tail_coeffs),
-                "k_index": c.k_index,
-            }
         return {
             "type": "subform",
             "basis": [_vec_to_doc(v) for v in emb.basis],
@@ -498,23 +485,6 @@ def embedding_from_doc(doc: Any, path: str):
             ct = _require(ctx_doc, "type", f"{path}.context")
             if ct == "trace-realization":
                 ctx = TraceRealizationContext()
-            elif ct == "split-unitary":
-                p = f"{path}.context"
-                ctx = SplitUnitaryContext(
-                    e_value=rat_from(_require(ctx_doc, "e_value", p), f"{p}.e_value"),
-                    e_class=_int_from(_require(ctx_doc, "e_class", p), f"{p}.e_class"),
-                    e_coords=_rat_list(
-                        _require(ctx_doc, "e_coords", p), f"{p}.e_coords"
-                    ),
-                    a_value=rat_from(_require(ctx_doc, "a_value", p), f"{p}.a_value"),
-                    a_vector=_rat_list(
-                        _require(ctx_doc, "a_vector", p), f"{p}.a_vector"
-                    ),
-                    tail_coeffs=_rat_list(
-                        _require(ctx_doc, "tail_coeffs", p), f"{p}.tail_coeffs"
-                    ),
-                    k_index=_int_from(_require(ctx_doc, "k_index", p), f"{p}.k_index"),
-                )
             else:
                 raise ParseError(f"{path}.context.type", f"unknown context {ct!r}")
         basis_doc = _require(doc, "basis", path)

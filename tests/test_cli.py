@@ -255,21 +255,28 @@ def test_package_source_does_not_mention_sympy():
 # Error documents, each with a reproducer: (exit code, error tag, JSON path
 # or None) per command.  `verify` reads the spec as the input of a
 # not_minimal document, which it parses before the witness.
-INVALID_SPEC = {  # <1, -1> is isotropic, so it may not be declared a tail
+# Refused at parse: an empty form (the row "isotropic tail" keeps the id of
+# the refusal it replaced; an isotropic tail is ranked, see test_qgroup.py),
+# and a skew tail with an isotropic entry, i + k of reduced norm 0 over
+# M_2(Q) = (1, 1)
+EMPTY_FORM = {
     "kind": "su1",
     "algebra": {"a": "-1", "b": "-1"},
     "form_kind": "hermitian",
-    "diagonal": [["1", "0", "0", "0"], ["-1", "0", "0", "0"]],
-    "hyperbolic_count": 2,
+    "diagonal": [],
 }
-# the former corpus tower: x = (1 - i + j - k)/2 gives conj(x) j x = -i, so
-# its tail <i, j> is isotropic
 ISOTROPIC_SKEW_TAIL = {
     "kind": "su1",
-    "algebra": {"a": "-1", "b": "-1"},
+    "algebra": {"a": "1", "b": "1"},
     "form_kind": "skew_hermitian",
-    "diagonal": [["0", "1", "0", "0"], ["0", "0", "1", "0"]],
-    "hyperbolic_count": 1,
+    "diagonal": [["0", "1", "0", "1"], ["0", "1", "0", "0"]],
+}
+# an empty second-kind form over a real L, where f.rank - 1 would read -1
+EMPTY_SECOND_KIND = {"kind": "su2quat", "l_d": 2, "algebra": {"a": "-1", "b": "-1"}, "diagonal": []}
+# the listed subfield Q(sqrt 3) does not embed by x -> x^2 in Q(2^(1/4))
+FORGED_SUBFIELD = {
+    "kind": "res_sl2",
+    "field": {"poly": [-2, 0, 0, 0, 1], "subfields": [{"poly": [-3, 0, 1], "embedding": [0, 0, 1]}]},
 }
 # witness_context admits a real k_field (here Q(sqrt 2)); only a witness
 # subgroup may set it
@@ -294,14 +301,14 @@ ERROR_TABLE = [
         **dict.fromkeys(("analyze", "rank", "witness"), (1, "parse_error", "$.diagonal[1]")),
         "verify": (1, "parse_error", "$.input.diagonal[1]"),
     }),
-    ("isotropic tail", INVALID_SPEC, dict.fromkeys(
-        ("analyze", "rank", "witness"), (1, "invalid_spec", None))),
+    ("isotropic tail", EMPTY_FORM, dict.fromkeys(
+        ("analyze", "rank", "witness"), (1, "parse_error", "$"))),
     ("octic", OCTIC, dict.fromkeys(
         ("analyze", "rank", "witness", "verify"), (3, "unsupported", None))),
     ("rho budget", BIG_FIELD, dict.fromkeys(
         ("analyze", "rank", "witness", "verify"), (3, "factorization_exceeded", None))),
     ("isotropic skew tail", ISOTROPIC_SKEW_TAIL, dict.fromkeys(
-        ("analyze", "rank", "witness"), (1, "invalid_spec", None))),
+        ("analyze", "rank", "witness"), (1, "parse_error", "$"))),
     ("witness context", WITNESS_CONTEXT, {
         **dict.fromkeys(("analyze", "rank", "witness"), (1, "parse_error", "$.witness_context")),
         "verify": (1, "parse_error", "$.input.witness_context"),
@@ -310,6 +317,12 @@ ERROR_TABLE = [
         **dict.fromkeys(("analyze", "rank", "witness"), (1, "parse_error", "$.field.signature")),
         "verify": (1, "parse_error", "$.input.field.signature"),
     }),
+    ("empty second kind", EMPTY_SECOND_KIND, {
+        **dict.fromkeys(("analyze", "rank", "witness"), (1, "parse_error", "$")),
+        "verify": (1, "parse_error", "$.input"),
+    }),
+    ("forged subfield", FORGED_SUBFIELD, dict.fromkeys(
+        ("analyze", "witness"), (1, "invalid_spec", None))),
 ]
 
 
@@ -523,6 +536,18 @@ def test_skew_tower_with_impure_ratio_verifies(run_cli, tmp_path):
     assert r.json["verification"]["ok"] is True
     r2 = run_cli("verify", _write(tmp_path, r.json, "verdict.json"))
     assert r2.code == 0 and r2.json["verification"]["ok"] is True
+
+
+def test_b2_trace_realization_reads_the_plane_from_the_parent_rank(run_cli, tmp_path):
+    """The B2 witness of su1_herm_b2_n2 (one plane over (2, 3)) lives in a
+    hyperbolic plane of its parent, which the verifier reads from the
+    parent's Q-rank: the tail <1, -1> is such a plane, <5> has none."""
+    doc = json.loads((CORPUS / "expected" / "su1_herm_b2_n2.json").read_text())
+    for entries, failed in (([1, -1], []), ([5], ["trace realization applicable"])):
+        doc["input"] = {"kind": "su1", "algebra": {"a": "2", "b": "3"}, "form_kind": "hermitian",
+                        "diagonal": [[str(c), "0", "0", "0"] for c in entries]}
+        r = run_cli("verify", _write(tmp_path, doc))
+        assert (r.code, _failed_checks(r)) == (3 if failed else 0, failed), entries
 
 
 def test_altered_b2_trace_realization_basis_fails_verification(run_cli, tmp_path):

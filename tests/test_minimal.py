@@ -27,7 +27,6 @@ from almin.minimal import (
 from almin.numfield import QuadraticField, field_cert, quadratic_field_cert
 from almin.quadform import QuadForm
 from almin.qgroup import (
-    InvalidSpec,
     Orthogonal,
     ResSL2,
     ResSU3,
@@ -38,6 +37,7 @@ from almin.qgroup import (
     Unitary2Quat,
     Unsupported,
     q_rank,
+    real_rank,
 )
 
 
@@ -233,7 +233,7 @@ def test_skew_tower_with_impure_ratio():
 
 def test_random_skew_specs_end_in_a_verdict():
     """Seeded skew-hermitian specs with pure entries of coordinates in
-    [-3, 3]: each ends verified not_minimal, invalid_spec or unsupported."""
+    [-3, 3]: each ends verified not_minimal or unsupported."""
     rng = random.Random(1104)
     algebras = [QuaternionAlgebra(2, 3), QuaternionAlgebra(-1, -1), QuaternionAlgebra(-1, -3),
                 QuaternionAlgebra(3, 5), QuaternionAlgebra(-2, 5)]
@@ -244,11 +244,7 @@ def test_random_skew_specs_end_in_a_verdict():
         if any(e.is_zero() for e in tail):
             continue
         g = Unitary1(QuatForm(d, "skew_hermitian", tail, hyperbolic_count=rng.choice([1, 2])))
-        try:
-            v = analyze(g)
-        except InvalidSpec:
-            outcomes["invalid_spec"] += 1
-            continue
+        v = analyze(g)
         if isinstance(v, UnsupportedVerdict):
             outcomes["unsupported"] += 1
             continue
@@ -257,14 +253,80 @@ def test_random_skew_specs_end_in_a_verdict():
     assert outcomes["not_minimal"] >= 30, outcomes
 
 
-def test_isotropic_skew_tail_is_an_invalid_spec():
-    # x = (1 - i + j - k)/2 gives conj(x) j x = -i, so <i, j> is no tail
+FIRST_KIND_ALGEBRAS = [(-1, -1), (2, 3), (-1, 3), (-2, -5), (3, 5), (-1, -3), (2, 5), (1, 1), (-3, 7)]
+
+
+def _first_kind_outcome(g):
+    """analyze g, which may not raise; a not_minimal witness must verify,
+    also after a round trip through its JSON."""
+    v = analyze(g)
+    if isinstance(v, NotMinimal):
+        _assert_verified(g, v)
+        back = serde.witness_from_doc(serde.witness_to_doc(v.witness))
+        assert verify_witness(g, back).ok, g
+    return type(v).__name__
+
+
+def test_random_first_kind_forms_are_ranked_from_the_whole_form():
+    """Seeded hermitian forms with 0-3 planes, isotropic tails and split
+    algebras included, and skew pairs built isotropic as e1 = -conj(x) e2 x:
+    q_rank is read from the whole form, never refused."""
+    from almin import algebra as alg
+    from almin.quadform import find_isotropic_vector, witt_index
+
+    rng = random.Random(1601)
+    tally = collections.Counter()
+    for _ in range(60):
+        d = QuaternionAlgebra(*rng.choice(FIRST_KIND_ALGEBRAS))
+        cs = [rng.choice([-1, 1]) * rng.randint(1, 7) for _ in range(rng.randint(0, 3))]
+        if cs and rng.random() < 0.3:
+            cs.append(-cs[0])  # an isotropic tail
+        hyp = rng.randint(0 if cs else 1, 3)
+        g = Unitary1(QuatForm(d, "hermitian", tuple(d.element(c) for c in cs), hyp))
+        qr = q_rank(g)
+        assert qr <= real_rank(g)
+        transfer = [x for c in cs for x in (c, -c * d.a, -c * d.b, c * d.a * d.b)]
+        if alg.is_division(d):
+            w = witt_index(QuadForm.diagonal(transfer)) if cs else 0
+            assert w % 4 == 0 and qr == hyp + w // 4, (d, cs, hyp)
+            planes = hyp
+        else:
+            assert qr == g.form.rank
+            planes = 2 * hyp  # over M_2(Q) a plane has Witt index 2 in Sp
+            tally["split"] += 1
+        if qr > planes:
+            v = find_isotropic_vector(QuadForm.diagonal(transfer))
+            xs = [d.element(*v[4 * t : 4 * t + 4]) for t in range(len(cs))]
+            value = sum((x.conj() * d.element(c) * x for c, x in zip(cs, xs)), d.element(0))
+            assert value.is_zero() and not all(x.is_zero() for x in xs)
+            tally["isotropic tail"] += 1
+        tally[_first_kind_outcome(g)] += 1
+    division = [ab for ab in FIRST_KIND_ALGEBRAS if alg.is_division(QuaternionAlgebra(*ab))]
+    for _ in range(30):
+        d = QuaternionAlgebra(*rng.choice(division))
+        coords = [[rng.randint(-2, 2) for _ in range(4)] for _ in range(2)]
+        e2, x = d.element(0, *coords[0][1:]), d.element(*coords[1])
+        if e2.is_zero() or x.is_zero():
+            continue
+        e1 = -(x.conj() * e2 * x)
+        hyp = rng.randint(0, 2)
+        g = Unitary1(QuatForm(d, "skew_hermitian", (e1, e2), hyp))
+        assert q_rank(g) == hyp + 1 <= real_rank(g)
+        tally["skew " + _first_kind_outcome(g)] += 1
+    assert tally["isotropic tail"] >= 25 and tally["split"] >= 10, tally
+    assert tally["NotMinimal"] >= 40 and tally["skew NotMinimal"] >= 15, tally
+
+
+def test_isotropic_skew_tail_is_a_hyperbolic_plane():
+    # x = (1 - i + j - k)/2 gives conj(x) j x = -i, so <i, j> is a second
+    # hyperbolic plane and the split rank-2 subgroup applies
     d = QuaternionAlgebra(-1, -1)
     g = Unitary1(
         QuatForm(d, "skew_hermitian", (d.gen_i(), d.gen_j()), hyperbolic_count=1)
     )
-    with pytest.raises(InvalidSpec, match="skew tail is isotropic"):
-        analyze(g)
+    w = _assert_verified(g, analyze(g))
+    assert isinstance(w.embedding, SplitSO5)
+    assert w.derivation[0].detail == "q_rank = 2, real_rank = 2"
 
 
 def test_undecided_skew_tail_is_unsupported():

@@ -39,11 +39,14 @@ def test_gcd_divides_both(f, g):
 
 
 def test_count_real_roots():
-    assert polys.count_real_roots(polys.poly([-2, 0, 1])) == 2  # x^2 - 2
-    assert polys.count_real_roots(polys.poly([1, 0, 1])) == 0  # x^2 + 1
-    assert polys.count_real_roots(polys.poly([-2, 0, 0, 1])) == 1  # x^3 - 2
-    assert polys.count_real_roots(polys.poly([2, 0, -2, 0, 1])) == 0
-    assert polys.count_real_roots(polys.poly([-2, 0, 0, 0, 1])) == 2  # x^4 - 2
+    def count(coeffs):
+        return polys.real_roots_of_chain(polys.sturm_chain(polys.poly(coeffs)))
+
+    assert count([-2, 0, 1]) == 2  # x^2 - 2
+    assert count([1, 0, 1]) == 0  # x^2 + 1
+    assert count([-2, 0, 0, 1]) == 1  # x^3 - 2
+    assert count([2, 0, -2, 0, 1]) == 0
+    assert count([-2, 0, 0, 0, 1]) == 2  # x^4 - 2
 
 
 def test_rational_roots():

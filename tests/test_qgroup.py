@@ -15,7 +15,6 @@ from almin.algebra import (
     second_kind_involution,
 )
 from almin.numfield import QuadraticField
-from almin.quadform import Degenerate as QuadDegenerate
 from almin.quadform import QuadForm, is_isotropic, signature
 from almin.qgroup import (
     ConvertibleTo,
@@ -38,7 +37,7 @@ from almin.qgroup import (
     hermitian_witt_index,
     is_absolutely_almost_simple,
     q_rank,
-    quat_hermitian_tail_isotropic,
+    quat_hermitian_witt_index,
     rank_profile,
     real_rank,
     skew_pair_isotropy,
@@ -190,29 +189,50 @@ def test_unitary1_hermitian_ranks():
     assert real_rank(Unitary1(f2)) == 3  # split at infinity: full rank
 
 
-def test_unitary1_rejects_isotropic_declared_tail():
+def test_unitary1_ranks_an_isotropic_tail():
     d = QuaternionAlgebra(-1, -1)
-    # <1, -1> over any algebra is isotropic, so it may not be declared a tail
-    f = QuatForm(d, "hermitian", (d.element(1), d.element(-1)))
-    with pytest.raises(InvalidSpec):
-        q_rank(Unitary1(f))
+    # <1, -1> is a hyperbolic plane over any algebra, written as a tail
+    g = Unitary1(QuatForm(d, "hermitian", (d.element(1), d.element(-1))))
+    assert (q_rank(g), real_rank(g)) == (1, 1)
+    # over M_2(Q) the group is Sp_6, whatever the entries
+    split = QuaternionAlgebra(1, 1)
+    g2 = Unitary1(QuatForm(split, "hermitian", (split.element(5),), hyperbolic_count=1))
+    assert (q_rank(g2), real_rank(g2)) == (3, 3)
+
+
+def test_empty_quaternionic_forms_are_invalid_specs():
+    d = QuaternionAlgebra(-1, -1)
+    for kind in ("hermitian", "skew_hermitian"):
+        with pytest.raises(InvalidSpec, match="empty"):
+            Unitary1(QuatForm(d, kind, ()))
+    for l_d in (2, -1):
+        with pytest.raises(InvalidSpec, match="empty"):
+            Unitary2Quat(QuatSecondKindForm(QuadraticField(l_d), d, d.one(), ()))
 
 
 def test_quat_hermitian_tail_isotropy():
     d = QuaternionAlgebra(-1, -1)
-    assert quat_hermitian_tail_isotropic(d, [d.element(1), d.element(-1)])
-    assert not quat_hermitian_tail_isotropic(d, [d.element(1), d.element(1)])
+    one, minus_one = d.element(1), d.element(-1)
+    assert quat_hermitian_witt_index(QuatForm(d, "hermitian", (one, minus_one))) == 1
+    assert quat_hermitian_witt_index(QuatForm(d, "hermitian", (one, one))) == 0
+    # over (2, 3), split at infinity, <1, -1, 1, -1> is two planes, and a
+    # tail of two entries is indefinite of dimension 8, so isotropic
+    e = QuaternionAlgebra(2, 3)
+    ones = (e.element(1), e.element(-1), e.element(1), e.element(-1))
+    assert quat_hermitian_witt_index(QuatForm(e, "hermitian", ones, 1)) == 3
+    assert quat_hermitian_witt_index(QuatForm(e, "hermitian", (e.element(5), e.element(7)))) == 1
+    assert quat_hermitian_witt_index(QuatForm(e, "hermitian", (e.element(5),), 2)) == 2
 
 
 def test_skew_tail_certification():
     d = QuaternionAlgebra(-1, -1)
     i, j, k = d.gen_i(), d.gen_j(), d.gen_k()
     assert certify_skew_tail_anisotropic(QuatForm(d, "skew_hermitian", (i,))) is True
-    # <i, j> is isotropic: x = (1 - i + j - k)/2 gives conj(x) j x = -i
+    # <i, j> is isotropic: x = (1 - i + j - k)/2 gives conj(x) j x = -i, so
+    # the pair is a hyperbolic plane
     isotropic = QuatForm(d, "skew_hermitian", (i, j), hyperbolic_count=1)
     assert certify_skew_tail_anisotropic(isotropic) is False
-    with pytest.raises(InvalidSpec, match=r"skew tail is isotropic \(sign 1: t = "):
-        q_rank(Unitary1(isotropic))
+    assert q_rank(Unitary1(isotropic)) == 2
     # <i, j + k>: the norm ratio nrd(i)/nrd(j + k) = 1/2 is not a square
     g = Unitary1(QuatForm(d, "skew_hermitian", (i, j + k), hyperbolic_count=1))
     assert certify_skew_tail_anisotropic(g.form) is True
@@ -510,8 +530,8 @@ def test_skew_split_signature_hand_cases():
     # k and -k lie on opposite sheets, k and 2k + i on the same one
     assert _skew_split_real_signature(QuatForm(d, "skew_hermitian", (k, -k))) == (2, 2)
     assert _skew_split_real_signature(QuatForm(d, "skew_hermitian", (k, k * 2 + i))) == (4, 0)
-    with pytest.raises(QuadDegenerate):
-        _skew_split_real_signature(QuatForm(d, "skew_hermitian", (i + k,)))
+    with pytest.raises(alg.Degenerate, match="nonzero reduced norm"):
+        QuatForm(d, "skew_hermitian", (i + k,))
 
 
 def _second_kind_trace_form(f):

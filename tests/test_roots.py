@@ -4,6 +4,7 @@ from almin.roots import (
     NotARoot,
     Reducible,
     RootSubset,
+    _coordinates,
     closed_subsystem,
     f4_c3_check,
     full_report,
@@ -11,7 +12,6 @@ from almin.roots import (
     is_simply_connected_subgroup,
     minimal_root,
     root_system,
-    simple_combination,
     triality_fixed_subgroup_not_simply_connected,
     triality_orbit_check,
     verify_e6_identities,
@@ -37,8 +37,7 @@ def test_unknown_type_rejected():
 
 def test_simple_combination_roundtrip():
     sys = root_system("F4")
-    for r in sys.roots:
-        coeffs = simple_combination(sys, r)
+    for coeffs in _coordinates(sys.base, sorted(sys.roots)):
         signs = {1 if c > 0 else -1 for c in coeffs if c != 0}
         assert len(signs) == 1  # roots are one-signed in the base
         for c in coeffs:
@@ -49,7 +48,7 @@ def test_highest_and_minimal_roots():
     e6 = root_system("E6")
     hr = highest_root(e6)
     assert minimal_root(e6) == tuple(-x for x in hr)
-    assert sum(simple_combination(e6, hr)) == 11  # 1+2+2+3+2+1
+    assert sum(_coordinates(e6.base, [hr])[0]) == 11  # 1+2+2+3+2+1
     with pytest.raises(Reducible):
         # two orthogonal A1 bases do not have a highest root
         import almin.roots as roots_mod
