@@ -16,6 +16,7 @@ from .arith import (
     REAL,
     Place,
     ZeroInput,
+    factorize,
     hilbert_symbol,
     is_rational_square,
     rational_sqrt,
@@ -29,7 +30,7 @@ from .numfield import (
     is_square_in_quadfield,
 )
 from .linalg import primitive, rref
-from .quadform import QuadForm, represent_constrained
+from .quadform import QuadForm
 
 Scalar = Union[Fraction, QuadElement]
 
@@ -231,49 +232,29 @@ def find_splitting_quadratic(
     d: QuaternionAlgebra,
     sign_constraint: str = "any",
 ) -> SplittingField:
-    """A quadratic field Q(sqrt(e)) that splits d, with e a represented value
-    e = a c1^2 + b c2^2 - ab c3^2 of the pure norm form (so sqrt(e) exists
-    inside d).  sign_constraint in {"positive", "negative", "any"}.
+    """A quadratic field Q(sqrt(e)) that splits d, with e the least of
+    a, b and -ab (the squares of i, j and ij, so sqrt(e) lies inside d) that
+    meets sign_constraint in {"positive", "negative", "any"} and is not a
+    rational square.  Over a division algebra none of the three is a square.
 
-    A definite algebra (a < 0, b < 0) admits only negative e; its canonical
-    generator i gives e in the class of a directly.  Otherwise the search
-    prefers a square class transverse to those of a and b.  e is never zero
-    or a square: the "negative" search keeps only negative values, and the
-    others forbid squares.
+    Raises InfeasibleSign when none qualifies, as for a definite algebra
+    asked for a positive value.
     """
     a, b = d.a, d.b
-    coeffs = [a, b, -a * b]
-    if a < 0 and b < 0:
-        if sign_constraint == "positive":
-            raise InfeasibleSign(
-                "pure norm form of a definite algebra is negative definite"
-            )
-        e = squarefree_part(a)
-        return SplittingField(
-            QuadraticField(e), (Fraction(1), Fraction(0), Fraction(0)), a
+    admissible = [
+        (e, xs)
+        for e, xs in ((a, (1, 0, 0)), (b, (0, 1, 0)), (-a * b, (0, 0, 1)))
+        if not is_rational_square(e)
+        and sign_constraint in ("any", "positive" if e > 0 else "negative")
+    ]
+    if not admissible:
+        raise InfeasibleSign(
+            f"none of a, b, -ab is a nonsquare of sign {sign_constraint}"
         )
-    if sign_constraint == "negative":
-        # negate the form, search positive, flip the value back
-        rep = represent_constrained(
-            [-c for c in coeffs],
-            want_positive=True,
-            forbid_square=False,
-            forbid_classes=frozenset({squarefree_part(-a), squarefree_part(-b)}),
-        )
-        val = -rep.value
-    else:
-        rep = represent_constrained(
-            coeffs,
-            want_positive=(sign_constraint == "positive"),
-            forbid_square=True,
-            forbid_classes=frozenset({squarefree_part(a), squarefree_part(b)}),
-        )
-        val = rep.value
-    e = squarefree_part(val)
-    c1, c2, c3 = rep.vector
-    check = a * c1 * c1 + b * c2 * c2 - a * b * c3 * c3
-    assert check == val
-    return SplittingField(QuadraticField(e), (c1, c2, c3), val)
+    e, xs = min(admissible, key=lambda t: t[0])
+    return SplittingField(
+        QuadraticField(squarefree_part(e)), tuple(map(Fraction, xs)), e
+    )
 
 
 @dataclass(frozen=True)
@@ -507,14 +488,14 @@ def _pure_ratio(cq: QuatElement, alpha: QuatElement) -> Optional[Fraction]:
 
 
 def _integral_quartic_cert(raw: polys.Poly) -> NumberFieldCert:
-    """Rescale the generator so the monic quartic has integer coefficients,
-    then certify the field (signature and the quadratic subfields of its
+    """Rescale the generator by the least m that makes the monic quartic
+    x^4 + c2 x^2 + c0 integral (c2 m^2 and c0 m^4 in Z: v_p(m) is
+    max(ceil(v_p(den c2) / 2), ceil(v_p(den c0) / 4)) at each p), then
+    certify the field (signature and the quadratic subfields of its
     resolvent cubic)."""
+    c0, c2 = Fraction(raw[0]), Fraction(raw[2])
+    v2, v0 = factorize(c2.denominator), factorize(c0.denominator)
     m = 1
-    while True:
-        scaled = polys.poly(
-            [raw[0] * m**4, 0, raw[2] * m**2, 0, 1]
-        )
-        if all(c.denominator == 1 for c in scaled):
-            return numfield.field_cert([int(c) for c in scaled])
-        m += 1
+    for p in v2.keys() | v0.keys():
+        m *= p ** max(-(-v2.get(p, 0) // 2), -(-v0.get(p, 0) // 4))
+    return numfield.field_cert([int(c0 * m**4), 0, int(c2 * m**2), 0, 1])

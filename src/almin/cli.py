@@ -9,13 +9,15 @@ verify serialized witnesses, and run the built-in verification suites.
 A command takes no tuning options: every search runs to a fixed bound kept
 beside it (quadform.SPLIT_VALUE_BUDGET, the number of splitting values t
 tried when an isotropic vector of a form of dimension >= 4 is constructed,
-quadform.REPRESENT_HEIGHT_BOUND, arith.TRIAL_DIVISION_BOUND,
-arith.RHO_ITERATION_BUDGET).
+arith.TRIAL_DIVISION_BOUND, arith.RHO_ITERATION_BUDGET).
 A failure is reported as a JSON document {"schema", "error", "detail"[,
 "path"]} whose error tag is read_error, parse_error, invalid_spec,
 invalid_input, internal_error (a constructed witness failed its own
 verification) (exit 1), nothing_to_verify (exit 2), search_exhausted,
-unsupported or factorization_exceeded (exit 3).
+unsupported or factorization_exceeded (exit 3).  A specification refused
+while it is parsed (an empty form, m < 2, a dimension below 3) is a
+parse_error at its path; invalid_spec covers only refusals made during
+analysis, such as a listed subfield that fails its embedding check.
 
 Exit codes: 0 decided (minimal or not minimal, or requested data printed);
 1 parse/internal error; 2 not applicable; 3 search exhausted, effort budget

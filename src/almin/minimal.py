@@ -73,7 +73,7 @@ class SubformIndices:
     basis: tuple[tuple, ...]
     tail_coeffs: tuple[Fraction, ...]
     a_value: Fraction
-    witness_vector: tuple[int, ...]
+    witness_vector: tuple[Fraction, ...]
     context: Optional[TraceRealizationContext] = None
 
 
@@ -319,7 +319,8 @@ def _orthogonal_subform_witness(form: QuadForm) -> Witness:
         deriv.append(
             _step(
                 "hyperbolic-pair",
-                "split one certified hyperbolic plane by isotropic-vector search",
+                "split one certified hyperbolic plane from a constructed"
+                " isotropic vector",
             )
         )
     kpos = next((t for t, (_, c) in enumerate(rest) if c < 0), None)
@@ -335,11 +336,7 @@ def _orthogonal_subform_witness(form: QuadForm) -> Witness:
             f" scaled tail {tail_coeffs}",
         )
     )
-    rep = represent_constrained(
-        tail_coeffs,
-        want_positive=True,
-        forbid_square=True,
-    )
+    rep = represent_constrained(tail_coeffs)
     a = rep.value
     w4 = [Fraction(0)] * form.dim
     for m, (vec, _) in enumerate(tail):
@@ -458,11 +455,7 @@ def _hermitian_subform_witness(form: HermForm) -> Witness:
             f" scaled tail {tuple(tail_t)}",
         )
     )
-    rep = represent_constrained(
-        trace_coeffs,
-        want_positive=True,
-        forbid_square=True,
-    )
+    rep = represent_constrained(trace_coeffs)
     a = rep.value
     s = _cls(a)
     w4 = _lvec_combine(

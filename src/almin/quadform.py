@@ -9,8 +9,9 @@ isotropy tests, the Witt index from those invariants, isotropic vectors
 constructed from theory (a pair c, -c of square classes, Legendre's descent
 for ternary forms, and for dimension >= 4 the splitting step of the proof of
 Hasse-Minkowski), explicit Witt decompositions built on them, and a
-constrained search for represented values.  Ranks, independent subsets and
-primitive integer vectors come from linalg's single exact elimination.
+positive nonsquare represented value read off a diagonal.  Ranks,
+independent subsets and primitive integer vectors come from linalg's single
+exact elimination.
 """
 
 from __future__ import annotations
@@ -673,76 +674,50 @@ def witt_index(f: QuadForm) -> int:
     return index
 
 
-REPRESENT_HEIGHT_BOUND = 16  # max coordinate of a represented-value search
-
-
 @dataclass(frozen=True)
 class RepresentedValue:
     value: Fraction
     vector: Vector  # in the coordinates of the diagonal coefficients
-    square_class: int
 
 
-def represent_constrained(
-    coeffs: Sequence,
-    want_positive: bool = True,
-    forbid_square: bool = True,
-    forbid_classes: frozenset = frozenset(),
-) -> RepresentedValue:
-    """A nonzero value of the diagonal form sum c_i x_i^2 subject to the
-    sign/square constraints, with square class outside `forbid_classes`.
+def represent_constrained(coeffs: Sequence) -> RepresentedValue:
+    """A positive value of the diagonal form sum c_i x_i^2 that is not a
+    rational square, read off the coefficients:
 
-    Deterministic: shells of increasing max-norm; within a shell the valid
-    vector with the smallest value (then lexicographically smallest) wins.
-    Only nonnegative coordinates are enumerated since values depend on x_i^2.
+    1. the least positive c_i that is not a square (the last one on ties),
+       at x = e_i;
+    2. else two positive squares c_i = s^2, c_j = r^2 give 2 at x_i = 1/s,
+       x_j = 1/r;
+    3. else one positive square c_i = s^2 and a negative c_j = -p/q in
+       lowest terms (the one of least pq) give k^2 - pq at x_i = k/s,
+       x_j = q, with k = pq + 1.  That value lies strictly between (pq)^2
+       and k^2, so it is not a square.
 
-    Raises SearchExhausted on failure.  Existence is guaranteed under the
-    callers' rank hypotheses (a rank-one indefinite tail cannot represent
-    only squares: that would force a split ⟨1,1,...⟩-like form), so
-    exhaustion signals a bad input or too small a bound.
+    Raises ValueError when none applies: the form has no positive entry, or
+    its one positive entry is a square and it has no negative one.
     """
     cs = [Fraction(c) for c in coeffs]
-    n = len(cs)
-    if want_positive and all(c < 0 for c in cs):
-        raise SearchExhausted(
-            "negative definite form cannot represent a positive value"
+    pos = [i for i, c in enumerate(cs) if c > 0]
+    neg = [i for i, c in enumerate(cs) if c < 0]
+    nonsquare = [i for i in pos if not is_rational_square(cs[i])]
+    x = [Fraction(0)] * len(cs)
+    if nonsquare:
+        x[min(reversed(nonsquare), key=cs.__getitem__)] = Fraction(1)
+    elif len(pos) >= 2:
+        for i in pos[:2]:
+            x[i] = 1 / rational_sqrt(cs[i])
+    elif pos and neg:
+        i = pos[0]
+        j = min(neg, key=lambda t: -cs[t].numerator * cs[t].denominator)
+        pq = -cs[j].numerator * cs[j].denominator
+        x[i] = (pq + 1) / rational_sqrt(cs[i])
+        x[j] = Fraction(cs[j].denominator)
+    else:
+        raise ValueError(
+            "no positive nonsquare value read off the coefficients: no entry"
+            " is positive, or the one positive entry is a square and none is"
+            " negative"
         )
-    for height in range(1, REPRESENT_HEIGHT_BOUND + 1):
-        best: Optional[tuple[Fraction, tuple[int, ...]]] = None
-        for xs in _shell_tuples(n, height):
-            val = sum(c * x * x for c, x in zip(cs, xs))
-            if val == 0:
-                continue
-            if want_positive and val <= 0:
-                continue
-            if forbid_square and is_rational_square(val):
-                continue
-            if squarefree_part(val) in forbid_classes:
-                continue
-            if best is None or (val, xs) < best:
-                best = (val, xs)
-        if best is not None:
-            val, xs = best
-            return RepresentedValue(
-                val, tuple(Fraction(x) for x in xs), squarefree_part(val)
-            )
-    raise SearchExhausted(
-        f"no represented value satisfying the constraints up to height"
-        f" {REPRESENT_HEIGHT_BOUND};"
-        " under the intended rank hypotheses such a value exists, so the input or"
-        " bound is at fault"
-    )
-
-
-def _shell_tuples(n: int, h: int):
-    """Nonnegative integer tuples with max coordinate exactly h, lexicographic."""
-
-    def rec(i: int, cur: tuple[int, ...], has_h: bool):
-        if i == n:
-            if has_h:
-                yield cur
-            return
-        for x in range(h + 1):
-            yield from rec(i + 1, cur + (x,), has_h or x == h)
-
-    yield from rec(0, (), False)
+    value = sum(c * t * t for c, t in zip(cs, x))
+    assert value > 0 and not is_rational_square(value)
+    return RepresentedValue(value, tuple(x))

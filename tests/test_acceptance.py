@@ -87,7 +87,7 @@ def test_criterion_2_verified_witnesses_and_fault_rejection():
     cases = [
         (Symplectic(2), None),
         (Orthogonal(QuadForm.diagonal([1, -1, -1, 3, 5])), 3),
-        (SpecialLinear(2, QuaternionAlgebra(2, 3)), 5),
+        (SpecialLinear(2, QuaternionAlgebra(2, 3)), 2),
         (Unitary2(HermForm.diagonal(QuadraticField(-1), [1, -1, -1, 3])), 3),
     ]
     witnesses = []

@@ -1,8 +1,10 @@
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
+from almin import numfield, polys
 from almin.arith import REAL, FinitePrime, is_rational_square, rational_sqrt, squarefree_part
 from almin.algebra import (
     Degenerate,
@@ -13,6 +15,7 @@ from almin.algebra import (
     QuatForm,
     QuatSecondKindForm,
     QuaternionAlgebra,
+    _integral_quartic_cert,
     b2_realization,
     common_orthogonal_pure,
     find_splitting_quadratic,
@@ -59,17 +62,28 @@ def test_quaternion_arithmetic():
 
 
 def test_find_splitting_quadratic():
-    d = QuaternionAlgebra(2, 3)
-    s = find_splitting_quadratic(d)
-    c1, c2, c3 = s.witness
-    # the witness exhibits sqrt(value) inside d, so Q(sqrt e) embeds and splits
-    assert 2 * c1 * c1 + 3 * c2 * c2 - 6 * c3 * c3 == s.value
-    assert squarefree_part(s.value) == s.field.d
-    assert not is_rational_square(s.value)
-    neg = find_splitting_quadratic(d, sign_constraint="negative")
-    assert neg.value < 0
+    # the least of a, b, -ab that has the sign and is not a square
+    cases = [
+        (2, 3, "positive", 2, (1, 0, 0)),
+        (2, 3, "negative", -6, (0, 0, 1)),
+        (2, 3, "any", -6, (0, 0, 1)),
+        (-1, -1, "any", -1, (1, 0, 0)),
+        (-1, 3, "positive", 3, (0, 1, 0)),
+        (-2, -5, "negative", -10, (0, 0, 1)),
+        (1, 5, "positive", 5, (0, 1, 0)),
+    ]
+    for a, b, sign, value, coords in cases:
+        d = QuaternionAlgebra(a, b)
+        s = find_splitting_quadratic(d, sign)
+        assert (s.value, s.witness) == (value, coords), (a, b, sign)
+        assert squarefree_part(s.value) == s.field.d
+        # xi = c1 i + c2 j + c3 ij squares to the value, so Q(sqrt e) embeds
+        xi = d.element(0, *s.witness)
+        assert xi * xi == d.element(s.value)
     with pytest.raises(InfeasibleSign):
         find_splitting_quadratic(QuaternionAlgebra(-1, -1), sign_constraint="positive")
+    with pytest.raises(InfeasibleSign):
+        find_splitting_quadratic(QuaternionAlgebra(1, 4), sign_constraint="positive")
 
 
 def test_b2_realization_shape_and_split_case():
@@ -280,3 +294,25 @@ def test_splitting_field_of_a_division_second_kind_algebra_is_not_l():
             assert sp.field.d != L.d, (dp, L.d, sign)
             checked += 1
     assert checked > 500
+
+
+def test_integral_quartic_scale_matches_the_scan(monkeypatch):
+    # the least m with c2 m^2 and c0 m^4 integral, computed from the
+    # denominators, against the unbounded scan over m it replaced
+    def scan(c0, c2):
+        m = 1
+        while (c0 * m**4).denominator != 1 or (c2 * m**2).denominator != 1:
+            m += 1
+        return [int(c0 * m**4), 0, int(c2 * m**2), 0, 1]
+
+    monkeypatch.setattr(numfield, "field_cert", list)
+    rng = random.Random(29)
+
+    def den():
+        return math.prod(rng.choice((2, 3, 5, 7)) ** rng.randint(0, 5) for _ in range(2))
+
+    for _ in range(300):
+        c0 = Fraction(rng.randint(-99, 99) or 1, den())
+        c2 = Fraction(rng.randint(-99, 99), den())
+        raw = polys.poly([c0, 0, c2, 0, 1])
+        assert _integral_quartic_cert(raw) == scan(c0, c2), (c0, c2)

@@ -127,13 +127,47 @@ def test_orthogonal_descends_by_subform():
 )
 def test_orthogonal_descends_by_searched_hyperbolic_plane(diagonal):
     # no two diagonal entries have square-class product -1, so the witness
-    # splits its hyperbolic plane from a searched isotropic vector; the
+    # splits its hyperbolic plane from a constructed isotropic vector; the
     # complement keeps every other hyperbolic pair, in an orthogonal basis
     g = serde.group_from_doc({"kind": "so", "diagonal": diagonal})
     v = analyze(g)
     w = _assert_verified(g, v)
     assert isinstance(w.embedding, SubformIndices)
-    assert "isotropic-vector search" in w.derivation[1].detail
+    assert "constructed isotropic vector" in w.derivation[1].detail
+
+
+@pytest.mark.parametrize(
+    "diagonal",
+    [
+        [298800, -66544, 895424, 92818, 839486, -430401, -21103],
+        [882415, -26705, -706253, 876801, 607206],
+        [-522819, -974990, 338814, 912797, 728404],
+    ],
+)
+def test_orthogonal_witness_factors_no_search_value(diagonal):
+    # these once ended FactorizationExceeded: a search over tail vectors
+    # took the squarefree part of every candidate value, some of 26+ digits
+    g = serde.group_from_doc({"kind": "so", "diagonal": [str(c) for c in diagonal]})
+    w = _assert_verified(g, analyze(g))
+    back = serde.witness_from_doc(json.loads(json.dumps(serde.witness_to_doc(w))))
+    assert verify_witness(g, back).ok
+
+
+@pytest.mark.parametrize(
+    "diagonal, vector, a",
+    [
+        # two square tail entries 1 and 4: a = 2 at (1, 1/2)
+        (["1", "1", "-1", "-1", "4"], (1, Fraction(1, 2)), 2),
+        # a square 1 and a negative -1: a = 2^2 - 1 at (2, 1)
+        (["1", "1", "-1", "-1", "-1"], (2, 1), 3),
+    ],
+)
+def test_orthogonal_witness_reads_a_from_square_tails(diagonal, vector, a):
+    g = serde.group_from_doc({"kind": "so", "diagonal": diagonal})
+    w = _assert_verified(g, analyze(g))
+    assert (w.embedding.witness_vector, w.embedding.a_value) == (vector, a)
+    back = serde.witness_from_doc(json.loads(json.dumps(serde.witness_to_doc(w))))
+    assert verify_witness(g, back).ok
 
 
 def test_hermitian_unitary_descends():

@@ -7,11 +7,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from almin.arith import REAL, FinitePrime, factorize, relevant_places, squarefree_part
+from almin.arith import (
+    REAL,
+    FinitePrime,
+    factorize,
+    is_rational_square,
+    relevant_places,
+    squarefree_part,
+)
 from almin.quadform import (
     Degenerate,
     DiagForm,
-    REPRESENT_HEIGHT_BOUND,
     QuadForm,
     SearchExhausted,
     WittDecomposition,
@@ -245,24 +251,46 @@ def test_degenerate_rejected():
 
 
 def test_represent_constrained():
-    rep = represent_constrained([Fraction(3), Fraction(5)], want_positive=True)
-    assert rep.value > 0
-    assert rep.value == 3 * rep.vector[0] ** 2 + 5 * rep.vector[1] ** 2
-    rep2 = represent_constrained(
-        [Fraction(1), Fraction(1)], want_positive=True, forbid_square=True
-    )
-    assert rep2.square_class != 1
-    with pytest.raises(SearchExhausted):
-        represent_constrained([Fraction(-1), Fraction(-2)], want_positive=True)
-    # x^2 represents only squares: every shell up to the bound is searched
-    with pytest.raises(SearchExhausted, match=f"height {REPRESENT_HEIGHT_BOUND};"):
-        represent_constrained([Fraction(1)], want_positive=True, forbid_square=True)
-    rep3 = represent_constrained(
-        [Fraction(2), Fraction(3)],
-        want_positive=True,
-        forbid_classes=frozenset({2, 3, 5}),
-    )
-    assert rep3.square_class not in {1, 2, 3, 5}
+    f = Fraction
+    # 1. the least positive nonsquare entry, the last one on ties
+    rep = represent_constrained([f(5), f(-2), f(3), f(4), f(3)])
+    assert (rep.value, rep.vector) == (3, (0, 0, 0, 0, 1))
+    assert represent_constrained([f(1, 2), f(2)]).vector == (1, 0)
+    # 2. two positive squares give 2 at (1/s, 1/r)
+    rep = represent_constrained([f(9), f(-7), f(1, 4)])
+    assert (rep.value, rep.vector) == (2, (f(1, 3), 0, 2))
+    # 3. one positive square s^2 and the negative -p/q of least pq give
+    # k^2 - pq at x_i = k/s, x_j = q with k = pq + 1
+    rep = represent_constrained([f(-7), f(4), f(-2, 3)])
+    assert (rep.value, rep.vector) == (43, (0, f(7, 2), 3))
+    with pytest.raises(ValueError):
+        represent_constrained([f(-1), f(-2)])
+    with pytest.raises(ValueError):
+        represent_constrained([f(4)])
+
+
+def test_represent_constrained_random():
+    rng = random.Random(17)
+    squares = [f * f for f in (Fraction(1), Fraction(2), Fraction(3, 5))]
+    for _ in range(500):
+        n = rng.randint(1, 6)
+        cs = [
+            rng.choice(squares) * rng.choice((1, 1, -1))
+            if rng.random() < 0.5
+            else Fraction(rng.randint(-60, 60) or 1, rng.randint(1, 9))
+            for _ in range(n)
+        ]
+        try:
+            rep = represent_constrained(cs)
+        except ValueError:
+            pos = [c for c in cs if c > 0]
+            assert not pos or (
+                len(pos) == 1 and is_rational_square(pos[0])
+                and all(c >= 0 for c in cs)
+            ), cs
+            continue
+        assert rep.value > 0 and not is_rational_square(rep.value), cs
+        assert rep.value == sum(c * x * x for c, x in zip(cs, rep.vector)), cs
 
 
 # The Fraction double sums that QuadForm.bilinear, restrict and
