@@ -35,7 +35,7 @@ from fractions import Fraction
 from . import arith, polys, qgroup, serde
 from .arith import REAL, FinitePrime, hilbert_symbol, relevant_places
 from .algebra import QuaternionAlgebra, ramification_set
-from .minimal import InternalSoundnessError, NotMinimal, analyze, verify_witness
+from .minimal import InternalSoundnessError, NotMinimal, analyze
 from .quadform import (
     QuadForm,
     SearchExhausted,
@@ -44,6 +44,7 @@ from .quadform import (
     witt_decompose,
 )
 from .serde import ParseError, rat_to_str
+from .verify import verify_witness
 
 EXIT_OK = 0
 EXIT_ERROR = 1

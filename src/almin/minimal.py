@@ -1,11 +1,13 @@
 """Verdict engine: decides minimality of an isotropic almost-simple group
-over Q and constructs independently verifiable witness subgroups.
+over Q and constructs witness subgroups.
 
 A NotMinimal verdict always carries a Witness: a proper isotropic almost
 simple subgroup with real rank at least 2, plus embedding data that
-re-validates by exact arithmetic inside the parent.  verify_witness runs
-that re-validation from the witness data alone, sharing no intermediate
-state with the construction.
+re-validates by exact arithmetic inside the parent.  The certificate types
+and verify_witness live in almin.verify, which shares no code with the
+builders here; each built witness is verified there before it is returned.
+A quaternary descent puts its hyperbolic pair first in the embedding basis,
+which is where the verifier reads isotropy from.
 """
 
 from __future__ import annotations
@@ -19,12 +21,11 @@ from typing import Optional, Union
 from . import algebra as alg
 from . import numfield, polys, qgroup, quadform
 from .algebra import HermForm, QuatForm, QuaternionAlgebra, is_ramified_at_infinity
-from .arith import is_rational_square, rational_sqrt, squarefree_part
+from .arith import is_rational_square, squarefree_part
 from .numfield import (
     NumberFieldCert,
     QuadElement,
     QuadraticField,
-    SubfieldCert,
     quadratic_field_cert,
     verify_subfield,
 )
@@ -45,7 +46,24 @@ from .qgroup import (
     q_rank,
     real_rank,
 )
-from .quadform import QuadForm, represent_constrained, witt_index
+from .quadform import QuadForm, represent_constrained
+
+# the certificate types, also read as almin.minimal.X by callers
+from .verify import (
+    BlockEmbedding,
+    CompositumTower,
+    DerivationStep,
+    PureQuaternionTower,
+    SplitSO5,
+    SubfieldElement,
+    SubfieldRestriction,
+    SubformIndices,
+    TraceRealizationContext,
+    VerifyCheck,
+    VerifyReport,
+    Witness,
+    verify_witness,
+)
 
 
 class InternalSoundnessError(AssertionError):
@@ -53,117 +71,7 @@ class InternalSoundnessError(AssertionError):
 
 
 # --------------------------------------------------------------------------
-# Embedding data
-
-
-@dataclass(frozen=True)
-class TraceRealizationContext:
-    """Subform vectors live in the 5-dimensional trace realization of the
-    hyperbolic quaternion-hermitian plane of the parent (recomputed fresh
-    during verification)."""
-
-
-@dataclass(frozen=True)
-class SubformIndices:
-    """Four pairwise-orthogonal vectors spanning a quaternary subform whose
-    special orthogonal group is the restriction of scalars of SL2 named by
-    the witness; a_value is the represented value produced by the witness
-    vector on the tail coefficients."""
-
-    basis: tuple[tuple, ...]
-    tail_coeffs: tuple[Fraction, ...]
-    a_value: Fraction
-    witness_vector: tuple[Fraction, ...]
-    context: Optional[TraceRealizationContext] = None
-
-
-@dataclass(frozen=True)
-class SubfieldElement:
-    """c = a c1^2 + b c2^2 - a b c3^2: a square inside the quaternion algebra
-    generating the quadratic field of the witness."""
-
-    c_value: Fraction
-    coords: tuple[Fraction, Fraction, Fraction]
-
-
-@dataclass(frozen=True)
-class BlockEmbedding:
-    """A 3x3 coordinate block of a special linear group."""
-
-    offset: int = 0
-
-
-@dataclass(frozen=True)
-class SplitSO5:
-    """The split five-dimensional form <1,-1,-1,1,a> inside a group of
-    rational rank at least 2, with the chosen positive nonsquare a."""
-
-    form_coeffs: tuple[Fraction, ...]
-    a_value: Fraction
-
-
-@dataclass(frozen=True)
-class CompositumTower:
-    """K = E.L with K0 the fixed field of the product conjugation; E is a
-    splitting field of the inner quaternion algebra, certified by the
-    represented value e_value of its pure norm form."""
-
-    e_value: Fraction
-    e_class: int
-    e_coords: tuple[Fraction, Fraction, Fraction]
-    l_class: int
-    k0_class: int
-    k_cert: NumberFieldCert
-
-
-@dataclass(frozen=True)
-class PureQuaternionTower:
-    """alpha anticommutes with the two chosen skew diagonal entries; F' is
-    the quadratic field it generates, c = a3^{-1} a4 in F', and k_cert
-    certifies K = F'(sqrt(-c)) of degree 4."""
-
-    entry_indices: tuple[int, int]
-    alpha_coords: tuple[Fraction, Fraction, Fraction]
-    fprime_class: int
-    c_x: Fraction
-    c_y: Fraction
-    k_cert: NumberFieldCert
-    k_is_biquadratic: bool
-
-
-@dataclass(frozen=True)
-class SubfieldRestriction:
-    """Descent to a certified proper subfield."""
-
-    cert: SubfieldCert
-
-
-EmbeddingData = Union[
-    SubformIndices,
-    SubfieldElement,
-    BlockEmbedding,
-    SplitSO5,
-    CompositumTower,
-    PureQuaternionTower,
-    SubfieldRestriction,
-]
-
-
-# --------------------------------------------------------------------------
 # Verdicts
-
-
-@dataclass(frozen=True)
-class DerivationStep:
-    rule: str
-    detail: str
-
-
-@dataclass(frozen=True)
-class Witness:
-    subgroup: GroupSpec
-    embedding: EmbeddingData
-    derivation: tuple[DerivationStep, ...]
 
 
 @dataclass(frozen=True)
@@ -191,51 +99,12 @@ class UnsupportedVerdict:
 Verdict = Union[Minimal, NotMinimal, NotApplicable, UnsupportedVerdict]
 
 
-@dataclass(frozen=True)
-class VerifyCheck:
-    name: str
-    passed: bool
-    detail: str
-
-
-@dataclass(frozen=True)
-class VerifyReport:
-    ok: bool
-    checks: tuple[VerifyCheck, ...]
-
-    @property
-    def failures(self) -> tuple[VerifyCheck, ...]:
-        return tuple(c for c in self.checks if not c.passed)
-
-
 def _step(rule: str, detail: str) -> DerivationStep:
     return DerivationStep(rule, detail)
 
 
 # --------------------------------------------------------------------------
 # Small helpers
-
-
-def _cls(x) -> int:
-    return squarefree_part(Fraction(x))
-
-
-def _herm_eval(m, u, v) -> QuadElement:
-    """Sesquilinear value sum conj(u_k) m[k][l] v_l."""
-    n = len(m)
-    total = None
-    for k in range(n):
-        if u[k].is_zero():
-            continue
-        ck = u[k].conj()
-        for l in range(n):
-            if v[l].is_zero():
-                continue
-            term = ck * m[k][l] * v[l]
-            total = term if total is None else total + term
-    if total is None:
-        total = u[0].fld.element(0)
-    return total
 
 
 def _lvec_scale(v, s: QuadElement):
@@ -259,21 +128,6 @@ def _lvec_combine(coeffs, vectors):
     )
 
 
-def _so4_conversion_field(g4: QuadForm):
-    """The quadratic field certificate of the restriction of scalars that an
-    isotropic nonsquare-discriminant quaternary form converts to, or an
-    error string."""
-    try:
-        res = is_absolutely_almost_simple(Orthogonal(g4))
-    except NotAlmostSimple:
-        return None, "a is a rational square => subgroup not almost simple"
-    except (Unsupported, qgroup.InvalidSpec, quadform.Degenerate) as exc:
-        return None, f"quaternary subform does not convert: {exc}"
-    if not isinstance(res, ConvertibleTo) or not isinstance(res.spec, ResSL2):
-        return None, "quaternary subform did not convert to a restriction of scalars"
-    return res.spec.field, ""
-
-
 # --------------------------------------------------------------------------
 # Witness constructions
 
@@ -290,7 +144,7 @@ def _orthogonal_subform_witness(form: QuadForm) -> Witness:
 
     pair = None
     for i, j in itertools.combinations(range(n), 2):
-        if _cls(coeffs[i] * coeffs[j]) == -1:
+        if is_rational_square(-coeffs[i] * coeffs[j]):
             pair = (i, j)
             break
     if pair is not None:
@@ -343,7 +197,7 @@ def _orthogonal_subform_witness(form: QuadForm) -> Witness:
         for t in range(form.dim):
             w4[t] += rep.vector[m] * Fraction(vec[t])
     w4 = tuple(w4)
-    s = _cls(a)
+    s = squarefree_part(a)
     deriv.append(
         _step(
             "represent-positive-nonsquare",
@@ -457,7 +311,7 @@ def _hermitian_subform_witness(form: HermForm) -> Witness:
     )
     rep = represent_constrained(trace_coeffs)
     a = rep.value
-    s = _cls(a)
+    s = squarefree_part(a)
     w4 = _lvec_combine(
         [
             L.element(rep.vector[2 * t], rep.vector[2 * t + 1])
@@ -911,645 +765,3 @@ def _not_minimal(parent: GroupSpec, w: Witness) -> NotMinimal:
             f"constructed witness failed verification: {rep.failures}"
         )
     return NotMinimal(w, rep)
-
-
-# --------------------------------------------------------------------------
-# verify_witness
-
-
-def _check(name: str, passed: bool, detail: str = "") -> VerifyCheck:
-    return VerifyCheck(name, bool(passed), detail)
-
-
-def _coerce_lelem(fld: QuadraticField, x) -> QuadElement:
-    if isinstance(x, QuadElement):
-        return x
-    if isinstance(x, (tuple, list)):
-        return fld.element(*x)
-    return fld.element(x)
-
-
-def _verify_quaternary(
-    g4_diag: list[Fraction], emb: SubformIndices, w: Witness
-) -> list[VerifyCheck]:
-    """Checks shared by all quaternary-subform descents, given the diagonal
-    rational Gram of the restricted subform."""
-    out: list[VerifyCheck] = []
-    a = emb.a_value
-    s = _cls(a) if a != 0 else 0
-    out.append(_check("represented value positive", a > 0, f"a = {a}"))
-    out.append(
-        _check(
-            "represented value is not a rational square",
-            a > 0 and s != 1,
-            "a is a rational square => subgroup not almost simple"
-            if a > 0 and s == 1
-            else f"square class {s}",
-        )
-    )
-    recomputed = sum(
-        c * x * x for c, x in zip(emb.tail_coeffs, emb.witness_vector)
-    )
-    out.append(
-        _check(
-            "witness vector reproduces the represented value",
-            recomputed == a and len(emb.tail_coeffs) == len(emb.witness_vector),
-            f"recomputed {recomputed}",
-        )
-    )
-    if any(c == 0 for c in g4_diag):
-        out.append(_check("restricted subform nondegenerate", False, str(g4_diag)))
-        return out
-    out.append(_check("restricted subform nondegenerate", True, str(g4_diag)))
-    det_cls = _cls(g4_diag[0] * g4_diag[1] * g4_diag[2] * g4_diag[3])
-    out.append(
-        _check(
-            "subform discriminant matches the represented value",
-            s != 0 and det_cls == s,
-            f"discriminant class {det_cls} vs {s}",
-        )
-    )
-    g4 = QuadForm.diagonal(g4_diag)
-    out.append(
-        _check(
-            "restricted subform isotropic over Q",
-            quadform.is_isotropic(g4, "global"),
-            "",
-        )
-    )
-    p, q = quadform.signature(g4)
-    out.append(
-        _check("restricted subform has signature (2,2)", (p, q) == (2, 2), f"({p},{q})")
-    )
-    fld, err = _so4_conversion_field(g4)
-    if fld is None:
-        out.append(_check("subform converts to a restriction of scalars", False, err))
-    else:
-        match = (
-            isinstance(w.subgroup, ResSL2)
-            and w.subgroup.field.defining_poly == fld.defining_poly
-        )
-        out.append(
-            _check(
-                "conversion field matches the witness field",
-                match,
-                f"conversion gives {fld.defining_poly}",
-            )
-        )
-    return out
-
-
-def _restricted_rational_diag(
-    form: QuadForm, basis
-) -> tuple[Optional[list[Fraction]], str]:
-    if len(basis) != 4 or any(len(v) != form.dim for v in basis):
-        return None, "basis must be four vectors of the ambient dimension"
-    for i, j in itertools.combinations(range(4), 2):
-        if form.bilinear(basis[i], basis[j]) != 0:
-            return None, f"basis vectors {i},{j} are not orthogonal"
-    return [form.value(v) for v in basis], ""
-
-
-def _restricted_hermitian_diag(
-    hform: HermForm, basis
-) -> tuple[Optional[list[Fraction]], str]:
-    if len(basis) != 4 or any(len(v) != hform.dim for v in basis):
-        return None, "basis must be four vectors of the ambient dimension"
-    m = hform.matrix
-    for i, j in itertools.combinations(range(4), 2):
-        if not _herm_eval(m, basis[i], basis[j]).is_zero():
-            return None, f"basis vectors {i},{j} are not orthogonal"
-    diag = []
-    for v in basis:
-        val = _herm_eval(m, v, v)
-        if not val.is_rational():
-            return None, "restricted value escaped the fixed field"
-        diag.append(val.x)
-    return diag, ""
-
-
-def _verify_subform(parent, emb: SubformIndices, w: Witness) -> list[VerifyCheck]:
-    ctx = emb.context
-    if ctx is None and isinstance(parent, Orthogonal):
-        diag, err = _restricted_rational_diag(parent.form, emb.basis)
-        if diag is None:
-            return [_check("embedding basis valid", False, err)]
-        return [_check("embedding basis valid", True, "")] + _verify_quaternary(
-            diag, emb, w
-        )
-    if ctx is None and isinstance(parent, Unitary2):
-        basis = tuple(
-            tuple(_coerce_lelem(parent.form.field, x) for x in v)
-            for v in emb.basis
-        )
-        diag, err = _restricted_hermitian_diag(parent.form, basis)
-        if diag is None:
-            return [_check("embedding basis valid", False, err)]
-        return [_check("embedding basis valid", True, "")] + _verify_quaternary(
-            diag, emb, w
-        )
-    if isinstance(ctx, TraceRealizationContext) and isinstance(parent, Unitary1):
-        if parent.form.kind != "hermitian" or q_rank(parent) < 1:
-            return [
-                _check(
-                    "trace realization applicable",
-                    False,
-                    "parent has no hyperbolic quaternion-hermitian plane",
-                )
-            ]
-        d = parent.form.algebra
-        q5 = alg.b2_realization(
-            d, QuatForm(d, "hermitian", (d.element(1), d.element(-1)), 0)
-        )
-        diag, err = _restricted_rational_diag(q5, emb.basis)
-        if diag is None:
-            return [_check("embedding basis valid", False, err)]
-        return [
-            _check("trace realization applicable", True, ""),
-            _check("embedding basis valid", True, ""),
-        ] + _verify_quaternary(diag, emb, w)
-    return [
-        _check(
-            "embedding applies to the parent",
-            False,
-            f"subform data does not apply to {type(parent).__name__}",
-        )
-    ]
-
-
-def _verify_subfield_element(
-    parent, emb: SubfieldElement, w: Witness
-) -> list[VerifyCheck]:
-    if not isinstance(parent, SpecialLinear) or parent.algebra is None:
-        return [
-            _check(
-                "embedding applies to the parent",
-                False,
-                "subfield-element data needs a special linear group over a"
-                " quaternion algebra",
-            )
-        ]
-    d = parent.algebra
-    a_, b_ = Fraction(d.a), Fraction(d.b)
-    c1, c2, c3 = emb.coords
-    val = a_ * c1 * c1 + b_ * c2 * c2 - a_ * b_ * c3 * c3
-    out = [
-        _check("c recomputes", val == emb.c_value, f"recomputed {val}"),
-        _check("c positive", val > 0, f"c = {val}"),
-    ]
-    s = _cls(val) if val != 0 else 0
-    out.append(
-        _check(
-            "c is not a rational square",
-            val != 0 and s != 1,
-            "a is a rational square => subgroup not almost simple"
-            if s == 1
-            else f"class {s}",
-        )
-    )
-    xi = d.element(0, c1, c2, c3)
-    out.append(
-        _check(
-            "pure element squares to c",
-            (xi * xi - d.element(emb.c_value)).is_zero(),
-            "",
-        )
-    )
-    out.append(
-        _check(
-            "witness field matches",
-            isinstance(w.subgroup, ResSL2)
-            and s != 0
-            and w.subgroup.field.defining_poly == polys.poly([-s, 0, 1]),
-            "",
-        )
-    )
-    return out
-
-
-def _verify_block(parent, emb: BlockEmbedding, w: Witness) -> list[VerifyCheck]:
-    if not isinstance(parent, SpecialLinear):
-        return [_check("embedding applies to the parent", False, "")]
-    # SL_m over M_2(Q) is SL_2m over Q; over a division algebra D the block
-    # lies in SL_m(Q), a proper subgroup of SL_m(D)
-    if parent.algebra is not None and not alg.is_division(parent.algebra):
-        m_eff = 2 * parent.m
-    else:
-        m_eff = parent.m
-    proper = parent.algebra is not None or parent.m > 3
-    return [
-        _check(
-            "block fits",
-            0 <= emb.offset and emb.offset + 3 <= m_eff and proper,
-            f"offset {emb.offset} in degree {m_eff}"
-            + ("" if proper else "; the block is the whole group"),
-        ),
-        _check(
-            "witness is the degree-3 special linear group",
-            w.subgroup == SpecialLinear(3),
-            "",
-        ),
-    ]
-
-
-def _verify_split_so5(parent, emb: SplitSO5, w: Witness) -> list[VerifyCheck]:
-    out: list[VerifyCheck] = []
-    a = emb.a_value
-    expected = (Fraction(1), Fraction(-1), Fraction(-1), Fraction(1), a)
-    out.append(
-        _check(
-            "form is <1,-1,-1,1,a>",
-            tuple(emb.form_coeffs) == expected,
-            str(emb.form_coeffs),
-        )
-    )
-    out.append(_check("a positive", a > 0, f"a = {a}"))
-    s = _cls(a) if a != 0 else 0
-    out.append(
-        _check(
-            "a is not a rational square",
-            a > 0 and s != 1,
-            "a is a rational square => subgroup not almost simple"
-            if a > 0 and s == 1
-            else f"class {s}",
-        )
-    )
-    if a > 0:
-        out.append(
-            _check(
-                "five-dimensional form is split",
-                witt_index(QuadForm.diagonal(list(expected))) == 2,
-                "",
-            )
-        )
-        fld, err = _so4_conversion_field(QuadForm.diagonal([1, -1, -1, a]))
-        if fld is None:
-            out.append(_check("quaternary subform converts", False, err))
-        else:
-            out.append(
-                _check(
-                    "conversion field matches the witness field",
-                    isinstance(w.subgroup, ResSL2)
-                    and w.subgroup.field.defining_poly == fld.defining_poly,
-                    "",
-                )
-            )
-    try:
-        qr = q_rank(parent)
-        special_linear = isinstance(parent, SpecialLinear)
-        out.append(
-            _check(
-                "parent has rational rank >= 2",
-                qr >= 2 and not special_linear,
-                f"q_rank = {qr}"
-                + ("; a special linear parent takes the block witness"
-                   if special_linear else ""),
-            )
-        )
-    except (Unsupported, qgroup.InvalidSpec) as exc:
-        out.append(_check("parent has rational rank >= 2", False, str(exc)))
-    return out
-
-
-def _verify_compositum(parent, emb: CompositumTower, w: Witness) -> list[VerifyCheck]:
-    if not isinstance(parent, Unitary2Quat):
-        return [_check("embedding applies to the parent", False, "")]
-    out: list[VerifyCheck] = []
-    f = parent.form
-    d = f.l_field.d
-    dp = f.inner_algebra
-    a_, b_ = Fraction(dp.a), Fraction(dp.b)
-    c1, c2, c3 = emb.e_coords
-    val = a_ * c1 * c1 + b_ * c2 * c2 - a_ * b_ * c3 * c3
-    out.append(
-        _check(
-            "splitting value recomputes",
-            val == emb.e_value and val != 0 and _cls(val) == emb.e_class,
-            f"recomputed {val}",
-        )
-    )
-    xi = dp.element(0, c1, c2, c3)
-    out.append(
-        _check(
-            "splitting element squares to its value",
-            (xi * xi - dp.element(emb.e_value)).is_zero(),
-            "",
-        )
-    )
-    out.append(
-        _check(
-            "base quadratic class matches the parent",
-            emb.l_class == d,
-            f"{emb.l_class} vs {d}",
-        )
-    )
-    out.append(
-        _check(
-            "compositum is biquadratic",
-            emb.e_class not in (1, d),
-            f"e class {emb.e_class}",
-        )
-    )
-    out.append(
-        _check(
-            "fixed-field class recomputes",
-            emb.k0_class == squarefree_part(emb.e_class * d) and emb.k0_class != 1,
-            f"k0 class {emb.k0_class}",
-        )
-    )
-    if f.rank == 2:
-        sign_ok = (emb.e_class > 0) == (d > 0)
-        out.append(
-            _check(
-                "splitting field sign matches the base field",
-                sign_ok,
-                f"e class {emb.e_class}, l class {d}",
-            )
-        )
-        out.append(
-            _check(
-                "fixed field real",
-                emb.k0_class > 0,
-                f"k0 class {emb.k0_class}",
-            )
-        )
-    else:
-        out.append(
-            _check(
-                "splitting field imaginary when the base field is",
-                d > 0 or emb.e_class < 0,
-                f"e class {emb.e_class}, l class {d}",
-            )
-        )
-    kc = emb.k_cert
-    out.append(_check("compositum certificate has degree 4", kc.degree == 4, ""))
-    for cls_ in (emb.e_class, d, emb.k0_class):
-        target = polys.poly([-cls_, 0, 1])
-        cert = next((c for c in kc.subfields if c.sub_poly == target), None)
-        ok = cert is not None and verify_subfield(kc, cert)
-        out.append(
-            _check(
-                f"compositum contains Q(sqrt({cls_}))",
-                ok,
-                "" if ok else "missing or invalid subfield certificate",
-            )
-        )
-    if f.rank == 2:
-        out.append(
-            _check(
-                "witness is the restriction of scalars of SL2 from the fixed"
-                " field",
-                isinstance(w.subgroup, ResSL2)
-                and emb.k0_class != 1
-                and w.subgroup.field.defining_poly
-                == polys.poly([-emb.k0_class, 0, 1]),
-                "",
-            )
-        )
-    else:
-        out.append(
-            _check(
-                "witness is the restriction from the fixed field of the"
-                " quasisplit unitary group over the compositum",
-                isinstance(w.subgroup, ResSU3)
-                and w.subgroup.k_field.d == emb.k0_class
-                and w.subgroup.l_quartic == kc,
-                "",
-            )
-        )
-    return out
-
-
-def _verify_quartic_tower(
-    parent, emb: PureQuaternionTower, w: Witness
-) -> list[VerifyCheck]:
-    if not isinstance(parent, Unitary1) or parent.form.kind != "skew_hermitian":
-        return [_check("embedding applies to the parent", False, "")]
-    out: list[VerifyCheck] = []
-    f = parent.form
-    i, j = emb.entry_indices
-    if not (0 <= i < j < len(f.diagonal)):
-        return [_check("entry indices valid", False, f"{emb.entry_indices}")]
-    a3, a4 = f.diagonal[i], f.diagonal[j]
-    d = f.algebra
-    alpha = d.element(0, *emb.alpha_coords)
-    out.append(_check("alpha nonzero and pure", not alpha.is_zero(), ""))
-    anti = (a3 * alpha + alpha * a3).is_zero() and (
-        a4 * alpha + alpha * a4
-    ).is_zero()
-    out.append(_check("alpha anticommutes with both entries", anti, ""))
-    alpha_sq = -Fraction(alpha.nrd())
-    dprime = emb.fprime_class
-    ok_sq = (
-        alpha_sq != 0
-        and not is_rational_square(alpha_sq)
-        and squarefree_part(alpha_sq) == dprime
-    )
-    out.append(
-        _check(
-            "alpha generates the claimed quadratic field",
-            ok_sq,
-            f"alpha^2 = {alpha_sq}",
-        )
-    )
-    if not ok_sq:
-        return out
-    fprime = QuadraticField(dprime)
-    wr = rational_sqrt(alpha_sq / dprime)
-    c = fprime.element(emb.c_x, emb.c_y)
-    # a3 * (c_x + c_y * alpha / wr) should equal a4
-    c_in_d = d.element(emb.c_x) + (emb.c_y / wr) * alpha
-    out.append(
-        _check(
-            "c equals the ratio of the two entries inside F'",
-            (a3 * c_in_d - a4).is_zero(),
-            "",
-        )
-    )
-    minus_c = fprime.element(-c.x, -c.y)
-    out.append(
-        _check(
-            "-c is not a square in F'",
-            not numfield.is_square_in_quadfield(minus_c),
-            "",
-        )
-    )
-    kc = emb.k_cert
-    out.append(_check("tower certificate has degree 4", kc.degree == 4, ""))
-    if emb.k_is_biquadratic:
-        ok_rational = c.y == 0
-        out.append(
-            _check("biquadratic tower has rational c", ok_rational, f"c = {c}")
-        )
-        if ok_rational:
-            d2 = squarefree_part(-c.x)
-            wanted = {dprime, d2, squarefree_part(Fraction(dprime * d2))}
-            have = set()
-            for cert in kc.subfields:
-                if polys.degree(cert.sub_poly) == 2 and verify_subfield(kc, cert):
-                    have.add(int(-cert.sub_poly[0]))
-            out.append(
-                _check(
-                    "biquadratic certificate has the three expected subfields",
-                    wanted <= have,
-                    f"wanted {sorted(wanted)}, certified {sorted(have)}",
-                )
-            )
-    else:
-        g4 = kc.defining_poly
-        even = all(
-            g4[k] == 0 for k in range(1, 4, 2)
-        )
-        out.append(_check("tower polynomial is even", even, str(g4)))
-        if even:
-            B, C = g4[2], g4[0]
-            delta = B * B - 4 * C
-            ok_delta = delta != 0 and squarefree_part(delta) == dprime
-            out.append(
-                _check(
-                    "tower discriminant lies in F'",
-                    ok_delta,
-                    f"delta = {delta}",
-                )
-            )
-            if ok_delta:
-                sdelta = fprime.element(0, rational_sqrt(delta / dprime))
-                two_c = c + c
-                found = False
-                for sgn in (1, -1):
-                    r2 = (fprime.element(-B) + sgn * sdelta) / (-two_c)
-                    if r2.is_rational() and r2.x > 0 and is_rational_square(r2.x):
-                        found = True
-                out.append(
-                    _check(
-                        "tower polynomial has the root sqrt(-c) up to a"
-                        " rational scale",
-                        found,
-                        "",
-                    )
-                )
-    out.append(
-        _check(
-            "witness field is the tower certificate",
-            isinstance(w.subgroup, ResSL2) and w.subgroup.field == kc,
-            "",
-        )
-    )
-    return out
-
-
-def _verify_subfield_restriction(
-    parent, emb: SubfieldRestriction, w: Witness
-) -> list[VerifyCheck]:
-    out: list[VerifyCheck] = []
-    cert = emb.cert
-    deg = polys.degree(cert.sub_poly)
-    if isinstance(parent, ResSL2):
-        out.append(
-            _check(
-                "subfield certificate verifies in the parent field",
-                verify_subfield(parent.field, cert),
-                "",
-            )
-        )
-        out.append(
-            _check(
-                "subfield proper",
-                1 < deg < parent.field.degree,
-                f"degree {deg} in degree {parent.field.degree}",
-            )
-        )
-        inadmissible = deg > 2 or (deg == 2 and _quadratic_disc(cert.sub_poly) > 0)
-        out.append(
-            _check(
-                "subfield is neither Q nor imaginary quadratic",
-                inadmissible,
-                f"degree {deg}",
-            )
-        )
-        out.append(
-            _check(
-                "witness field matches the certificate",
-                isinstance(w.subgroup, ResSL2)
-                and w.subgroup.field.defining_poly == cert.sub_poly,
-                "",
-            )
-        )
-        return out
-    if isinstance(parent, ResSU3):
-        out.append(
-            _check(
-                "subfield certificate verifies in the quartic",
-                verify_subfield(parent.l_quartic, cert),
-                "",
-            )
-        )
-        is_quad = deg == 2 and cert.sub_poly[1] == 0
-        d0 = int(-cert.sub_poly[0]) if is_quad else 0
-        out.append(
-            _check(
-                "subfield is real quadratic",
-                is_quad and d0 > 1,
-                str(cert.sub_poly),
-            )
-        )
-        ok_w = (
-            isinstance(w.subgroup, Unitary2)
-            and w.subgroup.form.field.d == d0
-            and qgroup.diagonalize_hermitian(w.subgroup.form)[0]
-            == (Fraction(1), Fraction(-1), Fraction(-1))
-        )
-        out.append(
-            _check(
-                "witness is the quasisplit ternary unitary group over the"
-                " subfield",
-                ok_w,
-                "",
-            )
-        )
-        return out
-    return [_check("embedding applies to the parent", False, "")]
-
-
-def verify_witness(parent: GroupSpec, w: Witness) -> VerifyReport:
-    """Re-validate a witness with fresh computations: the embedding data
-    evaluates inside the parent, and the witness subgroup is isotropic,
-    almost simple, and of real rank at least 2."""
-    checks: list[VerifyCheck] = []
-    emb = w.embedding
-    if isinstance(emb, SubformIndices):
-        checks.extend(_verify_subform(parent, emb, w))
-    elif isinstance(emb, SubfieldElement):
-        checks.extend(_verify_subfield_element(parent, emb, w))
-    elif isinstance(emb, BlockEmbedding):
-        checks.extend(_verify_block(parent, emb, w))
-    elif isinstance(emb, SplitSO5):
-        checks.extend(_verify_split_so5(parent, emb, w))
-    elif isinstance(emb, CompositumTower):
-        checks.extend(_verify_compositum(parent, emb, w))
-    elif isinstance(emb, PureQuaternionTower):
-        checks.extend(_verify_quartic_tower(parent, emb, w))
-    elif isinstance(emb, SubfieldRestriction):
-        checks.extend(_verify_subfield_restriction(parent, emb, w))
-    else:
-        checks.append(_check("embedding kind known", False, str(type(emb))))
-
-    try:
-        qr = q_rank(w.subgroup)
-        checks.append(_check("witness q_rank >= 1", qr >= 1, f"q_rank = {qr}"))
-    except (Unsupported, qgroup.InvalidSpec) as exc:
-        checks.append(_check("witness q_rank >= 1", False, str(exc)))
-    try:
-        rr = real_rank(w.subgroup)
-        checks.append(
-            _check("witness real_rank >= 2", rr >= 2, f"real_rank = {rr}")
-        )
-    except Unsupported as exc:
-        checks.append(_check("witness real_rank >= 2", False, str(exc)))
-    try:
-        is_absolutely_almost_simple(w.subgroup)
-        checks.append(_check("witness almost simple", True, ""))
-    except (NotAlmostSimple, Unsupported) as exc:
-        checks.append(_check("witness almost simple", False, str(exc)))
-    ok = all(c.passed for c in checks)
-    return VerifyReport(ok, tuple(checks))

@@ -20,22 +20,11 @@ from .algebra import (
     QuaternionAlgebra,
 )
 from .minimal import (
-    BlockEmbedding,
-    CompositumTower,
-    DerivationStep,
     Minimal,
     NotApplicable,
     NotMinimal,
-    PureQuaternionTower,
-    SplitSO5,
-    SubfieldElement,
-    SubfieldRestriction,
-    SubformIndices,
-    TraceRealizationContext,
     UnsupportedVerdict,
     Verdict,
-    VerifyReport,
-    Witness,
 )
 from .numfield import (
     NumberFieldCert,
@@ -56,6 +45,19 @@ from .qgroup import (
     Unitary2Quat,
 )
 from .quadform import QuadForm
+from .verify import (
+    BlockEmbedding,
+    CompositumTower,
+    DerivationStep,
+    PureQuaternionTower,
+    SplitSO5,
+    SubfieldElement,
+    SubfieldRestriction,
+    SubformIndices,
+    TraceRealizationContext,
+    VerifyReport,
+    Witness,
+)
 
 SCHEMA = "almin/1"
 

@@ -584,16 +584,26 @@ BUILDERS = {
     "skew_restriction",
     "split_hyperbolic_plane",
 }
+RANK_ENGINE = {"is_isotropic", "witt_index", "witt_decompose", "find_isotropic_vector"}
 
 
 def test_verifier_names_no_builder():
-    """Every function of the module that verify_witness can reach names no
-    witness builder, so the verifier shares no construction code."""
+    """verify.py imports nothing from minimal, and every function of it that
+    verify_witness can reach names no witness builder and no isotropy or
+    Witt-index computation, so the verifier shares no construction code."""
     import ast
 
-    from almin import minimal
+    from almin import verify
 
-    tree = ast.parse(pathlib.Path(minimal.__file__).read_text())
+    tree = ast.parse(pathlib.Path(verify.__file__).read_text())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            imported.update((node.module or "").split("."))
+            imported.update(a.name for a in node.names)
+        elif isinstance(node, ast.Import):
+            imported.update(part for a in node.names for part in a.name.split("."))
+    assert "minimal" not in imported
     funcs = {n.name: n for n in tree.body if isinstance(n, ast.FunctionDef)}
 
     def names(node):
@@ -610,11 +620,40 @@ def test_verifier_names_no_builder():
             continue
         reached.add(f)
         todo.extend(n for n in names(funcs[f]) if n in funcs)
-    assert {"_verify_subform", "_verify_quaternary"} <= reached
+    assert {"_verify_subform", "_verify_quaternary", "_verify_split_so5"} <= reached
+    forbidden = BUILDERS | RANK_ENGINE
     bad = {
         (f, n)
         for f in reached
         for n in names(funcs[f])
-        if n in BUILDERS or (n.startswith("_") and n.endswith("_witness"))
+        if n in forbidden or (n.startswith("_") and n.endswith("_witness"))
     }
     assert not bad, sorted(bad)
+
+
+def test_quaternary_isotropy_is_read_from_the_first_basis_pair():
+    """The so6 subform <1,-1,-1,3> reordered to (e1, e4, e2, e3) is still
+    isotropic, but its first pair <1, 3> is not hyperbolic, so the witness
+    breaks the convention the verifier reads isotropy from."""
+    g = Orthogonal(QuadForm.diagonal([1, -1, -1, 3, 5, 7]))
+    w = analyze(g).witness
+    b = w.embedding.basis
+    assert [g.form.value(v) for v in b] == [1, -1, -1, 3]
+    bad_emb = dataclasses.replace(w.embedding, basis=(b[0], b[3], b[1], b[2]))
+    report = verify_witness(g, dataclasses.replace(w, embedding=bad_emb))
+    assert [c.name for c in report.failures] == ["restricted subform isotropic over Q"]
+
+
+def test_split_so5_reads_splitness_from_the_witness_form():
+    """<1, 1, -1, -1, a> has no hyperbolic pair at (c0, c1), so the witness's
+    own form fails the split check, not only the shape check."""
+    g = Symplectic(2)
+    w = analyze(g).witness
+    a = w.embedding.a_value
+    coeffs = tuple(map(Fraction, (1, 1, -1, -1))) + (a,)
+    bad_emb = dataclasses.replace(w.embedding, form_coeffs=coeffs)
+    report = verify_witness(g, dataclasses.replace(w, embedding=bad_emb))
+    assert [c.name for c in report.failures] == [
+        "form is <1,-1,-1,1,a>",
+        "five-dimensional form is split",
+    ]
