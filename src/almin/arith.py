@@ -1,5 +1,5 @@
 """Exact integer and rational number theory: factorization, square classes,
-Legendre and Hilbert symbols over the places of the rationals.
+and Hilbert symbols over the places of the rationals.
 
 All values are immutable and all functions are pure.  Rationals are
 `fractions.Fraction` throughout; places are `RealPlace` or `FinitePrime`.
@@ -181,17 +181,6 @@ def rational_sqrt(x: Rational) -> Fraction:
     return Fraction(math.isqrt(x.numerator), math.isqrt(x.denominator))
 
 
-def legendre(a: int, p: int) -> int:
-    """Legendre symbol (a|p) for an odd prime p."""
-    if p == 2 or not is_prime(p):
-        raise NotPrime(f"{p} is not an odd prime")
-    a %= p
-    if a == 0:
-        return 0
-    r = pow(a, (p - 1) // 2, p)
-    return 1 if r == 1 else -1
-
-
 def _two_adic_split(x: Fraction, p: int) -> tuple[int, int]:
     """Write x = p^alpha * u with u a p-unit; returns (alpha, u mod p^3) as ints.
 
@@ -226,10 +215,12 @@ def hilbert_symbol(a: Rational, b: Rational, v: Place) -> int:
         sign = 1
         if alpha * beta % 2 and (p - 1) // 2 % 2:
             sign = -sign
-        if beta % 2:
-            sign *= legendre(u, p)
-        if alpha % 2:
-            sign *= legendre(w, p)
+        # p is proven prime by FinitePrime and u, w are p-units, so the
+        # residue symbols are read by Euler's criterion
+        if beta % 2 and pow(u, (p - 1) // 2, p) != 1:
+            sign = -sign
+        if alpha % 2 and pow(w, (p - 1) // 2, p) != 1:
+            sign = -sign
         return sign
     eps_u = (u % 8 - 1) // 2 % 2  # (u-1)/2 mod 2
     eps_w = (w % 8 - 1) // 2 % 2

@@ -197,7 +197,7 @@ def _orthogonal_subform_witness(form: QuadForm) -> Witness:
         for t in range(form.dim):
             w4[t] += rep.vector[m] * Fraction(vec[t])
     w4 = tuple(w4)
-    s = squarefree_part(a)
+    s = a.numerator * a.denominator  # a times den^2: the class of a, unfactored
     deriv.append(
         _step(
             "represent-positive-nonsquare",
@@ -311,7 +311,7 @@ def _hermitian_subform_witness(form: HermForm) -> Witness:
     )
     rep = represent_constrained(trace_coeffs)
     a = rep.value
-    s = squarefree_part(a)
+    s = a.numerator * a.denominator  # a times den^2: the class of a, unfactored
     w4 = _lvec_combine(
         [
             L.element(rep.vector[2 * t], rep.vector[2 * t + 1])

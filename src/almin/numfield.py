@@ -344,7 +344,6 @@ def compositum_quadratic(e: QuadraticField, l: QuadraticField) -> NumberFieldCer
 
 
 def quadratic_field_cert(d: int) -> NumberFieldCert:
-    """NumberFieldCert for Q(sqrt(d))."""
-    fld = QuadraticField(d)
-    sig = (2, 0) if fld.is_real else (0, 1)
-    return NumberFieldCert(polys.poly([-d, 0, 1]), 2, sig)
+    """NumberFieldCert x^2 - d for Q(sqrt(d)), d any integer that is not a
+    square: the discriminant proves it irreducible, so d is not factored."""
+    return NumberFieldCert(polys.poly([-d, 0, 1]), 2, (2, 0) if d > 0 else (0, 1))

@@ -12,6 +12,8 @@ import math
 from fractions import Fraction
 from typing import Sequence
 
+from .arith import is_rational_square
+
 Poly = tuple[Fraction, ...]
 
 
@@ -251,9 +253,10 @@ class IrreducibilityUnproven(RuntimeError):
 def is_irreducible(f: Poly) -> bool:
     """Exact irreducibility over the rationals.
 
-    Degree 1 is irreducible; degrees 2 and 3 are irreducible iff f has no
-    rational root; degree 4 iff it has no rational root and no factorization
-    into two integer quadratics (Gauss's lemma).  For degree >= 5 a rational
+    Degree 1 is irreducible; degree 2 iff its discriminant is not a rational
+    square, which factors nothing; degree 3 iff f has no rational root;
+    degree 4 iff it has no rational root and no factorization into two
+    integer quadratics (Gauss's lemma).  For degree >= 5 a rational
     root or a repeated factor proves f reducible; otherwise f is irreducible
     when no degree in 1..n-1 is a sum of factor degrees of f modulo every
     prime p < IRREDUCIBILITY_PRIME_BOUND with p not dividing lc(f)*disc(f).
@@ -264,9 +267,11 @@ def is_irreducible(f: Poly) -> bool:
         return False
     if n == 1:
         return True
+    if n == 2:
+        return not is_rational_square(f[1] * f[1] - 4 * f[2] * f[0])
     if rational_roots(f):
         return False
-    if n <= 3:
+    if n == 3:
         return True
     if n == 4:
         return not _splits_into_quadratics(_integer_coeffs(f))

@@ -30,7 +30,6 @@ from .arith import (
     factorize,
     hilbert_symbol,
     is_rational_square,
-    legendre,
     rational_sqrt,
     squarefree_part,
 )
@@ -259,8 +258,9 @@ def _is_isotropic_local(f: QuadForm, v: Place) -> bool:
 
 
 def _is_local_square(x: Fraction, p: int) -> bool:
-    """Whether x is a square in Q_p, without factoring: zero, or an even
-    valuation and a unit part that is a square mod p (mod 8 at p = 2)."""
+    """Whether x is a square in Q_p for a proven prime p, without factoring:
+    zero, or an even valuation and a unit part that is a square mod p (by
+    Euler's criterion; mod 8 at p = 2)."""
     x = Fraction(x)
     if x == 0:
         return True
@@ -269,7 +269,7 @@ def _is_local_square(x: Fraction, p: int) -> bool:
         return False
     if p == 2:
         return u % 8 == 1
-    return legendre(u, p) == 1
+    return pow(u, (p - 1) // 2, p) == 1
 
 
 def is_isotropic(f: QuadForm, place: Union[Place, Literal["global"]]) -> bool:

@@ -7,9 +7,10 @@ witnesses of these types; this module imports nothing from it, and no
 function that verify_witness reaches names a witness builder, an isotropy
 test or a Witt-index computation.  A quaternary descent is read off its
 basis: the first two vectors are a hyperbolic pair, the restriction is
-diagonal, and its discriminant class is the class s of the represented
-value a, so the conversion field is Q(sqrt(s)).  The ranks of the witness
-subgroup itself are still computed by qgroup.q_rank and real_rank.
+diagonal, and its discriminant class is the class of the represented value
+a, read off num * den = a den^2, so the conversion field is Q(sqrt(a)):
+classes are compared by testing products for squares, and nothing on this
+path is factored.  The witness's own ranks come from q_rank and real_rank.
 """
 
 from __future__ import annotations
@@ -208,11 +209,10 @@ def _hyperbolic(x: Fraction, y: Fraction) -> bool:
 
 
 def _res_sl2_from(w: Witness, d: int) -> bool:
-    """The witness is the restriction of scalars of SL2 from Q(sqrt(d))."""
-    return (
-        isinstance(w.subgroup, ResSL2)
-        and w.subgroup.field.defining_poly == polys.poly([-d, 0, 1])
-    )
+    """The witness is the restriction of scalars of SL2 from Q(sqrt(d)): its
+    field is x^2 - c for any c with c d a nonzero rational square."""
+    f = w.subgroup.field.defining_poly if isinstance(w.subgroup, ResSL2) else ()
+    return len(f) == 3 and f[1] == 0 and f[0] * d != 0 and is_rational_square(-f[0] * d)
 
 
 def _pure_square(d: QuaternionAlgebra, coords: tuple[Fraction, Fraction, Fraction]):
@@ -228,18 +228,19 @@ def _verify_quaternary(
 ) -> list[VerifyCheck]:
     """Checks shared by all quaternary-subform descents, given the diagonal
     rational Gram of the restricted subform.  Its first two vectors must be
-    a hyperbolic pair.  Its discriminant class c is the class s of a when
-    det * a is a square, so on a valid witness nothing here is factored
-    beyond a; the conversion field is Q(sqrt(c))."""
+    a hyperbolic pair.  Its discriminant class c is read off num * den of
+    det, or of a when det * a is a square, and the conversion field is
+    Q(sqrt(c)); nothing here is factored."""
     a = emb.a_value
-    s = squarefree_part(a) if a != 0 else 0
+    s = a.numerator * a.denominator
+    square = a > 0 and is_rational_square(a)
     recomputed = sum(c * x * x for c, x in zip(emb.tail_coeffs, emb.witness_vector))
     out = [
         _check("represented value positive", a > 0, f"a = {a}"),
         _check(
             "represented value is not a rational square",
-            a > 0 and s != 1,
-            _SQUARE_VALUE if s == 1 else f"square class {s}",
+            a > 0 and not square,
+            _SQUARE_VALUE if square else f"square class {s}",
         ),
         _check(
             "witness vector reproduces the represented value",
@@ -251,8 +252,8 @@ def _verify_quaternary(
     if 0 in g4_diag:
         return out
     det = g4_diag[0] * g4_diag[1] * g4_diag[2] * g4_diag[3]
-    disc_ok = s != 0 and is_rational_square(det * a)
-    c = s if disc_ok else squarefree_part(det)
+    disc_ok = a != 0 and is_rational_square(det * a)
+    c = s if disc_ok else det.numerator * det.denominator
     isotropic = _hyperbolic(g4_diag[0], g4_diag[1])
     p = sum(x > 0 for x in g4_diag)
     out += [
@@ -264,9 +265,9 @@ def _verify_quaternary(
         _check("restricted subform isotropic over Q", isotropic),
         _check("restricted subform has signature (2,2)", p == 2, f"({p},{4 - p})"),
     ]
-    # c = 1 fails the discriminant or the square-class check, and a pair that
-    # is not hyperbolic the isotropy check, so the conversion is read past both
-    if isotropic and c != 1:
+    # a square c fails the class or discriminant check, and a pair that is
+    # not hyperbolic the isotropy check, so the conversion is read past both
+    if isotropic and not is_rational_square(c):
         out.append(
             _check(
                 "conversion field matches the witness field",
@@ -355,14 +356,15 @@ def _verify_subfield_element(
             )
         ]
     xi, val = _pure_square(parent.algebra, emb.coords)
-    s = squarefree_part(val) if val != 0 else 0
+    s = val.numerator * val.denominator
+    square = val != 0 and is_rational_square(val)
     return [
         _check("c recomputes", val == emb.c_value, f"recomputed {val}"),
         _check("c positive", val > 0, f"c = {val}"),
         _check(
             "c is not a rational square",
-            val != 0 and s != 1,
-            _SQUARE_VALUE if s == 1 else f"class {s}",
+            val != 0 and not square,
+            _SQUARE_VALUE if square else f"class {s}",
         ),
         _check(
             "pure element squares to c",
@@ -399,11 +401,12 @@ def _verify_block(parent, emb: BlockEmbedding, w: Witness) -> list[VerifyCheck]:
 def _verify_split_so5(parent, emb: SplitSO5, w: Witness) -> list[VerifyCheck]:
     """The witness's own form is split when (c0, c1) and (c2, c3) are
     hyperbolic pairs; its quaternary subform <1,-1,-1,a> has discriminant
-    class s of a and converts to the restriction of scalars of SL2 from
-    Q(sqrt(s))."""
+    class a, printed as num * den, and converts to the restriction of
+    scalars of SL2 from Q(sqrt(a))."""
     a = emb.a_value
     coeffs = tuple(emb.form_coeffs)
-    s = squarefree_part(a) if a != 0 else 0
+    s = a.numerator * a.denominator
+    square = a > 0 and is_rational_square(a)
     out = [
         _check(
             "form is <1,-1,-1,1,a>",
@@ -413,8 +416,8 @@ def _verify_split_so5(parent, emb: SplitSO5, w: Witness) -> list[VerifyCheck]:
         _check("a positive", a > 0, f"a = {a}"),
         _check(
             "a is not a rational square",
-            a > 0 and s != 1,
-            _SQUARE_VALUE if s == 1 else f"class {s}",
+            a > 0 and not square,
+            _SQUARE_VALUE if square else f"class {s}",
         ),
     ]
     if a > 0:
@@ -425,7 +428,7 @@ def _verify_split_so5(parent, emb: SplitSO5, w: Witness) -> list[VerifyCheck]:
             and _hyperbolic(*coeffs[2:4])
         )
         out.append(_check("five-dimensional form is split", split))
-        if s != 1:
+        if not square:
             field_ok = _res_sl2_from(w, s)
             out.append(_check("conversion field matches the witness field", field_ok))
     try:

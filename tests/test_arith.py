@@ -15,7 +15,6 @@ from almin.arith import (
     hilbert_symbol,
     is_prime,
     is_rational_square,
-    legendre,
     relevant_places,
     squarefree_part,
 )
@@ -73,14 +72,6 @@ def test_is_rational_square():
     assert not is_rational_square(Fraction(8, 4))
     assert not is_rational_square(-4)
     assert is_rational_square(0)
-
-
-def test_legendre_matches_euler():
-    for p in [3, 5, 7, 11, 13]:
-        for a in range(1, p):
-            assert legendre(a, p) == pow(a, (p - 1) // 2, p) % p or (
-                legendre(a, p) == -1 and pow(a, (p - 1) // 2, p) == p - 1
-            )
 
 
 def test_hilbert_symbol_known_values():

@@ -209,15 +209,39 @@ def test_factorization_budget_exit_three(run_cli, monkeypatch, tmp_path):
     assert r.code == 3
     assert r.json["error"] == "factorization_exceeded"
     assert "RHO_ITERATION_BUDGET" in r.json["detail"]
-    # a budget tripped while parsing a field certificate is not a parse error
-    from almin import arith
+    # a budget tripped while parsing a field certificate is not a parse error:
+    # the rational-root test of the cubic factors its constant term
+    from almin import algebra, arith, quadform
 
     monkeypatch.setattr(arith, "RHO_ITERATION_BUDGET", 10)
     p = tmp_path / "big.json"
-    p.write_text(json.dumps({"kind": "res_sl2", "field": {"poly": [-1000003 * 1000033, 0, 1]}}))
+    p.write_text(json.dumps(BIG_FIELD))
     r = run_cli("analyze", str(p))
     assert r.code == 3
     assert r.json["error"] == "factorization_exceeded"
+    # the quadratic x^2 - n is proven irreducible by its discriminant, and
+    # nothing on its way to a verdict is factored
+    calls = []
+    for mod in (arith, quadform, algebra):
+        monkeypatch.setattr(mod, "factorize", lambda m: calls.append(m) or {})
+    p.write_text(json.dumps({"kind": "res_sl2", "field": {"poly": [-BIG_N, 0, 1]}}))
+    r = run_cli("analyze", str(p))
+    assert (r.code, r.json["matched_case"], calls) == (0, "iv", [])
+
+
+@pytest.mark.parametrize("name", ["so33_split", "so6", "so_1m1m135", "sp4", "sp6"])
+def test_verify_of_quaternary_witnesses_factors_nothing(run_cli, monkeypatch, name):
+    # subform and split-so5 witnesses name their field by num * den of a and
+    # compare square classes by products, so no check of theirs factors
+    from almin import algebra, arith, quadform
+
+    def refuse(n):
+        raise AssertionError(f"factorize({n}) called")
+
+    for mod in (arith, quadform, algebra):
+        monkeypatch.setattr(mod, "factorize", refuse)
+    r = run_cli("verify", str(CORPUS / "expected" / f"{name}.json"))
+    assert r.code == 0 and r.json["verification"]["ok"] is True
 
 
 def test_analyze_and_verify_do_not_import_sympy(tmp_path):
@@ -289,7 +313,9 @@ WITNESS_CONTEXT = {
 OCTIC = {"kind": "res_sl2", "field": {"poly": [576, 0, -960, 0, 352, 0, -40, 0, 1]}}
 # Q(i) has one complex place, not two real ones
 FORGED_SIGNATURE = {"kind": "res_sl2", "field": {"poly": [1, 0, 1], "signature": [2, 0]}}
-BIG_FIELD = {"kind": "res_sl2", "field": {"poly": [-1000003 * 1000033, 0, 1]}}
+# parsing the cubic x^3 - n factors n = 1000003 * 1000033, past a small rho budget
+BIG_N = 1000003 * 1000033
+BIG_FIELD = {"kind": "res_sl2", "field": {"poly": [-BIG_N, 0, 0, 1]}}
 MALFORMED = json.loads((CORPUS / "malformed.json").read_text())
 ERROR_TABLE = [
     # (reproducer, spec or raw text, {command: (code, error, path)})

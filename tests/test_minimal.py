@@ -142,11 +142,15 @@ def test_orthogonal_descends_by_searched_hyperbolic_plane(diagonal):
         [298800, -66544, 895424, 92818, 839486, -430401, -21103],
         [882415, -26705, -706253, 876801, 607206],
         [-522819, -974990, 338814, 912797, 728404],
+        [110773682, 514191761, -96744405, -21278533, 589915738],
     ],
 )
 def test_orthogonal_witness_factors_no_search_value(diagonal):
-    # these once ended FactorizationExceeded: a search over tail vectors
-    # took the squarefree part of every candidate value, some of 26+ digits
+    # these once ended FactorizationExceeded: the first three because a
+    # search over tail vectors took the squarefree part of every candidate
+    # value, some of 26+ digits; the last because the witness field was named
+    # by the squarefree part of its represented value a, a tail entry of
+    # 30-50 digits, where num(a) den(a) now names it
     g = serde.group_from_doc({"kind": "so", "diagonal": [str(c) for c in diagonal]})
     w = _assert_verified(g, analyze(g))
     back = serde.witness_from_doc(json.loads(json.dumps(serde.witness_to_doc(w))))
@@ -553,6 +557,21 @@ def test_quaternary_square_a_fault_rejected():
     bad = dataclasses.replace(v.witness, embedding=bad_emb)
     report = verify_witness(g, bad)
     assert not report.ok
+
+
+@pytest.mark.parametrize(
+    "c, failures",
+    [(12, []), (27, []), (6, ["conversion field matches the witness field"])],
+)
+def test_witness_field_is_named_by_any_member_of_its_class(c, failures):
+    # so_1m1m135 descends to Q(sqrt(3)), which x^2 - 12 and x^2 - 27 also
+    # certify; x^2 - 6 certifies another field
+    expected = pathlib.Path(__file__).resolve().parent.parent / "corpus" / "expected"
+    doc = json.loads((expected / "so_1m1m135.json").read_text())
+    w = serde.witness_from_doc(doc["witness"])
+    w = dataclasses.replace(w, subgroup=ResSL2(quadratic_field_cert(c)))
+    report = verify_witness(serde.group_from_doc(doc["input"]), w)
+    assert [f.name for f in report.failures] == failures
 
 
 def test_imaginary_field_fault_rejected():
