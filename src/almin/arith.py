@@ -182,12 +182,10 @@ def rational_sqrt(x: Rational) -> Fraction:
 
 
 def _two_adic_split(x: Fraction, p: int) -> tuple[int, int]:
-    """Write x = p^alpha * u with u a p-unit; returns (alpha, u mod p^3) as ints.
-
-    u is returned exactly as an integer congruent to the unit part modulo
-    a power of p large enough for the symbol formulas (we return the exact
-    integer num*den with p-powers removed, which is in the same square class).
-    """
+    """Write x = p^alpha * u with u a p-unit; returns (alpha, u) as ints,
+    u being num * den of x with the powers of p removed: not the unit part
+    itself but an integer in its square class, which is all that Hilbert
+    symbols and square classes read."""
     num, den = x.numerator, x.denominator
     alpha = 0
     while num % p == 0:

@@ -4,12 +4,15 @@ Forms are symmetric Gram matrices of Fractions.  They are evaluated over
 the integers: each form caches its Gram as N / den with N integral, each
 vector is cleared to integers over a common denominator, and a pairing or
 a restricted Gram entry is an integer sum divided once.  The module provides
-congruence diagonalization, signatures, Hasse invariants, local and global
-isotropy tests, the Witt index from those invariants, isotropic vectors
-constructed from theory (a pair c, -c of square classes, Legendre's descent
-for ternary forms, and for dimension >= 4 the splitting step of the proof of
-Hasse-Minkowski), explicit Witt decompositions built on them, and a
-positive nonsquare represented value read off a diagonal.  Ranks,
+congruence diagonalization, signatures, the invariants of a diagonal (one
+bilinear product of Hilbert symbols) and Serre's local criterion on them,
+written once (_local_isotropic) for local and global isotropy tests and the
+Witt index, isotropic vectors constructed from theory (a pair c, -c of
+square classes, Legendre's descent for ternary forms, and for dimension >= 4
+the splitting step of the proof of Hasse-Minkowski, whose candidate values
+are tested against local classes computed once), explicit Witt
+decompositions built on them, and a positive nonsquare represented value
+read off a diagonal.  Ranks,
 independent subsets and primitive integer vectors come from linalg's single
 exact elimination.
 """
@@ -31,7 +34,6 @@ from .arith import (
     hilbert_symbol,
     is_rational_square,
     rational_sqrt,
-    squarefree_part,
 )
 from .linalg import primitive, rref
 
@@ -224,59 +226,40 @@ def signature(f: QuadForm) -> tuple[int, int]:
     return pos, len(cs) - pos
 
 
-def hasse_invariant(f: QuadForm, v: Place) -> int:
-    """Product of hilbert(c_i, c_j)_v over i < j for a diagonalization."""
-    cs = diagonalize(f).coeffs
-    out = 1
-    for i in range(len(cs)):
-        for j in range(i + 1, len(cs)):
-            out *= hilbert_symbol(cs[i], cs[j], v)
-    return out
-
-
-def _is_isotropic_local(f: QuadForm, v: Place) -> bool:
-    cs = diagonalize(f).coeffs
-    n = len(cs)
-    det = Fraction(1)
-    for c in cs:
-        det *= c
-    if isinstance(v, RealPlace):
-        pos = sum(1 for c in cs if c > 0)
-        return pos > 0 and pos < n
-    if n == 1:
-        return False
-    if n == 2:
-        # isotropic iff -det is a square in Q_p
-        return _is_local_square(-det, v.p)
-    if n == 3:
-        return hasse_invariant(f, v) == hilbert_symbol(-1, -det, v)
-    if n == 4:
-        if not _is_local_square(det, v.p):
-            return True
-        return hasse_invariant(f, v) != -hilbert_symbol(-1, -1, v)
-    return True  # every form of rank >= 5 is isotropic at a finite place
-
-
-def _is_local_square(x: Fraction, p: int) -> bool:
-    """Whether x is a square in Q_p for a proven prime p, without factoring:
-    zero, or an even valuation and a unit part that is a square mod p (by
-    Euler's criterion; mod 8 at p = 2)."""
-    x = Fraction(x)
-    if x == 0:
-        return True
+def _square_class(x: Union[int, Fraction], p: int) -> tuple[int, int]:
+    """The class of a nonzero x in Q_p^x / squares, for a proven prime p,
+    without factoring: the parity of its valuation, and its unit part mod 8
+    at p = 2 or that part's Euler residue at odd p.  x is a square in Q_p
+    iff its class is (0, 1)."""
     alpha, u = _two_adic_split(x, p)
-    if alpha % 2:
-        return False
-    if p == 2:
-        return u % 8 == 1
-    return pow(u, (p - 1) // 2, p) == 1
+    return alpha % 2, u % 8 if p == 2 else pow(u, (p - 1) // 2, p)
+
+
+def _local_isotropic(n: int, d: Fraction, e: int, v: FinitePrime) -> bool:
+    """Whether a form of dimension n, discriminant d and Hasse invariant e at
+    the finite place v is isotropic over Q_v (Serre, A Course in Arithmetic
+    IV Thm 6): n = 2: -d is a square in Q_v; n = 3: e = (-1, -d)_v; n = 4:
+    d is not a square in Q_v or e = (-1, -1)_v; n >= 5: always."""
+    if n == 2:
+        return _square_class(-d, v.p) == (0, 1)
+    if n == 3:
+        return e == hilbert_symbol(-1, -d, v)
+    if n == 4:
+        return _square_class(d, v.p) != (0, 1) or e == hilbert_symbol(-1, -1, v)
+    return n >= 5
 
 
 def is_isotropic(f: QuadForm, place: Union[Place, Literal["global"]]) -> bool:
-    """Isotropy over a completion, or over Q ("global", by Hasse-Minkowski)."""
-    if place != "global":
-        return _is_isotropic_local(f, place)
-    return _isotropic(*_invariants(diagonalize(f).coeffs))
+    """Isotropy over a completion, or over Q ("global", by Hasse-Minkowski),
+    from the invariants of a diagonalization."""
+    cs = diagonalize(f).coeffs
+    if place == "global":
+        return _isotropic(*_invariants(cs))
+    if isinstance(place, RealPlace):
+        return 0 < sum(1 for c in cs if c > 0) < len(cs)
+    n, _, d, eps = _invariants(cs, (place.p,))
+    # eps omits a prime dividing no coefficient, where every symbol is 1
+    return _local_isotropic(n, d, eps.get(place, 1), place)
 
 
 def _invariants(
@@ -302,22 +285,14 @@ def _invariants(
 
 
 def _isotropic(n: int, pos: int, d: Fraction, eps: dict[FinitePrime, int]) -> bool:
-    """Hasse-Minkowski on the invariants of _invariants, with the local
-    criteria of Serre, A Course in Arithmetic IV Thm 6: indefinite, and
-    n = 2: -d is a rational square; n = 3: eps_v = (-1, -d)_v; n = 4: d is
-    not a square in Q_v or eps_v = (-1, -1)_v; n >= 5: always."""
+    """Hasse-Minkowski on the invariants of _invariants: indefinite, and
+    for n = 2 -d a rational square, else isotropic at each place of eps
+    (_local_isotropic)."""
     if n < 2 or not 0 < pos < n:
         return False
     if n == 2:
         return is_rational_square(-d)
-    if n == 3:
-        return all(e == hilbert_symbol(-1, -d, v) for v, e in eps.items())
-    if n == 4:
-        return all(
-            not _is_local_square(d, v.p) or e == hilbert_symbol(-1, -1, v)
-            for v, e in eps.items()
-        )
-    return True
+    return all(_local_isotropic(n, d, e, v) for v, e in eps.items())
 
 
 @dataclass(frozen=True)
@@ -353,18 +328,14 @@ class WittDecomposition:
                 return False
         if k == n:
             return True
+        # witt_decompose records the diagonalization of this very block
         cs = diagonalize(QuadForm(tuple(row[k:] for row in g[k:]))).coeffs
-        if cs != tuple(self.anisotropic_coeffs):
-            # coefficients are basis-dependent; require same squarefree classes
-            got = sorted(squarefree_part(c) for c in cs)
-            if got != sorted(squarefree_part(c) for c in self.anisotropic_coeffs):
-                return False
-        return not _isotropic(*_invariants(cs))
+        return cs == tuple(self.anisotropic_coeffs) and not _isotropic(*_invariants(cs))
 
 
 # values k tried for the splitting value t = +-f k of a form of dimension
-# >= 4 (about 70 us each on a form with 15 primes on a 2-vCPU VM, so some
-# 40 s for the whole budget)
+# >= 4 (about 4 us each on a form with 15 primes on a 2-vCPU VM, so some
+# 2 s for the whole budget)
 SPLIT_VALUE_BUDGET = 2**19
 
 
@@ -413,36 +384,59 @@ def _split(cs: list[int], primes: set[int]) -> list[int]:
     no pair c, -c: a zero of q_2 if it has one, or else zeros (x, y, z) of
     <cs_1, cs_2, -t> and (w, z') of q_2 + <t> glued as (x z', y z', w z),
     for the first squarefree t = +-f k, k = 1, 2, ... prime to f, with both
-    isotropic; f is the product of the primes p of 2 cs_1 ... cs_n at which
-    no p-adic unit t makes both isotropic, so every such t is divisible by
-    f.  Such a t exists: q_1(x, y) for any zero (x, y, w) of the form (the
-    splitting step of Hasse-Minkowski; Cassels, Rational Quadratic Forms,
-    ch. 6).  k is at most SPLIT_VALUE_BUDGET."""
-    if _isotropic(*_invariants(cs[2:], primes)):
+    isotropic.  Such a t exists: q_1(x, y) for any zero (x, y, w) of the
+    form (the splitting step of Hasse-Minkowski; Cassels, Rational
+    Quadratic Forms, ch. 6).
+
+    The classes of t that make both isotropic are found once from the
+    invariants of q_1 and q_2: its signs, and its square classes at 2 and
+    at each prime p of a coefficient; f is the product of the p at which
+    every such class has odd valuation.  A candidate t is looked up there,
+    and at each prime q of k outside those places, where every coefficient
+    is a unit, <cs_1, cs_2, -t> is isotropic iff -cs_1 cs_2 is a square mod
+    q, and q_2 + <t> iff -cs_3 cs_4 is (dimension 4) or always (q_2 holds a
+    unit ternary).  At any other prime both are unit forms of dimension
+    >= 3, so isotropic.  k is at most SPLIT_VALUE_BUDGET."""
+    _, pos1, d1, eps1 = _invariants(cs[:2], primes)
+    n2, pos2, d2, eps2 = _invariants(cs[2:], primes)
+    if _isotropic(n2, pos2, d2, eps2):
         return [0, 0] + _isotropic_diag(cs[2:], primes)
 
     def local(t: int, v: FinitePrime) -> bool:
-        return _is_isotropic_local(QuadForm.diagonal(cs[:2] + [-t]), v) and (
-            _is_isotropic_local(QuadForm.diagonal(cs[2:] + [t]), v)
-        )
+        # adding <c> to a form of discriminant d multiplies eps_v by (d, c)_v
+        e1 = eps1.get(v, 1) * hilbert_symbol(d1, -t, v)
+        e2 = eps2.get(v, 1) * hilbert_symbol(d2, t, v)
+        return _local_isotropic(3, -d1 * t, e1, v) and _local_isotropic(n2 + 1, d2 * t, e2, v)
 
-    f = math.prod(
-        v.p
-        for v in _invariants(cs, primes)[3]
-        if not any(local(u, v) for u in _unit_classes(v.p))
-    )
+    signs = {s for s in (1, -1) if 0 < pos1 + (s < 0) < 3 and 0 < pos2 + (s > 0) <= n2}
+    classes = {
+        v.p: {
+            _square_class(t, v.p)
+            for u in _unit_classes(v.p)
+            for t in (u, u * v.p)
+            if local(t, v)
+        }
+        for v in eps1.keys() | eps2.keys()
+    }
+    f = math.prod(p for p, ok in classes.items() if all(odd for odd, _ in ok))
+    away = [-cs[0] * cs[1]] + ([-cs[2] * cs[3]] if n2 == 2 else [])
     for k in range(1, SPLIT_VALUE_BUDGET + 1):
-        ks = factorize(k)
-        if math.gcd(k, f) != 1 or any(e > 1 for e in ks.values()):
+        if math.gcd(k, f) != 1:
             continue
-        with_t = primes | set(ks)
         for t in (f * k, -f * k):
-            if _isotropic(*_invariants(cs[:2] + [-t], with_t)) and _isotropic(
-                *_invariants(cs[2:] + [t], with_t)
+            if (1 if t > 0 else -1) not in signs or not all(
+                _square_class(t, p) in ok for p, ok in classes.items()
             ):
-                x, y, z = _isotropic_diag(cs[:2] + [-t], with_t)
-                *w, z2 = _isotropic_diag(cs[2:] + [t], with_t)
-                return [x * z2, y * z2] + [wi * z for wi in w]
+                continue
+            ks = factorize(k)  # only for a t that every place admits
+            if any(e > 1 for e in ks.values()) or any(
+                pow(m, (q - 1) // 2, q) != 1 for q in ks if q not in classes for m in away
+            ):
+                continue
+            with_t = primes | set(ks)
+            x, y, z = _isotropic_diag(cs[:2] + [-t], with_t)
+            *w, z2 = _isotropic_diag(cs[2:] + [t], with_t)
+            return [x * z2, y * z2] + [wi * z for wi in w]
     raise SearchExhausted(
         f"no splitting value t = +-{f} k with 0 < k <= SPLIT_VALUE_BUDGET ="
         f" {SPLIT_VALUE_BUDGET}"

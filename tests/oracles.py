@@ -11,6 +11,10 @@ the package under test:
   whose partial derivative has small enough valuation for Hensel's lemma;
   conversely a p-adic solution scales to a primitive integral one and
   reduces.
+- local isotropy of a diagonal form of any dimension >= 2, from square
+  classes for binary forms, from the solvability above for ternary ones,
+  and for larger ones by splitting off a binary subform over every square
+  class of Q_p.
 """
 
 from __future__ import annotations
@@ -91,3 +95,37 @@ def oracle_solvable(a, b, place) -> bool:
     if p == 2:
         return _solvable_mod32(a % 32, b % 32)
     return _solvable_odd(a, b, p)
+
+
+def _square_classes(p: int) -> tuple[int, ...]:
+    """Representatives of Q_p^x / squares: {1, r, p, rp} with r the least
+    non-residue for odd p, and {1, 3, 5, 7} times {1, 2} at 2."""
+    if p == 2:
+        units = (1, 3, 5, 7)
+    else:
+        units = (1, next(r for r in range(2, p) if not _is_qr(r, p)))
+    return tuple(u * e for e in (1, p) for u in units)
+
+
+def oracle_isotropic(coeffs, p: int) -> bool:
+    """Is the diagonal form sum c_i x_i^2 with nonzero integer coefficients
+    isotropic over Q_p, for a prime p and at least two coefficients?
+
+    n = 2: -ab is a square in Q_p, that is, its squarefree part is prime to
+    p and a residue mod p (1 mod 8 at 2).  n = 3: oracle_solvable.  n >= 4:
+    <a, b> + R is isotropic iff some t in Q_p^x / squares is represented by
+    <a, b> while -t is represented by R, that is, iff <a, b, -t> and
+    R + <t> are both isotropic (an isotropic form represents every t)."""
+    a, b, *rest = coeffs
+    if not rest:
+        s = squarefree_int(-a * b)
+        if s % p == 0:
+            return False
+        return s % 8 == 1 if p == 2 else _is_qr(s, p)
+    if len(rest) == 1:
+        c = rest[0]
+        return oracle_solvable(Fraction(-a, c), Fraction(-b, c), p)
+    return any(
+        oracle_isotropic([a, b, -t], p) and oracle_isotropic([*rest, t], p)
+        for t in _square_classes(p)
+    )

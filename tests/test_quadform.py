@@ -1,4 +1,6 @@
+import json
 import math
+import pathlib
 import random
 import time
 from fractions import Fraction
@@ -31,9 +33,10 @@ from almin.quadform import (
     witt_decompose,
     witt_index,
 )
-from oracles import oracle_solvable
+from oracles import oracle_isotropic, oracle_solvable
 
 COEFF = st.integers(min_value=-10, max_value=10).filter(lambda n: n != 0)
+GOLDEN = pathlib.Path(__file__).resolve().parent / "golden"
 
 
 def test_diagonalize_congruence():
@@ -68,6 +71,16 @@ def test_ternary_isotropy_matches_independent_oracle(coeffs):
         assert got == want, (coeffs, p)
 
 
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.integers(min_value=-60, max_value=60).filter(lambda n: n != 0), min_size=2, max_size=5))
+def test_local_isotropy_matches_independent_oracle(coeffs):
+    # binary to quinary diagonals: the oracle splits off <c_1, c_2> over
+    # every square class of Q_p and decides each ternary by residues
+    f = QuadForm.diagonal(coeffs)
+    for p in [2, 3, 5, 7, 11]:
+        assert is_isotropic(f, FinitePrime(p)) == oracle_isotropic(coeffs, p), (coeffs, p)
+
+
 def test_global_isotropy_examples():
     assert is_isotropic(QuadForm.diagonal([1, -1]), "global")
     assert not is_isotropic(QuadForm.diagonal([1, 1]), "global")
@@ -79,8 +92,9 @@ def test_global_isotropy_examples():
 
 
 def test_global_isotropy_matches_local_criteria_random():
-    # the global test reads the invariants once; the local one diagonalizes
-    # per place and is checked against the residue oracle above
+    # the global test reads the invariants once, at the primes of the
+    # coefficients only and with its own rule for n = 2; the local one reads
+    # them per place and is checked against the residue oracles above
     rng = random.Random(20261018)
     for _ in range(300):
         n = rng.randint(1, 6)
@@ -158,6 +172,42 @@ def test_find_isotropic_vector_hand_cases():
     _assert_primitive_zero(f, find_isotropic_vector(f))
     assert time.perf_counter() - t0 < 1
     assert find_isotropic_vector(QuadForm.diagonal([1, 1, -1000000007])) is None
+
+
+def test_find_isotropic_vector_matches_golden():
+    # 120 seeded diagonals of dimension 4-7 pin the constructed vectors, so
+    # a change in how a splitting value or a descent is chosen shows here
+    rng = random.Random(11)
+    got = []
+    for _ in range(120):
+        n = rng.randint(4, 7)
+        cs = [rng.choice((-1, 1)) * rng.randint(1, 3000) for _ in range(n)]
+        v = find_isotropic_vector(QuadForm.diagonal(cs))
+        got.append({"coeffs": cs, "vector": None if v is None else [str(x) for x in v]})
+    golden = json.loads((GOLDEN / "isotropic_vectors.json").read_text(encoding="utf-8"))
+    assert got == golden
+
+
+def test_slow_splitting_values_are_found_fast():
+    # the four-dimensional form splits at t = -112,497 and the quaternary
+    # half of the six-dimensional one at t = 42,793, both with f = 1, so k
+    # runs that far; each candidate is looked up against local classes
+    # computed once per split
+    cases = [
+        (
+            [65, 5403402997, -113977878001895, 42235001863347],
+            (32191330808708599222, -2275644905308529, 28928677039110, 1024368086727),
+        ),
+        (
+            [-859330872, -667482186, -143854036, -649779681, 250732367, 794515346],
+            (0, 0, 109053497307502, -84092112120527, -107808887991439, -65334954003971),
+        ),
+    ]
+    for cs, want in cases:
+        t0 = time.perf_counter()
+        v = find_isotropic_vector(QuadForm.diagonal(cs))
+        assert time.perf_counter() - t0 < 5, cs
+        assert v == want, cs
 
 
 def test_split_value_budget(monkeypatch):
@@ -402,6 +452,10 @@ def test_altered_witt_basis_fails_the_check():
             assert not bad.check()
             # a tail coefficient moved to another square class
             cs = (-w.anisotropic_coeffs[0],) + w.anisotropic_coeffs[1:]
+            bad = WittDecomposition(f, w.hyperbolic_pairs, w.anisotropic_basis, cs)
+            assert not bad.check()
+            # the same square class, but not the recorded diagonalization
+            cs = (4 * w.anisotropic_coeffs[0],) + w.anisotropic_coeffs[1:]
             bad = WittDecomposition(f, w.hyperbolic_pairs, w.anisotropic_basis, cs)
             assert not bad.check()
         altered += 1
