@@ -19,6 +19,10 @@ while it is parsed (an empty form, m < 2, a dimension below 3) is a
 parse_error at its path; invalid_spec covers only refusals made during
 analysis, such as a listed subfield that fails its embedding check.
 
+A command imports the engine modules it runs when it runs, so a cold
+`selftest` or `roots` loads only arith, linalg and roots, and the error
+ladder in main is imported only when an exception reaches it.
+
 Exit codes: 0 decided (minimal or not minimal, or requested data printed);
 1 parse/internal error; 2 not applicable; 3 search exhausted, effort budget
 exceeded, or unsupported.
@@ -32,19 +36,8 @@ import os
 import sys
 from fractions import Fraction
 
-from . import arith, polys, qgroup, serde
+from . import arith
 from .arith import REAL, FinitePrime, hilbert_symbol, relevant_places
-from .algebra import QuaternionAlgebra, ramification_set
-from .minimal import InternalSoundnessError, NotMinimal, analyze
-from .quadform import (
-    QuadForm,
-    SearchExhausted,
-    diagonalize,
-    is_isotropic,
-    witt_decompose,
-)
-from .serde import ParseError, rat_to_str
-from .verify import verify_witness
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -58,7 +51,9 @@ def _emit(doc, out) -> None:
 
 
 def _fail(out, code: int, error: str, detail: str, path: str = "") -> int:
-    doc = {"schema": serde.SCHEMA, "error": error, "detail": detail}
+    from .serde import SCHEMA
+
+    doc = {"schema": SCHEMA, "error": error, "detail": detail}
     if path:
         doc["path"] = path
     _emit(doc, out)
@@ -72,11 +67,22 @@ def _load_json(source: str):
         return json.load(fh)
 
 
-def _parse_coeff_list(text: str) -> list[Fraction]:
+def _bad_argument(message: str):
+    """The parse_error at $ of a malformed command-line argument."""
+    from .serde import ParseError
+
+    return ParseError("$", message)
+
+
+def _parse_coeff(text: str) -> Fraction:
     try:
-        return [Fraction(part.strip()) for part in text.split(",") if part.strip()]
+        return Fraction(text.strip())
     except (ValueError, ZeroDivisionError) as exc:
-        raise ParseError("$", f"bad coefficient list {text!r}: {exc}") from None
+        raise _bad_argument(f"bad coefficient {text!r}: {exc}") from None
+
+
+def _parse_coeff_list(text: str) -> list[Fraction]:
+    return [_parse_coeff(part) for part in text.split(",") if part.strip()]
 
 
 def _parse_place(text: str):
@@ -85,7 +91,7 @@ def _parse_place(text: str):
     try:
         return FinitePrime(int(text))
     except Exception as exc:
-        raise ParseError("$", f"bad place {text!r}: {exc}") from None
+        raise _bad_argument(f"bad place {text!r}: {exc}") from None
 
 
 # --------------------------------------------------------------------------
@@ -93,6 +99,9 @@ def _parse_place(text: str):
 
 
 def cmd_analyze(args, out) -> int:
+    from . import serde
+    from .minimal import analyze
+
     raw = _load_json(args.path)
     verdict = analyze(serde.group_from_doc(raw))
     _emit(serde.verdict_to_doc(raw, verdict), out)
@@ -100,6 +109,8 @@ def cmd_analyze(args, out) -> int:
 
 
 def cmd_rank(args, out) -> int:
+    from . import qgroup, serde
+
     profile = qgroup.rank_profile(serde.group_from_doc(_load_json(args.path)))
     _emit(
         {
@@ -113,6 +124,9 @@ def cmd_rank(args, out) -> int:
 
 
 def cmd_witness(args, out) -> int:
+    from . import serde
+    from .minimal import NotMinimal, analyze
+
     raw = _load_json(args.path)
     verdict = analyze(serde.group_from_doc(raw))
     if not isinstance(verdict, NotMinimal):
@@ -126,9 +140,12 @@ def cmd_witness(args, out) -> int:
 
 
 def cmd_verify(args, out) -> int:
+    from . import qgroup, serde
+    from .verify import verify_witness
+
     raw = _load_json(args.path)
     if not isinstance(raw, dict) or raw.get("schema") != serde.SCHEMA:
-        raise ParseError("$.schema", f"expected schema {serde.SCHEMA}")
+        raise serde.ParseError("$.schema", f"expected schema {serde.SCHEMA}")
     if raw.get("verdict") != "not_minimal":
         return _fail(
             out,
@@ -150,12 +167,14 @@ def cmd_verify(args, out) -> int:
 def cmd_form(args, out) -> int:
     sub = args.form_command
     if sub == "hilbert":
-        a, b = Fraction(args.a), Fraction(args.b)
+        a, b = _parse_coeff(args.a), _parse_coeff(args.b)
         v = _parse_place(args.place)
         out.write(f"{hilbert_symbol(a, b, v)}\n")
         return EXIT_OK
     if sub == "ramify":
-        d = QuaternionAlgebra(Fraction(args.a), Fraction(args.b))
+        from .algebra import QuaternionAlgebra, ramification_set
+
+        d = QuaternionAlgebra(_parse_coeff(args.a), _parse_coeff(args.b))
         places = ramification_set(d)
         doc = sorted(p.p for p in places if isinstance(p, FinitePrime))
         if any(not isinstance(p, FinitePrime) for p in places):
@@ -163,6 +182,9 @@ def cmd_form(args, out) -> int:
         else:
             _emit({"finite": doc, "infinite": False}, out)
         return EXIT_OK
+    from .quadform import QuadForm, diagonalize, is_isotropic, witt_decompose
+    from .serde import rat_to_str
+
     text = args.coeffs.strip()
     if text.startswith("["):
         try:
@@ -171,7 +193,7 @@ def cmd_form(args, out) -> int:
                 [[Fraction(v) for v in row] for row in rows]
             )
         except (ValueError, TypeError, json.JSONDecodeError) as exc:
-            raise ParseError("$", f"bad gram matrix: {exc}") from None
+            raise _bad_argument(f"bad gram matrix: {exc}") from None
     else:
         f = QuadForm.diagonal(_parse_coeff_list(text))
     if sub == "diag":
@@ -202,7 +224,7 @@ def cmd_form(args, out) -> int:
 
 
 def cmd_roots(args, out) -> int:
-    from . import roots  # only the two root-system commands need it
+    from . import roots
 
     report = roots.full_report()
     ok = True
@@ -377,32 +399,43 @@ _COMMANDS = {
 }
 
 
+def _error_ladder():
+    """(exception types, exit code, error tag) for each error document, in
+    the order main tries them: JSONDecodeError, ParseError and InvalidSpec
+    are ValueErrors, so they precede the catch-all."""
+    from . import polys, qgroup
+    from .minimal import InternalSoundnessError
+    from .quadform import SearchExhausted
+    from .serde import ParseError
+
+    return (
+        ((OSError, json.JSONDecodeError), EXIT_ERROR, "read_error"),
+        (ParseError, EXIT_ERROR, "parse_error"),
+        (qgroup.InvalidSpec, EXIT_ERROR, "invalid_spec"),
+        (SearchExhausted, EXIT_EXHAUSTED, "search_exhausted"),
+        ((qgroup.Unsupported, polys.IrreducibilityUnproven), EXIT_EXHAUSTED, "unsupported"),
+        (arith.FactorizationExceeded, EXIT_EXHAUSTED, "factorization_exceeded"),
+        (InternalSoundnessError, EXIT_ERROR, "internal_error"),
+        ((ValueError, ZeroDivisionError), EXIT_ERROR, "invalid_input"),
+    )
+
+
 def main(argv=None) -> int:
-    """Run one command.  Every error document comes from the ladder below:
-    JSONDecodeError, ParseError and InvalidSpec are ValueErrors, so they
-    precede the catch-all."""
+    """Run one command.  Every error document comes from _error_ladder; an
+    exception it does not name propagates."""
     args = build_parser().parse_args(argv)
     out = sys.stdout
     try:
         return _COMMANDS[args.command](args, out)
     except BrokenPipeError:
         raise  # stdout was closed: no document can be written
-    except (OSError, json.JSONDecodeError) as exc:
-        return _fail(out, EXIT_ERROR, "read_error", str(exc))
-    except ParseError as exc:
-        return _fail(out, EXIT_ERROR, "parse_error", exc.message, exc.path)
-    except qgroup.InvalidSpec as exc:
-        return _fail(out, EXIT_ERROR, "invalid_spec", str(exc))
-    except SearchExhausted as exc:
-        return _fail(out, EXIT_EXHAUSTED, "search_exhausted", str(exc))
-    except (qgroup.Unsupported, polys.IrreducibilityUnproven) as exc:
-        return _fail(out, EXIT_EXHAUSTED, "unsupported", str(exc))
-    except arith.FactorizationExceeded as exc:
-        return _fail(out, EXIT_EXHAUSTED, "factorization_exceeded", str(exc))
-    except InternalSoundnessError as exc:
-        return _fail(out, EXIT_ERROR, "internal_error", str(exc))
-    except (ValueError, ZeroDivisionError) as exc:
-        return _fail(out, EXIT_ERROR, "invalid_input", str(exc))
+    except Exception as exc:
+        for types, code, error in _error_ladder():
+            if isinstance(exc, types):
+                if error == "parse_error":
+                    return _fail(out, code, error, exc.message, exc.path)
+                return _fail(out, code, error, str(exc))
+        raise
 
 
 def run(argv=None) -> int:

@@ -9,7 +9,7 @@ verification with no shared in-memory state.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Any, Optional
+from typing import TYPE_CHECKING, Any, Optional
 
 from . import arith, polys
 from .algebra import (
@@ -18,13 +18,6 @@ from .algebra import (
     QuatForm,
     QuatSecondKindForm,
     QuaternionAlgebra,
-)
-from .minimal import (
-    Minimal,
-    NotApplicable,
-    NotMinimal,
-    UnsupportedVerdict,
-    Verdict,
 )
 from .numfield import (
     NumberFieldCert,
@@ -58,6 +51,9 @@ from .verify import (
     VerifyReport,
     Witness,
 )
+
+if TYPE_CHECKING:
+    from .minimal import Verdict
 
 SCHEMA = "almin/1"
 
@@ -606,6 +602,8 @@ def report_to_doc(r: VerifyReport) -> dict:
 
 
 def verdict_to_doc(input_doc: Any, verdict: Verdict) -> dict:
+    from .minimal import Minimal, NotApplicable, NotMinimal, UnsupportedVerdict
+
     doc: dict = {"schema": SCHEMA, "input": input_doc}
     if isinstance(verdict, Minimal):
         doc["verdict"] = "minimal"
@@ -630,6 +628,8 @@ def verdict_to_doc(input_doc: Any, verdict: Verdict) -> dict:
 
 
 def exit_code_for(verdict: Verdict) -> int:
+    from .minimal import Minimal, NotApplicable, NotMinimal
+
     if isinstance(verdict, (Minimal, NotMinimal)):
         return 0
     if isinstance(verdict, NotApplicable):

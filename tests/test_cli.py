@@ -115,6 +115,26 @@ def test_form_ramify(run_cli):
     assert r2.json == {"finite": [2, 3], "infinite": False}
 
 
+# A malformed number is a parse_error at $ in every form subcommand; a zero
+# is well formed, and the symbol or the algebra refuses it
+@pytest.mark.parametrize(
+    "argv,want",
+    [
+        (("form", "hilbert", "1/0", "3", "2"), (1, "parse_error", "$")),
+        (("form", "hilbert", "abc", "3", "2"), (1, "parse_error", "$")),
+        (("form", "hilbert", "2", "3", "x"), (1, "parse_error", "$")),
+        (("form", "hilbert", "0", "3", "2"), (1, "invalid_input", None)),
+        (("form", "ramify", "2", "1/0"), (1, "parse_error", "$")),
+        (("form", "ramify", "abc", "3"), (1, "parse_error", "$")),
+        (("form", "ramify", "0", "3"), (1, "invalid_input", None)),
+        (("form", "witt", "1/0"), (1, "parse_error", "$")),
+    ],
+)
+def test_form_argument_errors(run_cli, argv, want):
+    r = run_cli(*argv)
+    assert (r.code, r.json["error"], r.json.get("path")) == want
+
+
 def test_form_witt_and_diag(run_cli):
     r = run_cli("form", "witt", "1,-1,-1,3,5")
     assert r.json["witt_index"] == 1
@@ -125,17 +145,18 @@ def test_form_witt_and_diag(run_cli):
 
 def test_form_witt_with_a_ten_digit_prime(run_cli, monkeypatch):
     # the isotropic vector comes from Legendre descent; a height-bounded
-    # search ended this in search_exhausted (exit 3)
-    from almin import cli
+    # search ended this in search_exhausted (exit 3).  cmd_form imports
+    # witt_decompose from quadform when it runs, so it is patched there
+    from almin import quadform
 
     made = []
 
     def recording(f):
-        made.append(cli_witt(f))
+        made.append(real_witt(f))
         return made[-1]
 
-    cli_witt = cli.witt_decompose
-    monkeypatch.setattr(cli, "witt_decompose", recording)
+    real_witt = quadform.witt_decompose
+    monkeypatch.setattr(quadform, "witt_decompose", recording)
     r = run_cli("form", "witt", "1,1,-1000000009")
     assert r.code == 0
     assert r.json["witt_index"] == 1 and r.json["anisotropic_dimension"] == 1
@@ -244,6 +265,72 @@ def test_verify_of_quaternary_witnesses_factors_nothing(run_cli, monkeypatch, na
     assert r.code == 0 and r.json["verification"]["ok"] is True
 
 
+def _fresh_python(code: str) -> str:
+    """The stdout of `code` run in a new interpreter that imports almin from src/."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    p = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert p.returncode == 0, p.stderr
+    return p.stdout
+
+
+def _modules_after(*argv) -> list[str]:
+    """The almin modules a fresh interpreter holds after one cli.main(argv)."""
+    code = f"""
+import contextlib, io, json, sys
+from almin import cli
+with contextlib.redirect_stdout(io.StringIO()):
+    assert cli.main({list(argv)!r}) == 0
+print(json.dumps(sorted(m for m in sys.modules if m == "almin" or m.startswith("almin."))))
+"""
+    return json.loads(_fresh_python(code))
+
+
+@pytest.mark.parametrize("command", ["selftest", "roots"])
+def test_root_system_commands_load_no_rank_engine(command):
+    assert _modules_after(command) == [
+        "almin",
+        "almin.arith",
+        "almin.cli",
+        "almin.linalg",
+        "almin.roots",
+    ]
+
+
+def test_verify_loads_neither_minimal_nor_roots():
+    loaded = _modules_after("verify", str(CORPUS / "expected" / "sp4.json"))
+    assert "almin.verify" in loaded
+    assert "almin.minimal" not in loaded and "almin.roots" not in loaded
+
+
+def test_analyze_loads_no_roots():
+    loaded = _modules_after("analyze", corpus("sp4"))
+    assert "almin.minimal" in loaded and "almin.roots" not in loaded
+
+
+def test_import_almin_loads_no_submodule():
+    code = "import json, sys, almin; print(json.dumps([m for m in sys.modules if m.startswith('almin.')]))"
+    assert json.loads(_fresh_python(code)) == []
+
+
+def test_lazy_names_are_their_home_modules_attributes():
+    import importlib
+
+    import almin
+
+    assert len(almin.__all__) == len(set(almin.__all__)) == 61
+    for name in almin.__all__:
+        home = importlib.import_module(f"almin.{almin._HOME[name]}")
+        assert getattr(almin, name) is getattr(home, name), name
+    namespace = {}
+    exec("from almin import *", namespace)
+    assert all(namespace[name] is getattr(almin, name) for name in almin.__all__)
+    with pytest.raises(AttributeError):
+        almin.no_such_name
+
+
 def test_analyze_and_verify_do_not_import_sympy(tmp_path):
     verdict = tmp_path / "verdict.json"
     code = f"""
@@ -257,13 +344,7 @@ with contextlib.redirect_stdout(io.StringIO()):
     assert cli.main(["verify", {str(verdict)!r}]) == 0
 print("sympy" in sys.modules)
 """
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    p = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120
-    )
-    assert p.returncode == 0, p.stderr
-    assert p.stdout.strip() == "False"
+    assert _fresh_python(code).strip() == "False"
     assert json.loads(verdict.read_text())["verdict"] == "not_minimal"
 
 
