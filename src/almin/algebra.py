@@ -6,8 +6,6 @@ groups over quaternion algebras to orthogonal or field data.
 
 from __future__ import annotations
 
-import dataclasses
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence, Union
 
@@ -31,6 +29,7 @@ from .numfield import (
 )
 from .linalg import primitive, rref
 from .quadform import QuadForm
+from .value import Value
 
 Scalar = Union[Fraction, QuadElement]
 
@@ -55,8 +54,7 @@ class Degenerate(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class QuaternionAlgebra:
+class QuaternionAlgebra(Value):
     """(a, b) over Q: i^2 = a, j^2 = b, ij = -ji."""
 
     a: Fraction
@@ -103,8 +101,7 @@ def _is_zero_scalar(v: Scalar) -> bool:
     return v == 0
 
 
-@dataclass(frozen=True)
-class QuatElement:
+class QuatElement(Value):
     """t + x i + y j + z ij with coefficients rational or in a quadratic
     field (the latter realizes the scalar extension D tensor L)."""
 
@@ -221,8 +218,7 @@ def is_ramified_at_infinity(d: QuaternionAlgebra) -> bool:
     return hilbert_symbol(d.a, d.b, REAL) == -1
 
 
-@dataclass(frozen=True)
-class SplittingField:
+class SplittingField(Value):
     field: QuadraticField
     witness: tuple[Fraction, Fraction, Fraction]  # (c1, c2, c3)
     value: Fraction  # a c1^2 + b c2^2 - ab c3^2, with sqrt(value) in D
@@ -257,8 +253,7 @@ def find_splitting_quadratic(
     )
 
 
-@dataclass(frozen=True)
-class HermForm:
+class HermForm(Value):
     """Hermitian form over a quadratic field L with its conjugation."""
 
     field: QuadraticField
@@ -290,8 +285,7 @@ class HermForm:
         return len(self.matrix)
 
 
-@dataclass(frozen=True)
-class QuatForm:
+class QuatForm(Value):
     """Diagonal hermitian or skew-hermitian form over a quaternion algebra
     with its canonical involution, plus a count of leading hyperbolic planes."""
 
@@ -316,17 +310,16 @@ class QuatForm:
         return 2 * self.hyperbolic_count + len(self.diagonal)
 
 
-@dataclass(frozen=True)
-class QuatSecondKindForm:
+class QuatSecondKindForm(Value):
     """Hermitian form over D = D' tensor L with the second-kind involution
-    int(unit) o (canonical involution tensor conjugation of L)."""
+    int(unit) o (canonical involution tensor conjugation of L).  The
+    attribute unit_inverse is computed once, here; it is not a field."""
 
     l_field: QuadraticField
     inner_algebra: QuaternionAlgebra
     unit: QuatElement
     diagonal: tuple[QuatElement, ...]
     hyperbolic_count: int = 0
-    unit_inverse: QuatElement = dataclasses.field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         u = self.unit
@@ -426,8 +419,7 @@ def b2_realization(d: QuaternionAlgebra, h: QuatForm) -> QuadForm:
     return QuadForm.diagonal([4, 4 * r, -4 * r * a, -4 * r * b, 4 * r * a * b])
 
 
-@dataclass(frozen=True)
-class SkewRestriction:
+class SkewRestriction(Value):
     alpha: QuatElement
     fprime: QuadraticField
     c: QuadElement  # a3^{-1} a4 expressed inside F'

@@ -8,9 +8,10 @@ All values are immutable and all functions are pure.  Rationals are
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Union
+
+from .value import Value
 
 Rational = Union[int, Fraction]
 
@@ -33,14 +34,12 @@ class FactorizationExceeded(RuntimeError):
     """Raised when factoring an input exceeds the configured effort budget."""
 
 
-@dataclass(frozen=True)
-class RealPlace:
+class RealPlace(Value):
     def __repr__(self) -> str:
         return "RealPlace()"
 
 
-@dataclass(frozen=True)
-class FinitePrime:
+class FinitePrime(Value):
     p: int
 
     def __post_init__(self):
@@ -179,6 +178,13 @@ def rational_sqrt(x: Rational) -> Fraction:
     """The nonnegative square root of a rational square x."""
     x = Fraction(x)
     return Fraction(math.isqrt(x.numerator), math.isqrt(x.denominator))
+
+
+def rat_to_str(x: Rational) -> str:
+    """x as "n" or "n/d" in lowest terms, the form of every rational in a
+    document."""
+    x = Fraction(x)
+    return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
 
 
 def _two_adic_split(x: Fraction, p: int) -> tuple[int, int]:

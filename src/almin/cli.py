@@ -20,8 +20,9 @@ parse_error at its path; invalid_spec covers only refusals made during
 analysis, such as a listed subfield that fails its embedding check.
 
 A command imports the engine modules it runs when it runs, so a cold
-`selftest` or `roots` loads only arith, linalg and roots, and the error
-ladder in main is imported only when an exception reaches it.
+`selftest` or `roots` loads only arith, linalg, roots and value, a cold
+`form diag|witt|isotropic` only arith, linalg, quadform and value, and the
+error ladder in main is imported only when an exception reaches it.
 
 Exit codes: 0 decided (minimal or not minimal, or requested data printed);
 1 parse/internal error; 2 not applicable; 3 search exhausted, effort budget
@@ -37,7 +38,7 @@ import sys
 from fractions import Fraction
 
 from . import arith
-from .arith import REAL, FinitePrime, hilbert_symbol, relevant_places
+from .arith import REAL, FinitePrime, hilbert_symbol, rat_to_str, relevant_places
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -183,7 +184,6 @@ def cmd_form(args, out) -> int:
             _emit({"finite": doc, "infinite": False}, out)
         return EXIT_OK
     from .quadform import QuadForm, diagonalize, is_isotropic, witt_decompose
-    from .serde import rat_to_str
 
     text = args.coeffs.strip()
     if text.startswith("["):

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Optional, Union
 
@@ -47,6 +46,7 @@ from .qgroup import (
     real_rank,
 )
 from .quadform import QuadForm, represent_constrained
+from .value import Value, replace
 
 # the certificate types, also read as almin.minimal.X by callers
 from .verify import (
@@ -74,25 +74,21 @@ class InternalSoundnessError(AssertionError):
 # Verdicts
 
 
-@dataclass(frozen=True)
-class Minimal:
+class Minimal(Value):
     matched_case: str  # one of "i", "ii", "iii", "iv"
     derivation: tuple[DerivationStep, ...]
 
 
-@dataclass(frozen=True)
-class NotMinimal:
+class NotMinimal(Value):
     witness: Witness
     report: VerifyReport  # verify_witness of the witness inside the parent
 
 
-@dataclass(frozen=True)
-class NotApplicable:
+class NotApplicable(Value):
     reason: str
 
 
-@dataclass(frozen=True)
-class UnsupportedVerdict:
+class UnsupportedVerdict(Value):
     reason: str
 
 

@@ -14,12 +14,12 @@ field has a computed list.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import polys
 from .arith import is_prime, is_rational_square, rational_sqrt, squarefree_part
 from .polys import Poly
+from .value import Value
 
 
 class NotSquarefree(ValueError):
@@ -34,8 +34,7 @@ class InvalidCertificate(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class QuadraticField:
+class QuadraticField(Value):
     """The field Q(sqrt(d)) for a squarefree integer d not in {0, 1}."""
 
     d: int
@@ -55,8 +54,7 @@ class QuadraticField:
         return QuadElement(self, Fraction(0), Fraction(1))
 
 
-@dataclass(frozen=True)
-class QuadElement:
+class QuadElement(Value):
     """x + y*sqrt(d) in a quadratic field."""
 
     fld: QuadraticField
@@ -159,8 +157,7 @@ def is_square_in_quadfield(e: QuadElement) -> bool:
     return False
 
 
-@dataclass(frozen=True)
-class SubfieldCert:
+class SubfieldCert(Value):
     """A proper subfield given by its defining polynomial and an embedding:
     a polynomial expression of a root of sub_poly in the parent power basis."""
 
@@ -172,8 +169,7 @@ class SubfieldCert:
         return SubfieldCert(polys.poly(sub_poly), polys.poly(embedding))
 
 
-@dataclass(frozen=True)
-class NumberFieldCert:
+class NumberFieldCert(Value):
     defining_poly: Poly
     degree: int
     signature: tuple[int, int]

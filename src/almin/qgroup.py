@@ -10,7 +10,6 @@ rank-2 skew cases into restrictions of scalars).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Union
 
@@ -28,6 +27,7 @@ from .algebra import (
 from .arith import is_rational_square, rational_sqrt, squarefree_part
 from .numfield import NumberFieldCert, QuadElement, QuadraticField
 from .quadform import QuadForm, witt_index
+from .value import Value
 
 
 class NotAlmostSimple(ValueError):
@@ -46,8 +46,7 @@ class InvalidSpec(ValueError):
 # GroupSpec variants
 
 
-@dataclass(frozen=True)
-class SpecialLinear:
+class SpecialLinear(Value):
     """SL_m over Q (algebra None) or SL_m(D) for a quaternion algebra D."""
 
     m: int
@@ -58,8 +57,7 @@ class SpecialLinear:
             raise InvalidSpec("m must be at least 2")
 
 
-@dataclass(frozen=True)
-class Orthogonal:
+class Orthogonal(Value):
     form: QuadForm
 
     def __post_init__(self):
@@ -68,8 +66,7 @@ class Orthogonal:
         quadform.diagonalize(self.form)  # raises Degenerate
 
 
-@dataclass(frozen=True)
-class Symplectic:
+class Symplectic(Value):
     """Sp_{2n}."""
 
     n: int
@@ -79,8 +76,7 @@ class Symplectic:
             raise InvalidSpec("n must be positive")
 
 
-@dataclass(frozen=True)
-class Unitary2:
+class Unitary2(Value):
     """SU_n(L, f, conjugation) for a quadratic field L."""
 
     form: HermForm
@@ -90,8 +86,7 @@ class Unitary2:
             raise InvalidSpec("empty hermitian form")
 
 
-@dataclass(frozen=True)
-class Unitary2Quat:
+class Unitary2Quat(Value):
     """SU_n(D, f, tau) for D = D' tensor L with a second-kind involution."""
 
     form: QuatSecondKindForm
@@ -101,8 +96,7 @@ class Unitary2Quat:
             raise InvalidSpec("empty second-kind quaternionic form")
 
 
-@dataclass(frozen=True)
-class Unitary1:
+class Unitary1(Value):
     """SU_n(D, f) for a first-kind (hermitian or skew-hermitian) form."""
 
     form: QuatForm
@@ -112,15 +106,13 @@ class Unitary1:
             raise InvalidSpec("empty quaternionic form")
 
 
-@dataclass(frozen=True)
-class ResSL2:
+class ResSL2(Value):
     """Restriction of scalars of SL2 from the field of the certificate."""
 
     field: NumberFieldCert
 
 
-@dataclass(frozen=True)
-class ResSU3:
+class ResSU3(Value):
     """Restriction of scalars, from the quadratic field k_field, of the
     quasisplit special unitary group of the standard form
     x1*conj(x1) - x2*conj(x2) - x3*conj(x3) on the quadratic extension
@@ -167,8 +159,7 @@ GroupSpec = Union[
 ]
 
 
-@dataclass(frozen=True)
-class RankProfile:
+class RankProfile(Value):
     q_rank: int
     real_rank: int
 
@@ -567,8 +558,7 @@ def _skew_split_real_signature(f: QuatForm) -> tuple[int, int]:
 # Absolute almost-simplicity
 
 
-@dataclass(frozen=True)
-class ConvertibleTo:
+class ConvertibleTo(Value):
     spec: GroupSpec
     reason: str
 

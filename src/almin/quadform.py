@@ -20,7 +20,6 @@ exact elimination.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 from typing import Iterable, Literal, Optional, Sequence, Union
@@ -36,6 +35,7 @@ from .arith import (
     rational_sqrt,
 )
 from .linalg import primitive, rref
+from .value import Value
 
 Matrix = tuple[tuple[Fraction, ...], ...]
 Vector = tuple[Fraction, ...]
@@ -57,8 +57,7 @@ def _mat(rows: Sequence[Sequence]) -> Matrix:
     return tuple(tuple(Fraction(x) for x in row) for row in rows)
 
 
-@dataclass(frozen=True)
-class QuadForm:
+class QuadForm(Value):
     gram: Matrix
 
     @staticmethod
@@ -152,8 +151,7 @@ def _det(g: Matrix) -> Fraction:
     return det
 
 
-@dataclass(frozen=True)
-class DiagForm:
+class DiagForm(Value):
     """A diagonalization q(Bx) = sum coeffs[i] x_i^2: B^T G B = diag(coeffs)."""
 
     coeffs: tuple[Fraction, ...]
@@ -295,8 +293,7 @@ def _isotropic(n: int, pos: int, d: Fraction, eps: dict[FinitePrime, int]) -> bo
     return all(_local_isotropic(n, d, e, v) for v, e in eps.items())
 
 
-@dataclass(frozen=True)
-class WittDecomposition:
+class WittDecomposition(Value):
     """hyperbolic_pairs are (u, v) with q(u)=q(v)=0, B(u,v)=1, in source coords.
     anisotropic_basis spans the orthogonal complement; anisotropic_coeffs is a
     diagonalization of the restricted form."""
@@ -668,8 +665,7 @@ def witt_index(f: QuadForm) -> int:
     return index
 
 
-@dataclass(frozen=True)
-class RepresentedValue:
+class RepresentedValue(Value):
     value: Fraction
     vector: Vector  # in the coordinates of the diagonal coefficients
 

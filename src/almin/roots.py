@@ -15,11 +15,11 @@ once, the normals, and the height functional.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
 from .linalg import primitive, rref
+from .value import Value
 
 Vec = tuple[int, ...]
 
@@ -52,8 +52,7 @@ def _reflect(beta: Vec, alpha: Vec) -> Vec:
     return tuple(b - c * a for b, a in zip(beta, alpha))
 
 
-@dataclass(frozen=True)
-class RootSystem:
+class RootSystem(Value):
     type_tag: str
     roots: frozenset[Vec]
     base: tuple[Vec, ...]
@@ -191,8 +190,7 @@ def from_base_coeffs(sys: RootSystem, coeffs: Sequence[int]) -> Vec:
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class RootSubset:
+class RootSubset(Value):
     system: RootSystem
     generators: frozenset[Vec]
 
@@ -202,8 +200,7 @@ class RootSubset:
                 raise NotARoot(f"{g} is not a root of the ambient system")
 
 
-@dataclass(frozen=True)
-class Subsystem:
+class Subsystem(Value):
     """A closed subsystem with an identified type decomposition."""
 
     ambient: RootSystem
@@ -389,8 +386,7 @@ def minimal_root(sys: RootSystem) -> Vec:
 # The hard-coded verification suites
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(Value):
     name: str
     passed: bool
     detail: str

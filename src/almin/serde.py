@@ -19,6 +19,7 @@ from .algebra import (
     QuatSecondKindForm,
     QuaternionAlgebra,
 )
+from .arith import rat_to_str
 from .numfield import (
     NumberFieldCert,
     QuadElement as LElement,
@@ -69,11 +70,6 @@ class ParseError(ValueError):
 
 # --------------------------------------------------------------------------
 # Scalars
-
-
-def rat_to_str(x) -> str:
-    x = Fraction(x)
-    return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
 
 
 def rat_from(obj: Any, path: str) -> Fraction:

@@ -16,7 +16,6 @@ path is factored.  The witness's own ranks come from q_rank and real_rank.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Union
 
@@ -47,21 +46,20 @@ from .qgroup import (
     real_rank,
 )
 from .quadform import QuadForm
+from .value import Value
 
 
 # --------------------------------------------------------------------------
 # Embedding data
 
 
-@dataclass(frozen=True)
-class TraceRealizationContext:
+class TraceRealizationContext(Value):
     """Subform vectors live in the 5-dimensional trace realization of the
     hyperbolic quaternion-hermitian plane of the parent (recomputed fresh
     during verification)."""
 
 
-@dataclass(frozen=True)
-class SubformIndices:
+class SubformIndices(Value):
     """Four pairwise-orthogonal vectors spanning a quaternary subform whose
     special orthogonal group is the restriction of scalars of SL2 named by
     the witness; a_value is the represented value produced by the witness
@@ -76,8 +74,7 @@ class SubformIndices:
     context: Optional[TraceRealizationContext] = None
 
 
-@dataclass(frozen=True)
-class SubfieldElement:
+class SubfieldElement(Value):
     """c = a c1^2 + b c2^2 - a b c3^2: a square inside the quaternion algebra
     generating the quadratic field of the witness."""
 
@@ -85,15 +82,13 @@ class SubfieldElement:
     coords: tuple[Fraction, Fraction, Fraction]
 
 
-@dataclass(frozen=True)
-class BlockEmbedding:
+class BlockEmbedding(Value):
     """A 3x3 coordinate block of a special linear group."""
 
     offset: int = 0
 
 
-@dataclass(frozen=True)
-class SplitSO5:
+class SplitSO5(Value):
     """The split five-dimensional form <1,-1,-1,1,a> inside a group of
     rational rank at least 2, with the chosen positive nonsquare a.  The
     pairs (c0, c1) and (c2, c3) of form_coeffs are the two hyperbolic
@@ -103,8 +98,7 @@ class SplitSO5:
     a_value: Fraction
 
 
-@dataclass(frozen=True)
-class CompositumTower:
+class CompositumTower(Value):
     """K = E.L with K0 the fixed field of the product conjugation; E is a
     splitting field of the inner quaternion algebra, certified by the
     represented value e_value of its pure norm form."""
@@ -117,8 +111,7 @@ class CompositumTower:
     k_cert: NumberFieldCert
 
 
-@dataclass(frozen=True)
-class PureQuaternionTower:
+class PureQuaternionTower(Value):
     """alpha anticommutes with the two chosen skew diagonal entries; F' is
     the quadratic field it generates, c = a3^{-1} a4 in F', and k_cert
     certifies K = F'(sqrt(-c)) of degree 4."""
@@ -132,8 +125,7 @@ class PureQuaternionTower:
     k_is_biquadratic: bool
 
 
-@dataclass(frozen=True)
-class SubfieldRestriction:
+class SubfieldRestriction(Value):
     """Descent to a certified proper subfield."""
 
     cert: SubfieldCert
@@ -154,28 +146,24 @@ EmbeddingData = Union[
 # Witnesses and reports
 
 
-@dataclass(frozen=True)
-class DerivationStep:
+class DerivationStep(Value):
     rule: str
     detail: str
 
 
-@dataclass(frozen=True)
-class Witness:
+class Witness(Value):
     subgroup: GroupSpec
     embedding: EmbeddingData
     derivation: tuple[DerivationStep, ...]
 
 
-@dataclass(frozen=True)
-class VerifyCheck:
+class VerifyCheck(Value):
     name: str
     passed: bool
     detail: str
 
 
-@dataclass(frozen=True)
-class VerifyReport:
+class VerifyReport(Value):
     ok: bool
     checks: tuple[VerifyCheck, ...]
 

@@ -2,7 +2,6 @@
 prints a single PASS line when it holds (run with -v or -s to see them)."""
 
 import contextlib
-import dataclasses
 import io
 import json
 import pathlib
@@ -36,6 +35,7 @@ from almin.qgroup import (
     q_rank,
     real_rank,
 )
+from almin.value import replace
 from almin import cli, minimal, roots, serde, verify
 from oracles import PRIMES_LE_50, oracle_solvable
 
@@ -107,12 +107,12 @@ def test_criterion_2_verified_witnesses_and_fault_rejection():
     # fault 1: a square value of `a` makes the claimed subgroup split apart
     g = Symplectic(2)
     w = analyze(g).witness
-    bad_emb = dataclasses.replace(
+    bad_emb = replace(
         w.embedding,
         a_value=Fraction(4),
         form_coeffs=w.embedding.form_coeffs[:4] + (Fraction(4),),
     )
-    report = verify_witness(g, dataclasses.replace(w, embedding=bad_emb))
+    report = verify_witness(g, replace(w, embedding=bad_emb))
     assert not report.ok
     assert any(
         "a is a rational square => subgroup not almost simple" in (c.name + c.detail)
@@ -121,7 +121,7 @@ def test_criterion_2_verified_witnesses_and_fault_rejection():
 
     # fault 2: an imaginary field drops the real rank below 2
     g2, w2 = witnesses[1]
-    bad = dataclasses.replace(w2, subgroup=ResSL2(quadratic_field_cert(-1)))
+    bad = replace(w2, subgroup=ResSL2(quadratic_field_cert(-1)))
     report2 = verify_witness(g2, bad)
     assert not report2.ok
     assert any("real_rank = 1" in c.detail for c in report2.failures)

@@ -296,6 +296,23 @@ def test_root_system_commands_load_no_rank_engine(command):
         "almin.cli",
         "almin.linalg",
         "almin.roots",
+        "almin.value",
+    ]
+
+
+@pytest.mark.parametrize(
+    "argv", [("form", "diag", "1,2,3"), ("form", "witt", "1,-1,2"), ("form", "isotropic", "1,1,-2")]
+)
+def test_quadratic_form_commands_load_no_document_schema(argv):
+    # the rationals are written by arith.rat_to_str, so serde and the rank
+    # engine stay unloaded
+    assert _modules_after(*argv) == [
+        "almin",
+        "almin.arith",
+        "almin.cli",
+        "almin.linalg",
+        "almin.quadform",
+        "almin.value",
     ]
 
 

@@ -1,5 +1,4 @@
 import collections
-import dataclasses
 import json
 import pathlib
 import random
@@ -39,6 +38,7 @@ from almin.qgroup import (
     q_rank,
     real_rank,
 )
+from almin.value import replace
 
 
 def _assert_verified(g, verdict):
@@ -534,12 +534,12 @@ def test_square_a_fault_rejected():
     assert isinstance(v, NotMinimal)
     emb = v.witness.embedding
     assert isinstance(emb, SplitSO5)
-    bad_emb = dataclasses.replace(
+    bad_emb = replace(
         emb,
         a_value=Fraction(4),
         form_coeffs=emb.form_coeffs[:4] + (Fraction(4),),
     )
-    bad = dataclasses.replace(v.witness, embedding=bad_emb)
+    bad = replace(v.witness, embedding=bad_emb)
     report = verify_witness(g, bad)
     assert not report.ok
     msgs = [c.detail for c in report.failures] + [c.name for c in report.failures]
@@ -553,8 +553,8 @@ def test_quaternary_square_a_fault_rejected():
     v = analyze(g)
     emb = v.witness.embedding
     # scale the represented value by a square-killing corruption: claim a = 9
-    bad_emb = dataclasses.replace(emb, a_value=Fraction(9))
-    bad = dataclasses.replace(v.witness, embedding=bad_emb)
+    bad_emb = replace(emb, a_value=Fraction(9))
+    bad = replace(v.witness, embedding=bad_emb)
     report = verify_witness(g, bad)
     assert not report.ok
 
@@ -569,7 +569,7 @@ def test_witness_field_is_named_by_any_member_of_its_class(c, failures):
     expected = pathlib.Path(__file__).resolve().parent.parent / "corpus" / "expected"
     doc = json.loads((expected / "so_1m1m135.json").read_text())
     w = serde.witness_from_doc(doc["witness"])
-    w = dataclasses.replace(w, subgroup=ResSL2(quadratic_field_cert(c)))
+    w = replace(w, subgroup=ResSL2(quadratic_field_cert(c)))
     report = verify_witness(serde.group_from_doc(doc["input"]), w)
     assert [f.name for f in report.failures] == failures
 
@@ -582,7 +582,7 @@ def test_imaginary_field_fault_rejected():
     v = analyze(g)
     w = v.witness
     bad_sub = ResSL2(quadratic_field_cert(-1))
-    bad = dataclasses.replace(w, subgroup=bad_sub)
+    bad = replace(w, subgroup=bad_sub)
     report = verify_witness(g, bad)
     assert not report.ok
     assert any("real_rank = 1" in c.detail for c in report.failures)
@@ -591,7 +591,7 @@ def test_imaginary_field_fault_rejected():
 def test_wrong_subgroup_shape_rejected():
     g = SpecialLinear(4)
     v = analyze(g)
-    bad = dataclasses.replace(v.witness, subgroup=SpecialLinear(2))
+    bad = replace(v.witness, subgroup=SpecialLinear(2))
     report = verify_witness(g, bad)
     assert not report.ok
 
@@ -658,8 +658,8 @@ def test_quaternary_isotropy_is_read_from_the_first_basis_pair():
     w = analyze(g).witness
     b = w.embedding.basis
     assert [g.form.value(v) for v in b] == [1, -1, -1, 3]
-    bad_emb = dataclasses.replace(w.embedding, basis=(b[0], b[3], b[1], b[2]))
-    report = verify_witness(g, dataclasses.replace(w, embedding=bad_emb))
+    bad_emb = replace(w.embedding, basis=(b[0], b[3], b[1], b[2]))
+    report = verify_witness(g, replace(w, embedding=bad_emb))
     assert [c.name for c in report.failures] == ["restricted subform isotropic over Q"]
 
 
@@ -670,8 +670,8 @@ def test_split_so5_reads_splitness_from_the_witness_form():
     w = analyze(g).witness
     a = w.embedding.a_value
     coeffs = tuple(map(Fraction, (1, 1, -1, -1))) + (a,)
-    bad_emb = dataclasses.replace(w.embedding, form_coeffs=coeffs)
-    report = verify_witness(g, dataclasses.replace(w, embedding=bad_emb))
+    bad_emb = replace(w.embedding, form_coeffs=coeffs)
+    report = verify_witness(g, replace(w, embedding=bad_emb))
     assert [c.name for c in report.failures] == [
         "form is <1,-1,-1,1,a>",
         "five-dimensional form is split",
