@@ -1,8 +1,9 @@
 """Exact integer and rational number theory: factorization, square classes,
 and Hilbert symbols over the places of the rationals.
 
-All values are immutable and all functions are pure.  Rationals are
-`fractions.Fraction` throughout; places are `RealPlace` or `FinitePrime`.
+All values are immutable and all functions are pure.  A rational is an
+`int` or a `fractions.Fraction`; functions that return a rational return a
+`Fraction`.  Places are `RealPlace` or `FinitePrime`.
 """
 
 from __future__ import annotations
@@ -187,7 +188,7 @@ def rat_to_str(x: Rational) -> str:
     return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
 
 
-def _two_adic_split(x: Fraction, p: int) -> tuple[int, int]:
+def _two_adic_split(x: Rational, p: int) -> tuple[int, int]:
     """Write x = p^alpha * u with u a p-unit; returns (alpha, u) as ints,
     u being num * den of x with the powers of p removed: not the unit part
     itself but an integer in its square class, which is all that Hilbert
@@ -205,9 +206,8 @@ def _two_adic_split(x: Fraction, p: int) -> tuple[int, int]:
 
 def hilbert_symbol(a: Rational, b: Rational, v: Place) -> int:
     """Hilbert symbol (a,b)_v: +1 iff z^2 = a x^2 + b y^2 has a nontrivial
-    solution over the completion at v."""
-    a = Fraction(a)
-    b = Fraction(b)
+    solution over the completion at v.  a and b are ints or Fractions, read
+    through .numerator and .denominator, which both types have."""
     if a == 0 or b == 0:
         raise ZeroInput("hilbert symbol needs nonzero arguments")
     if isinstance(v, RealPlace):
@@ -236,11 +236,11 @@ def hilbert_symbol(a: Rational, b: Rational, v: Place) -> int:
 
 def relevant_places(values: Iterable[Rational]) -> list[Place]:
     """The real place, 2, and every odd prime dividing a numerator or
-    denominator of the given nonzero rationals.  Hilbert symbols in the
-    values are +1 away from this set."""
+    denominator of the given nonzero rationals (ints or Fractions; a zero
+    is skipped).  Hilbert symbols in the values are +1 away from this
+    set."""
     primes = {2}
     for x in values:
-        x = Fraction(x)
         if x == 0:
             continue
         primes.update(factorize(x.numerator * x.denominator))

@@ -8,15 +8,15 @@ type is identified by matching Cartan matrices node by node, and
 simple-connectedness of the corresponding standard subgroup is decided by
 the long-root span criterion, with span membership read from integer
 normals to the span.  Heights are the values of one linear functional.
-Every elimination is linalg.rref: coordinates of many vectors in a base at
-once, the normals, and the height functional.
+Both eliminations, the normals and the height functional, are linalg.rref,
+which works on integer rows; every other step is integer arithmetic.
 """
 
 from __future__ import annotations
 
 import itertools
-from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from operator import mul
+from typing import Iterable, Sequence
 
 from .linalg import primitive, rref
 from .value import Value
@@ -33,7 +33,7 @@ class NotARoot(ValueError):
 
 
 def _dot(u: Vec, v: Vec) -> int:
-    return sum(a * b for a, b in zip(u, v))
+    return sum(map(mul, u, v))
 
 
 def _add(u: Vec, v: Vec) -> Vec:
@@ -45,7 +45,11 @@ def _neg(u: Vec) -> Vec:
 
 
 def _reflect(beta: Vec, alpha: Vec) -> Vec:
+    """beta - 2 (beta, alpha) / (alpha, alpha) alpha; beta itself when the
+    two are orthogonal."""
     num = 2 * _dot(beta, alpha)
+    if not num:
+        return beta
     den = _dot(alpha, alpha)
     assert num % den == 0, "reflection left the lattice"
     c = num // den
@@ -155,29 +159,6 @@ def root_system(type_tag: str) -> RootSystem:
     )
     assert expected is None or len(roots) == expected, (type_tag, len(roots))
     return RootSystem(type_tag, roots, base)
-
-
-def _coordinates(
-    base: Sequence[Vec], vectors: Sequence[Vec]
-) -> list[Optional[tuple[Fraction, ...]]]:
-    """The coordinates of each vector in the base, or None for a vector
-    outside its span, from one elimination of the base augmented by all the
-    vectors: a column lies in the span of the base columns iff it vanishes
-    in every row whose pivot is not a base column, and then its entries in
-    the other rows are its coordinates on the pivot base columns."""
-    k = len(base)
-    rows, pivots = rref(list(zip(*base, *vectors)))
-    r = sum(1 for c in pivots if c < k)
-    out: list[Optional[tuple[Fraction, ...]]] = []
-    for j in range(k, k + len(vectors)):
-        if any(row[j] for row in rows[r:]):
-            out.append(None)
-            continue
-        coords = [Fraction(0)] * k
-        for row, c in zip(rows, pivots[:r]):
-            coords[c] = row[j]
-        out.append(tuple(coords))
-    return out
 
 
 def from_base_coeffs(sys: RootSystem, coeffs: Sequence[int]) -> Vec:

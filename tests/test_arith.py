@@ -113,6 +113,51 @@ def test_hilbert_bimultiplicative(a, b, c):
         ) * hilbert_symbol(c, b, v)
 
 
+def test_hilbert_symbol_reads_ints_and_fractions_alike():
+    places = [REAL] + [FinitePrime(p) for p in PRIMES_LE_50[:6]]
+    for a in range(-12, 13):
+        for b in range(-12, 13):
+            if a == 0 or b == 0:
+                continue
+            for v in places:
+                want = hilbert_symbol(a, b, v)
+                assert hilbert_symbol(Fraction(a), b, v) == want
+                assert hilbert_symbol(a, Fraction(b), v) == want
+                assert hilbert_symbol(Fraction(a), Fraction(b), v) == want
+
+
+def test_hilbert_symbol_matches_oracle_on_rationals_with_denominators():
+    rng = random.Random(24)
+    for _ in range(300):
+        a, b = (
+            Fraction(rng.choice([n for n in range(-40, 41) if n]), rng.randint(2, 40))
+            for _ in range(2)
+        )
+        for p in [0] + PRIMES_LE_50[:6]:
+            v = REAL if p == 0 else FinitePrime(p)
+            assert hilbert_symbol(a, b, v) == (1 if oracle_solvable(a, b, p) else -1), (a, b, p)
+
+
+@pytest.mark.parametrize("zero", [0, Fraction(0)])
+def test_hilbert_symbol_refuses_zero_in_either_argument(zero):
+    for v in (REAL, FinitePrime(2), FinitePrime(3)):
+        with pytest.raises(ZeroInput):
+            hilbert_symbol(zero, 3, v)
+        with pytest.raises(ZeroInput):
+            hilbert_symbol(Fraction(-2, 5), zero, v)
+
+
+def test_relevant_places_read_ints_and_fractions_alike():
+    want = [REAL] + [FinitePrime(p) for p in (2, 3, 5, 7, 11)]
+    assert relevant_places([15, Fraction(-7, 11), 0]) == want
+    assert relevant_places([Fraction(15), Fraction(-7, 11), Fraction(0)]) == want
+    rng = random.Random(25)
+    for _ in range(100):
+        xs = [Fraction(rng.randint(-60, 60), rng.randint(1, 60)) for _ in range(3)]
+        mixed = [int(x) if x.denominator == 1 else x for x in xs]
+        assert relevant_places(mixed) == relevant_places(xs)
+
+
 def test_relevant_places_cover_ramification():
     places = relevant_places([-1, -1])
     assert REAL in places and FinitePrime(2) in places

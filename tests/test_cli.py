@@ -198,6 +198,27 @@ def test_selftest_line_and_determinism(run_cli):
     assert r2.stdout == r.stdout
 
 
+def test_hilbert_selftest_builds_no_fraction():
+    # the table and the product formula hand ints to hilbert_symbol and
+    # relevant_places, which read them as they are
+    from fractions import Fraction
+
+    from almin import cli
+
+    new, built = Fraction.__dict__["__new__"], []
+
+    def counting_new(cls, *args, **kwargs):
+        built.append(args)
+        return new.__func__(cls, *args, **kwargs)
+
+    Fraction.__new__ = staticmethod(counting_new)
+    try:
+        ok = cli._hilbert_selftest()
+    finally:
+        Fraction.__new__ = new
+    assert ok and built == []
+
+
 def test_analyze_deterministic_output(run_cli):
     a = run_cli("analyze", corpus("so_1m1m135")).stdout
     b = run_cli("analyze", corpus("so_1m1m135")).stdout

@@ -19,6 +19,27 @@ from almin.roots import RootSubset
 # The former eliminations
 
 
+def _old_rref(rows):
+    """The Gauss-Jordan elimination over Fractions that linalg.rref was:
+    each pivot row divided by its pivot as it is chosen."""
+    m = [[Fraction(x) for x in row] for row in rows]
+    pivots = []
+    for c in range(len(m[0]) if m else 0):
+        r = len(pivots)
+        piv = next((i for i in range(r, len(m)) if m[i][c] != 0), None)
+        if piv is None:
+            continue
+        m[r], m[piv] = m[piv], m[r]
+        pr = m[r][c]
+        m[r] = [x / pr for x in m[r]]
+        for i in range(len(m)):
+            if i != r and m[i][c] != 0:
+                f = m[i][c]
+                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
+        pivots.append(c)
+    return m[: len(pivots)], pivots
+
+
 def _old_rank(rows):
     m = [row[:] for row in rows]
     rank = 0
@@ -214,6 +235,31 @@ def _old_components(base):
 
 
 # --------------------------------------------------------------------------
+# Coordinates in a base, read from one elimination
+
+
+def coordinates(base, vectors):
+    """The coordinates of each vector in the base, or None for a vector
+    outside its span, from one elimination of the base augmented by all the
+    vectors: a column lies in the span of the base columns iff it vanishes
+    in every row whose pivot is not a base column, and then its entries in
+    the other rows are its coordinates on the pivot base columns."""
+    k = len(base)
+    rows, pivots = rref(list(zip(*base, *vectors)))
+    r = sum(1 for c in pivots if c < k)
+    out = []
+    for j in range(k, k + len(vectors)):
+        if any(row[j] for row in rows[r:]):
+            out.append(None)
+            continue
+        coords = [Fraction(0)] * k
+        for row, c in zip(rows, pivots[:r]):
+            coords[c] = row[j]
+        out.append(tuple(coords))
+    return out
+
+
+# --------------------------------------------------------------------------
 # Seeded random rational matrices
 
 
@@ -237,6 +283,43 @@ def _draws(seed, count=300):
     rng = random.Random(seed)
     for _ in range(count):
         yield rng, _matrix(rng, rng.randint(1, 5), rng.randint(1, 5))
+
+
+def _assert_same_rref(m):
+    rows, pivots = rref(m)
+    old_rows, old_pivots = _old_rref(m)
+    assert pivots == old_pivots
+    assert len(rows) == len(old_rows)
+    for row, old_row, c in zip(rows, old_rows, pivots):
+        assert all(type(x) is Fraction for x in row)
+        assert row == old_row
+        # 0 left of the pivot, 1 on it
+        assert not any(row[:c]) and row[c] == 1
+
+
+def _mixed_rows(rng):
+    """A matrix of ints and Fractions with denominators up to 12, with zero
+    entries and whole zero rows."""
+    k = rng.randint(1, 6)
+
+    def entry():
+        x = rng.randint(-9, 9) if rng.random() < 0.6 else 0
+        return Fraction(x, rng.randint(1, 12)) if rng.random() < 0.5 else x
+
+    return [
+        [entry() for _ in range(k)] if rng.random() < 0.8 else [0] * k
+        for _ in range(rng.randint(1, 6))
+    ]
+
+
+def test_rref_matches_the_fraction_elimination_entry_for_entry():
+    for _, m in _draws(8):
+        _assert_same_rref(m)
+    rng = random.Random(9)
+    for _ in range(500):
+        _assert_same_rref(_mixed_rows(rng))
+    _assert_same_rref([[0, 0], [0, 0]])
+    assert rref([]) == ([], [])
 
 
 def test_rref_rank_and_row_space_match_the_old_elimination():
@@ -301,9 +384,9 @@ def test_coordinates_match_the_old_span_test_and_solve():
             for cs in ([_q(rng) for _ in base] for _ in range(4))
         ]
         span = [list(row) for row in base]
-        together = roots._coordinates(base, vectors)
+        together = coordinates(base, vectors)
         for v, coords in zip(vectors, together):
-            assert coords == roots._coordinates(base, [v])[0]
+            assert coords == coordinates(base, [v])[0]
             assert (coords is not None) == _old_in_span(span, v)
             assert coords == _old_simple_combination(base, v)
 

@@ -4,7 +4,6 @@ from almin.roots import (
     NotARoot,
     Reducible,
     RootSubset,
-    _coordinates,
     closed_subsystem,
     f4_c3_check,
     full_report,
@@ -16,6 +15,7 @@ from almin.roots import (
     triality_orbit_check,
     verify_e6_identities,
 )
+from test_linalg import coordinates
 
 
 def test_root_counts():
@@ -37,7 +37,7 @@ def test_unknown_type_rejected():
 
 def test_simple_combination_roundtrip():
     sys = root_system("F4")
-    for coeffs in _coordinates(sys.base, sorted(sys.roots)):
+    for coeffs in coordinates(sys.base, sorted(sys.roots)):
         signs = {1 if c > 0 else -1 for c in coeffs if c != 0}
         assert len(signs) == 1  # roots are one-signed in the base
         for c in coeffs:
@@ -48,7 +48,7 @@ def test_highest_and_minimal_roots():
     e6 = root_system("E6")
     hr = highest_root(e6)
     assert minimal_root(e6) == tuple(-x for x in hr)
-    assert sum(_coordinates(e6.base, [hr])[0]) == 11  # 1+2+2+3+2+1
+    assert sum(coordinates(e6.base, [hr])[0]) == 11  # 1+2+2+3+2+1
     with pytest.raises(Reducible):
         # two orthogonal A1 bases do not have a highest root
         import almin.roots as roots_mod
@@ -122,10 +122,11 @@ def test_full_report_all_pass():
 
 def test_suite_makes_few_reflections_and_fractions():
     """The subsystems are reflection orbits of their generators and the
-    highest root and span tests take one small elimination each, so the
-    D4, E6 and F4 checks stay within a fixed number of reflections and
-    Fractions (the all-pairs closure and the elimination over all roots
-    made 6,768 and 12,556)."""
+    highest root and span tests take one small elimination each, on integer
+    rows, so the D4, E6 and F4 checks stay within a fixed number of
+    reflections and Fractions (the all-pairs closure and the elimination
+    over all roots made 6,768 and 12,556; the elimination over Fractions
+    made 942 Fractions, and on integer rows it makes 186)."""
     import almin.roots as roots_mod
     from fractions import Fraction
 
@@ -150,7 +151,7 @@ def test_suite_makes_few_reflections_and_fractions():
         Fraction.__new__ = new
     assert all(r.passed for r in results)
     assert len(reflections) <= 2000, len(reflections)
-    assert len(fractions) <= 3000, len(fractions)
+    assert len(fractions) <= 200, len(fractions)
 
 
 def test_suite_closes_each_subsystem_once(monkeypatch):
