@@ -4,12 +4,18 @@ All rationals serialize as exact strings ("p/q" or "n"); nothing is ever a
 float.  Every document round-trips: parse(serialize(x)) reconstructs x, and
 a serialized not-minimal verdict carries enough data to re-run witness
 verification with no shared in-memory state.
+
+Group specifications and field certificates are written by hand.  The
+records of verify (a witness, its embedding and derivation steps, a
+verification report) are written from their own fields: a record's document
+keys are its field names, and each field's annotation picks its codec.
 """
 
 from __future__ import annotations
 
+import functools
 from fractions import Fraction
-from typing import TYPE_CHECKING, Any, Optional
+from typing import TYPE_CHECKING, Any, Optional, get_args
 
 from . import arith, polys
 from .algebra import (
@@ -43,12 +49,14 @@ from .verify import (
     BlockEmbedding,
     CompositumTower,
     DerivationStep,
+    EmbeddingData,
     PureQuaternionTower,
     SplitSO5,
     SubfieldElement,
     SubfieldRestriction,
     SubformIndices,
     TraceRealizationContext,
+    VerifyCheck,
     VerifyReport,
     Witness,
 )
@@ -91,13 +99,22 @@ def _int_from(obj: Any, path: str) -> int:
     return obj
 
 
-def _flag_from(doc: dict, key: str, default: bool, path: str) -> bool:
-    value = doc.get(key, default)
-    if not isinstance(value, bool):
-        raise ParseError(
-            f"{path}.{key}", f"expected a boolean, got {type(value).__name__}"
-        )
-    return value
+def _list(obj: Any, path: str) -> list:
+    if not isinstance(obj, list):
+        raise ParseError(path, "expected a list")
+    return obj
+
+
+def _bool_from(obj: Any, path: str) -> bool:
+    if not isinstance(obj, bool):
+        raise ParseError(path, f"expected a boolean, got {type(obj).__name__}")
+    return obj
+
+
+def _str_from(obj: Any, path: str) -> str:
+    if not isinstance(obj, str):
+        raise ParseError(path, f"expected a string, got {type(obj).__name__}")
+    return obj
 
 
 def _require(doc: dict, key: str, path: str) -> Any:
@@ -109,9 +126,7 @@ def _require(doc: dict, key: str, path: str) -> Any:
 
 
 def _rat_list(obj: Any, path: str) -> tuple[Fraction, ...]:
-    if not isinstance(obj, list):
-        raise ParseError(path, "expected a list")
-    return tuple(rat_from(v, f"{path}[{i}]") for i, v in enumerate(obj))
+    return tuple(rat_from(v, f"{path}[{i}]") for i, v in enumerate(_list(obj, path)))
 
 
 # entry of an L-vector: rational string or pair [x, y] meaning x + y*sqrt(d);
@@ -132,6 +147,14 @@ def lentry_from(obj: Any, path: str):
             raise ParseError(path, "field element pair must have two entries")
         return (rat_from(obj[0], f"{path}[0]"), rat_from(obj[1], f"{path}[1]"))
     return rat_from(obj, path)
+
+
+def _vectors_from(obj: Any, path: str) -> tuple:
+    """A list of L-vectors, each entry read by lentry_from."""
+    return tuple(
+        tuple(lentry_from(x, f"{path}[{i}][{j}]") for j, x in enumerate(_list(v, f"{path}[{i}]")))
+        for i, v in enumerate(_list(obj, path))
+    )
 
 
 def quat_to_doc(e: QuatElement) -> list:
@@ -202,7 +225,7 @@ def cert_from(obj: Any, path: str) -> NumberFieldCert:
     ]
     subs = tuple(
         subcert_from(s, f"{path}.subfields[{i}]")
-        for i, s in enumerate(obj.get("subfields", []))
+        for i, s in enumerate(_list(obj.get("subfields", []), f"{path}.subfields"))
     )
     try:
         cert = field_cert(coeffs, subfields=subs)
@@ -319,13 +342,8 @@ def group_from_doc(doc: Any, path: str = "$", in_witness: bool = False) -> Group
             if "diagonal" in doc:
                 coeffs = _rat_list(doc["diagonal"], f"{path}.diagonal")
                 return Orthogonal(QuadForm.diagonal(list(coeffs)))
-            rows = _require(doc, "gram", path)
-            if not isinstance(rows, list):
-                raise ParseError(f"{path}.gram", "expected a matrix")
-            gram = [
-                list(_rat_list(row, f"{path}.gram[{i}]"))
-                for i, row in enumerate(rows)
-            ]
+            rows = _list(_require(doc, "gram", path), f"{path}.gram")
+            gram = [list(_rat_list(row, f"{path}.gram[{i}]")) for i, row in enumerate(rows)]
             return Orthogonal(QuadForm.from_rows(gram))
         if kind == "sp":
             return Symplectic(_int_from(_require(doc, "n", path), f"{path}.n"))
@@ -335,21 +353,12 @@ def group_from_doc(doc: Any, path: str = "$", in_witness: bool = False) -> Group
             if "diagonal" in doc:
                 coeffs = _rat_list(doc["diagonal"], f"{path}.diagonal")
                 return Unitary2(HermForm.diagonal(fld, list(coeffs)))
-            rows = _require(doc, "matrix", path)
-            if not isinstance(rows, list):
-                raise ParseError(f"{path}.matrix", "expected a matrix")
-            matrix = []
-            for i, row in enumerate(rows):
-                if not isinstance(row, list):
-                    raise ParseError(f"{path}.matrix[{i}]", "expected a row")
-                out_row = []
-                for j, v in enumerate(row):
-                    e = lentry_from(v, f"{path}.matrix[{i}][{j}]")
-                    out_row.append(
-                        fld.element(*e) if isinstance(e, tuple) else fld.element(e)
-                    )
-                matrix.append(tuple(out_row))
-            return Unitary2(HermForm(fld, tuple(matrix)))
+            rows = _vectors_from(_require(doc, "matrix", path), f"{path}.matrix")
+            matrix = tuple(
+                tuple(fld.element(*e) if isinstance(e, tuple) else fld.element(e) for e in row)
+                for row in rows
+            )
+            return Unitary2(HermForm(fld, matrix))
         if kind == "su2quat":
             l_d = _int_from(_require(doc, "l_d", path), f"{path}.l_d")
             l_field = QuadraticField(l_d)
@@ -384,16 +393,14 @@ def group_from_doc(doc: Any, path: str = "$", in_witness: bool = False) -> Group
             return ResSL2(cert_from(_require(doc, "field", path), f"{path}.field"))
         if kind == "res_su3":
             k_d = _int_from(_require(doc, "k_d", path), f"{path}.k_d")
-            witness_context = _flag_from(doc, "witness_context", False, path)
+            context_path = f"{path}.witness_context"
+            witness_context = _bool_from(doc.get("witness_context", False), context_path)
             if witness_context and not in_witness:
-                raise ParseError(
-                    f"{path}.witness_context",
-                    "only a witness subgroup may set witness_context",
-                )
+                raise ParseError(context_path, "only a witness subgroup may set witness_context")
             return ResSU3(
                 QuadraticField(k_d),
                 cert_from(_require(doc, "l_quartic", path), f"{path}.l_quartic"),
-                std_form=_flag_from(doc, "std_form", True, path),
+                std_form=_bool_from(doc.get("std_form", True), f"{path}.std_form"),
                 witness_context=witness_context,
             )
     except _PASS_THROUGH:
@@ -404,197 +411,129 @@ def group_from_doc(doc: Any, path: str = "$", in_witness: bool = False) -> Group
 
 
 # --------------------------------------------------------------------------
-# Embedding data
+# Witness records, field by field; a tagged record opens with "type"
 
 
-def _vec_to_doc(v) -> list:
-    return [lentry_to_doc(x) for x in v]
+def _coords_from(obj: Any, path: str) -> tuple[Fraction, ...]:
+    coords = _rat_list(obj, path)
+    if len(coords) != 3:
+        raise ParseError(path, "expected three coordinates")
+    return coords
 
 
-def _vec_from(obj: Any, path: str) -> tuple:
-    if not isinstance(obj, list):
-        raise ParseError(path, "expected a vector")
-    return tuple(lentry_from(x, f"{path}[{i}]") for i, x in enumerate(obj))
+def _indices_from(obj: Any, path: str) -> tuple[int, int]:
+    if not isinstance(obj, list) or len(obj) != 2:
+        raise ParseError(path, "expected two indices")
+    return (_int_from(obj[0], f"{path}[0]"), _int_from(obj[1], f"{path}[1]"))
 
 
-def embedding_to_doc(emb) -> dict:
-    if isinstance(emb, SubformIndices):
-        ctx: Any = None
-        if isinstance(emb.context, TraceRealizationContext):
-            ctx = {"type": "trace-realization"}
-        return {
-            "type": "subform",
-            "basis": [_vec_to_doc(v) for v in emb.basis],
-            "tail_coeffs": _vec_to_doc(emb.tail_coeffs),
-            "a_value": rat_to_str(emb.a_value),
-            "witness_vector": _vec_to_doc(emb.witness_vector),
-            "context": ctx,
-        }
-    if isinstance(emb, SubfieldElement):
-        return {
-            "type": "subfield-element",
-            "c_value": rat_to_str(emb.c_value),
-            "coords": _vec_to_doc(emb.coords),
-        }
-    if isinstance(emb, BlockEmbedding):
-        return {"type": "block", "offset": emb.offset}
-    if isinstance(emb, SplitSO5):
-        return {
-            "type": "split-so5",
-            "form_coeffs": _vec_to_doc(emb.form_coeffs),
-            "a_value": rat_to_str(emb.a_value),
-        }
-    if isinstance(emb, CompositumTower):
-        return {
-            "type": "compositum-tower",
-            "e_value": rat_to_str(emb.e_value),
-            "e_class": emb.e_class,
-            "e_coords": _vec_to_doc(emb.e_coords),
-            "l_class": emb.l_class,
-            "k0_class": emb.k0_class,
-            "k_cert": cert_to_doc(emb.k_cert),
-        }
-    if isinstance(emb, PureQuaternionTower):
-        return {
-            "type": "pure-quaternion-tower",
-            "entry_indices": list(emb.entry_indices),
-            "alpha_coords": _vec_to_doc(emb.alpha_coords),
-            "fprime_class": emb.fprime_class,
-            "c_x": rat_to_str(emb.c_x),
-            "c_y": rat_to_str(emb.c_y),
-            "k_cert": cert_to_doc(emb.k_cert),
-            "k_is_biquadratic": emb.k_is_biquadratic,
-        }
-    if isinstance(emb, SubfieldRestriction):
-        return {"type": "subfield-restriction", "cert": subcert_to_doc(emb.cert)}
-    raise TypeError(f"unknown embedding {type(emb)!r}")
+_TAGS = {
+    "subform": SubformIndices,
+    "subfield-element": SubfieldElement,
+    "block": BlockEmbedding,
+    "split-so5": SplitSO5,
+    "compositum-tower": CompositumTower,
+    "pure-quaternion-tower": PureQuaternionTower,
+    "subfield-restriction": SubfieldRestriction,
+    "trace-realization": TraceRealizationContext,
+}
+_TAG_OF = {cls: tag for tag, cls in _TAGS.items()}
 
 
-def embedding_from_doc(doc: Any, path: str):
-    t = _require(doc, "type", path)
-    if t == "subform":
-        ctx_doc = doc.get("context")
-        ctx = None
-        if ctx_doc is not None:
-            ct = _require(ctx_doc, "type", f"{path}.context")
-            if ct == "trace-realization":
-                ctx = TraceRealizationContext()
-            else:
-                raise ParseError(f"{path}.context.type", f"unknown context {ct!r}")
-        basis_doc = _require(doc, "basis", path)
-        if not isinstance(basis_doc, list):
-            raise ParseError(f"{path}.basis", "expected a list of vectors")
-        return SubformIndices(
-            basis=tuple(
-                _vec_from(v, f"{path}.basis[{i}]") for i, v in enumerate(basis_doc)
-            ),
-            tail_coeffs=_rat_list(
-                _require(doc, "tail_coeffs", path), f"{path}.tail_coeffs"
-            ),
-            a_value=rat_from(_require(doc, "a_value", path), f"{path}.a_value"),
-            witness_vector=_rat_list(
-                _require(doc, "witness_vector", path), f"{path}.witness_vector"
-            ),
-            context=ctx,
-        )
-    if t == "subfield-element":
-        coords = _rat_list(_require(doc, "coords", path), f"{path}.coords")
-        if len(coords) != 3:
-            raise ParseError(f"{path}.coords", "expected three coordinates")
-        return SubfieldElement(
-            c_value=rat_from(_require(doc, "c_value", path), f"{path}.c_value"),
-            coords=coords,
-        )
-    if t == "block":
-        return BlockEmbedding(
-            _int_from(doc.get("offset", 0), f"{path}.offset")
-        )
-    if t == "split-so5":
-        return SplitSO5(
-            form_coeffs=_rat_list(
-                _require(doc, "form_coeffs", path), f"{path}.form_coeffs"
-            ),
-            a_value=rat_from(_require(doc, "a_value", path), f"{path}.a_value"),
-        )
-    if t == "compositum-tower":
-        coords = _rat_list(_require(doc, "e_coords", path), f"{path}.e_coords")
-        if len(coords) != 3:
-            raise ParseError(f"{path}.e_coords", "expected three coordinates")
-        return CompositumTower(
-            e_value=rat_from(_require(doc, "e_value", path), f"{path}.e_value"),
-            e_class=_int_from(_require(doc, "e_class", path), f"{path}.e_class"),
-            e_coords=coords,
-            l_class=_int_from(_require(doc, "l_class", path), f"{path}.l_class"),
-            k0_class=_int_from(_require(doc, "k0_class", path), f"{path}.k0_class"),
-            k_cert=cert_from(_require(doc, "k_cert", path), f"{path}.k_cert"),
-        )
-    if t == "pure-quaternion-tower":
-        idx = _require(doc, "entry_indices", path)
-        if (
-            not isinstance(idx, list)
-            or len(idx) != 2
-            or any(isinstance(v, bool) or not isinstance(v, int) for v in idx)
-        ):
-            raise ParseError(f"{path}.entry_indices", "expected two indices")
-        coords = _rat_list(
-            _require(doc, "alpha_coords", path), f"{path}.alpha_coords"
-        )
-        if len(coords) != 3:
-            raise ParseError(f"{path}.alpha_coords", "expected three coordinates")
-        return PureQuaternionTower(
-            entry_indices=(idx[0], idx[1]),
-            alpha_coords=coords,
-            fprime_class=_int_from(
-                _require(doc, "fprime_class", path), f"{path}.fprime_class"
-            ),
-            c_x=rat_from(_require(doc, "c_x", path), f"{path}.c_x"),
-            c_y=rat_from(_require(doc, "c_y", path), f"{path}.c_y"),
-            k_cert=cert_from(_require(doc, "k_cert", path), f"{path}.k_cert"),
-            k_is_biquadratic=_flag_from(doc, "k_is_biquadratic", False, path),
-        )
-    if t == "subfield-restriction":
-        return SubfieldRestriction(
-            subcert_from(_require(doc, "cert", path), f"{path}.cert")
-        )
-    raise ParseError(f"{path}.type", f"unknown embedding type {t!r}")
+@functools.cache
+def _plan(cls) -> tuple:
+    """(name, writer, reader) of each field of cls, the codec picked by the
+    field's annotation."""
+    return tuple((name, *_CODECS[cls.__annotations__[name]]) for name in cls._fields)
+
+
+def record_to_doc(rec) -> dict:
+    return {name: write(getattr(rec, name)) for name, write, _ in _plan(type(rec))}
+
+
+def record_from(cls, obj: Any, path: str):
+    """A cls read from the keys named by its fields; a missing key takes the
+    field's default, and a field without one is required."""
+    if not isinstance(obj, dict):
+        raise ParseError(path, "expected an object")
+    first_default = len(cls._fields) - len(cls._defaults)
+    values = []
+    for i, (name, _, read) in enumerate(_plan(cls)):
+        if name in obj:
+            values.append(read(obj[name], f"{path}.{name}"))
+        elif i < first_default:
+            raise ParseError(f"{path}.{name}", "missing required field")
+        else:
+            values.append(cls._defaults[i - first_default])
+    return cls(*values)
+
+
+def _tagged(*kinds) -> tuple:
+    """The codec of a record of one of kinds, named by its "type"."""
+
+    def read(obj: Any, path: str):
+        tag = _require(obj, "type", path)
+        cls = _TAGS.get(tag) if isinstance(tag, str) else None
+        if cls not in kinds:
+            expected = ", ".join(_TAG_OF[k] for k in kinds)
+            raise ParseError(f"{path}.type", f"expected one of {expected}, got {tag!r}")
+        return record_from(cls, obj, path)
+
+    return (lambda rec: {"type": _TAG_OF[type(rec)], **record_to_doc(rec)}, read)
+
+
+def _optional(codec: tuple) -> tuple:
+    """The codec of Optional[...], with None as null."""
+    write, read = codec
+    return (
+        lambda x: None if x is None else write(x),
+        lambda obj, path: None if obj is None else read(obj, path),
+    )
+
+
+def _records(cls) -> tuple:
+    """The codec of tuple[cls, ...]."""
+    return (
+        lambda recs: [record_to_doc(r) for r in recs],
+        lambda obj, path: tuple(
+            record_from(cls, x, f"{path}[{i}]") for i, x in enumerate(_list(obj, path))
+        ),
+    )
+
+
+def _rats_to_doc(xs) -> list:
+    return [rat_to_str(x) for x in xs]
+
+
+# (writer, reader) by field annotation
+_CODECS = {
+    "Fraction": (rat_to_str, rat_from),
+    "int": (int, _int_from),
+    "bool": (bool, _bool_from),
+    "str": (str, _str_from),
+    "tuple[Fraction, ...]": (_rats_to_doc, _rat_list),
+    "tuple[Fraction, Fraction, Fraction]": (_rats_to_doc, _coords_from),
+    "tuple[tuple, ...]": (lambda vs: [[lentry_to_doc(x) for x in v] for v in vs], _vectors_from),
+    "tuple[int, int]": (list, _indices_from),
+    "NumberFieldCert": (cert_to_doc, cert_from),
+    "SubfieldCert": (subcert_to_doc, subcert_from),
+    "Optional[TraceRealizationContext]": _optional(_tagged(TraceRealizationContext)),
+    "GroupSpec": (group_to_doc, lambda obj, path: group_from_doc(obj, path, in_witness=True)),
+    "EmbeddingData": _tagged(*get_args(EmbeddingData)),
+    "tuple[DerivationStep, ...]": _records(DerivationStep),
+    "tuple[VerifyCheck, ...]": _records(VerifyCheck),
+}
 
 
 # --------------------------------------------------------------------------
 # Witnesses, reports, verdicts
 
 
-def witness_to_doc(w: Witness) -> dict:
-    return {
-        "subgroup": group_to_doc(w.subgroup),
-        "embedding": embedding_to_doc(w.embedding),
-        "derivation": [
-            {"rule": s.rule, "detail": s.detail} for s in w.derivation
-        ],
-    }
+witness_to_doc = report_to_doc = record_to_doc
 
 
 def witness_from_doc(doc: Any, path: str = "$.witness") -> Witness:
-    sub = group_from_doc(
-        _require(doc, "subgroup", path), f"{path}.subgroup", in_witness=True
-    )
-    emb = embedding_from_doc(
-        _require(doc, "embedding", path), f"{path}.embedding"
-    )
-    steps = tuple(
-        DerivationStep(str(s.get("rule", "")), str(s.get("detail", "")))
-        for s in doc.get("derivation", [])
-    )
-    return Witness(sub, emb, steps)
-
-
-def report_to_doc(r: VerifyReport) -> dict:
-    return {
-        "ok": r.ok,
-        "checks": [
-            {"name": c.name, "passed": c.passed, "detail": c.detail}
-            for c in r.checks
-        ],
-    }
+    return record_from(Witness, doc, path)
 
 
 def verdict_to_doc(input_doc: Any, verdict: Verdict) -> dict:
@@ -605,9 +544,7 @@ def verdict_to_doc(input_doc: Any, verdict: Verdict) -> dict:
         doc["verdict"] = "minimal"
         doc["matched_case"] = verdict.matched_case
         doc["conditions"] = []  # almin/1 keeps the field; nothing is assumed
-        doc["derivation"] = [
-            {"rule": s.rule, "detail": s.detail} for s in verdict.derivation
-        ]
+        doc["derivation"] = [record_to_doc(s) for s in verdict.derivation]
     elif isinstance(verdict, NotMinimal):
         doc["verdict"] = "not_minimal"
         doc["witness"] = witness_to_doc(verdict.witness)

@@ -2,7 +2,9 @@
 the witness data alone.
 
 The certificate types live here: the seven embedding kinds, the Witness with
-its derivation steps, and the VerifyReport of named checks.  minimal builds
+its derivation steps, and the VerifyReport of named checks.  serde writes
+each from its fields: a record's document keys are its field names, and
+each field's annotation, as written here, names its codec.  minimal builds
 witnesses of these types; this module imports nothing from it, and no
 function that verify_witness reaches names a witness builder, an isotropy
 test or a Witt-index computation.  A quaternary descent is read off its
@@ -122,7 +124,7 @@ class PureQuaternionTower(Value):
     c_x: Fraction
     c_y: Fraction
     k_cert: NumberFieldCert
-    k_is_biquadratic: bool
+    k_is_biquadratic: bool = False
 
 
 class SubfieldRestriction(Value):
@@ -154,7 +156,7 @@ class DerivationStep(Value):
 class Witness(Value):
     subgroup: GroupSpec
     embedding: EmbeddingData
-    derivation: tuple[DerivationStep, ...]
+    derivation: tuple[DerivationStep, ...] = ()
 
 
 class VerifyCheck(Value):
@@ -271,6 +273,8 @@ def _restricted_rational_diag(
 ) -> tuple[Optional[list[Fraction]], str]:
     if len(basis) != 4 or any(len(v) != form.dim for v in basis):
         return None, "basis must be four vectors of the ambient dimension"
+    if any(isinstance(x, tuple) for v in basis for x in v):
+        return None, "a basis entry is a field pair, not a rational"
     for i, j in itertools.combinations(range(4), 2):
         if form.bilinear(basis[i], basis[j]) != 0:
             return None, f"basis vectors {i},{j} are not orthogonal"

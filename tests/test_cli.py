@@ -705,3 +705,14 @@ def test_altered_b2_trace_realization_basis_fails_verification(run_cli, tmp_path
     r = run_cli("verify", _write(tmp_path, doc))
     assert r.code != 0 and r.json["verification"]["ok"] is False
     assert "subform discriminant matches the represented value" in _failed_checks(r)
+
+
+@pytest.mark.parametrize("name", ["so6", "su1_herm_b2_n2"])
+def test_field_pair_in_a_rational_subform_basis_fails_verification(run_cli, tmp_path, name):
+    """A rational subform basis (an orthogonal parent, or the trace
+    realization) holding an entry [x, y] of a quadratic field fails
+    "embedding basis valid" instead of reaching the bilinear form."""
+    doc = json.loads((CORPUS / "expected" / f"{name}.json").read_text())
+    doc["witness"]["embedding"]["basis"][1][0] = ["1", "2"]
+    r = run_cli("verify", _write(tmp_path, doc))
+    assert r.code == 3 and "embedding basis valid" in _failed_checks(r)

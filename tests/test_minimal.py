@@ -3,6 +3,7 @@ import json
 import pathlib
 import random
 from fractions import Fraction
+from typing import get_args
 
 import pytest
 
@@ -39,6 +40,7 @@ from almin.qgroup import (
     real_rank,
 )
 from almin.value import replace
+from almin.verify import EmbeddingData, TraceRealizationContext
 
 
 def _assert_verified(g, verdict):
@@ -207,11 +209,15 @@ def test_corpus_witnesses_survive_a_json_round_trip():
     expected = pathlib.Path(__file__).resolve().parent.parent / "corpus" / "expected"
     docs = [json.loads(p.read_text()) for p in sorted(expected.glob("*.json"))]
     docs = [doc for doc in docs if doc.get("verdict") == "not_minimal"]
-    assert len(docs) >= 20
+    assert len(docs) == 23
+    kinds = set()
     for doc in docs:
         back = serde.witness_from_doc(doc["witness"])
         assert serde.witness_to_doc(back) == doc["witness"], doc["input"]
         assert verify_witness(serde.group_from_doc(doc["input"]), back).ok
+        kinds |= {type(back.embedding), type(getattr(back.embedding, "context", None))}
+    # together the goldens hold every embedding kind and the trace realization
+    assert kinds >= {*get_args(EmbeddingData), TraceRealizationContext}
 
 
 def test_random_hermitian_specs_end_verified_or_not_applicable():

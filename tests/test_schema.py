@@ -51,3 +51,24 @@ def test_golden_verdicts_match_the_verdict_schema():
         assert not errors, f"{path.name}: {errors[0].message}"
         checked += 1
     assert checked == 40
+
+
+def test_embedding_schema_pins_the_keys_of_each_record():
+    # each embedding type's keys are "type" and its record's fields, all
+    # required and nothing else allowed
+    from typing import get_args
+
+    from almin import serde, verify
+
+    embedding = _load(SCHEMAS / "verdict_document.json")["$defs"]["embedding"]
+    required = {r["if"]["properties"]["type"]["const"]: r["then"]["required"] for r in embedding["allOf"]}
+    kinds = get_args(verify.EmbeddingData)
+    assert required == {tag: ["type", *cls._fields] for tag, cls in serde._TAGS.items() if cls in kinds}
+    assert embedding["properties"]["type"]["enum"] == list(required)
+    validator = _validator("verdict_document")
+    doc = _load(CORPUS / "expected" / "so6.json")
+    assert not list(validator.iter_errors(doc))
+    doc["witness"]["embedding"]["extra"] = "1"
+    assert list(validator.iter_errors(doc))
+    del doc["witness"]["embedding"]["extra"], doc["witness"]["embedding"]["context"]
+    assert list(validator.iter_errors(doc))

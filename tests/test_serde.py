@@ -1,12 +1,21 @@
+import contextlib
+import copy
+import functools
+import io
 import json
+import operator
 import pathlib
+import re
+import sys
 from fractions import Fraction
+from typing import get_args
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from almin import arith, polys, serde
+from almin import arith, cli, polys, serde, verify
 from almin.algebra import HermForm, QuatForm, QuaternionAlgebra
 from almin.minimal import NotMinimal, analyze
 from almin.numfield import QuadraticField, field_cert, quadratic_field_cert
@@ -21,6 +30,7 @@ from almin.qgroup import (
     Unitary2,
 )
 from almin.serde import ParseError, rat_from, rat_to_str
+from almin.value import Value
 
 CORPUS = pathlib.Path(__file__).resolve().parent.parent / "corpus"
 
@@ -264,3 +274,127 @@ def test_group_from_doc_fuzz(doc):
         pass
     else:
         assert isinstance(g, GroupSpec)
+
+
+# --------------------------------------------------------------------------
+# Witness documents: every record is written and read by its own fields
+
+NOT_MINIMAL = {
+    path.stem: doc
+    for path in sorted((CORPUS / "expected").glob("*.json"))
+    if (doc := json.loads(path.read_text())).get("verdict") == "not_minimal"
+}
+
+
+def test_every_witness_field_has_a_codec():
+    # walk the records reachable from Witness through their annotations; a
+    # record of verify is written field by field, any other type whole
+    seen, todo = set(), [verify.Witness, verify.VerifyReport]
+    while todo:
+        cls = todo.pop()
+        if cls in seen:
+            continue
+        seen.add(cls)
+        for name in cls._fields:
+            annotation = cls.__annotations__[name]
+            assert annotation in serde._CODECS, f"{cls.__name__}.{name}: {annotation}"
+            for word in re.findall(r"\w+", annotation):
+                named = getattr(verify, word, None)
+                todo += [
+                    c for c in get_args(named) or (named,)
+                    if isinstance(c, type) and issubclass(c, Value) and c.__module__ == verify.__name__
+                ]
+    assert set(serde._TAGS.values()) | {verify.DerivationStep, verify.VerifyCheck} <= seen
+
+
+def _witness(name: str) -> dict:
+    return copy.deepcopy(NOT_MINIMAL[name]["witness"])
+
+
+@pytest.mark.parametrize("derivation,path", [
+    ([1], "$.witness.derivation[0]"),
+    (5, "$.witness.derivation"),
+    ([{"rule": "r"}], "$.witness.derivation[0].detail"),
+    ([{"rule": 1, "detail": "d"}], "$.witness.derivation[0].rule"),
+])
+def test_malformed_derivation_is_a_parse_error(derivation, path):
+    doc = _witness("sp4")
+    doc["derivation"] = derivation
+    with pytest.raises(ParseError) as e:
+        serde.witness_from_doc(doc)
+    assert e.value.path == path
+
+
+def test_missing_keys_take_the_field_defaults():
+    doc = _witness("su1_skew_tower")
+    del doc["embedding"]["k_is_biquadratic"], doc["derivation"]
+    w = serde.witness_from_doc(doc)
+    assert w.embedding.k_is_biquadratic is False and w.derivation == ()
+    del doc["embedding"]["c_x"]
+    with pytest.raises(ParseError) as e:
+        serde.witness_from_doc(doc)
+    assert (e.value.path, e.value.message) == ("$.witness.embedding.c_x", "missing required field")
+
+
+@pytest.mark.parametrize("tag", ["trace-realization", "frobnicate", ["subform"], None])
+def test_embedding_type_names_an_embedding_kind(tag):
+    doc = _witness("so6")
+    doc["embedding"]["type"] = tag
+    with pytest.raises(ParseError) as e:
+        serde.witness_from_doc(doc)
+    assert e.value.path == "$.witness.embedding.type"
+
+
+def test_cert_subfields_must_be_a_list():
+    for subfields in (5, None, "x", {}):
+        with pytest.raises(ParseError) as e:
+            serde.cert_from({"poly": [-2, 0, 0, 0, 1], "subfields": subfields}, "$.field")
+        assert e.value.path == "$.field.subfields"
+
+
+# One slot of one golden witness (a key or a list entry, at any depth) is
+# dropped or replaced by a wrong scalar or list; `almin verify` must end in
+# a document and an exit code whatever the witness then holds
+def _slots(node, path):
+    """path, and the path of every key or list entry below node."""
+    yield path
+    items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, value in items:
+        yield from _slots(value, path + (key,))
+
+
+WITNESS_SLOTS = [
+    slot for name, doc in NOT_MINIMAL.items() for slot in _slots(doc["witness"], (name, "witness"))
+]
+DROP = "<drop>"
+WRONG = st.sampled_from([DROP, None, True, 1.5, "x", "1/0", "", 0, 7, "2", [], ["1", "2"], [1], {}])
+
+
+def _verify_exit_code(doc) -> int:
+    out = io.StringIO()
+    with mock.patch.object(sys, "stdin", io.StringIO(json.dumps(doc))), contextlib.redirect_stdout(out):
+        code = cli.main(["verify", "-"])
+    json.loads(out.getvalue())
+    return code
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(WITNESS_SLOTS), WRONG)
+def test_witness_document_fuzz(slot, value):
+    name, *path, last = slot
+    doc = copy.deepcopy(NOT_MINIMAL[name])
+    parent = functools.reduce(operator.getitem, path, doc)
+    if value == DROP:
+        del parent[last]
+    else:
+        parent[last] = value
+    # a witness, a ParseError naming a path, or a typed effort limit
+    try:
+        w = serde.witness_from_doc(doc.get("witness"))
+    except ParseError as exc:
+        assert exc.path.startswith("$")
+    except (polys.IrreducibilityUnproven, arith.FactorizationExceeded):
+        pass
+    else:
+        assert isinstance(w, verify.Witness)
+    assert _verify_exit_code(doc) in (0, 1, 2, 3)
