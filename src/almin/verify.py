@@ -12,7 +12,9 @@ basis: the first two vectors are a hyperbolic pair, the restriction is
 diagonal, and its discriminant class is the class of the represented value
 a, read off num * den = a den^2, so the conversion field is Q(sqrt(a)):
 classes are compared by testing products for squares, and nothing on this
-path is factored.  The witness's own ranks come from q_rank and real_rank.
+path is factored.  The witness subgroup is never re-ranked: one check of
+each kind pins it to a named group (see verify_witness).  The rank engine
+runs only on the parent, for a split-so5 witness and a trace realization.
 """
 
 from __future__ import annotations
@@ -34,7 +36,6 @@ from .numfield import (
 )
 from .qgroup import (
     GroupSpec,
-    NotAlmostSimple,
     Orthogonal,
     ResSL2,
     ResSU3,
@@ -43,9 +44,7 @@ from .qgroup import (
     Unitary2,
     Unitary2Quat,
     Unsupported,
-    is_absolutely_almost_simple,
     q_rank,
-    real_rank,
 )
 from .quadform import QuadForm
 from .value import Value
@@ -92,9 +91,9 @@ class BlockEmbedding(Value):
 
 class SplitSO5(Value):
     """The split five-dimensional form <1,-1,-1,1,a> inside a group of
-    rational rank at least 2, with the chosen positive nonsquare a.  The
-    pairs (c0, c1) and (c2, c3) of form_coeffs are the two hyperbolic
-    planes the verifier reads splitness from."""
+    rational rank at least 2, with the chosen positive nonsquare a; the
+    pairs (c0, c1) and (c2, c3) of form_coeffs are its two hyperbolic
+    planes."""
 
     form_coeffs: tuple[Fraction, ...]
     a_value: Fraction
@@ -206,11 +205,12 @@ def _res_sl2_from(w: Witness, d: int) -> bool:
 
 
 def _pure_square(d: QuaternionAlgebra, coords: tuple[Fraction, Fraction, Fraction]):
-    """xi = c1 i + c2 j + c3 ij in the quaternion algebra d, and the value
-    a c1^2 + b c2^2 - a b c3^2 that xi squares to."""
+    """The value a c1^2 + b c2^2 - a b c3^2 that xi = c1 i + c2 j + c3 ij
+    squares to in the quaternion algebra d = (a, b): the cross terms cancel,
+    since i, j and ij anticommute pairwise."""
     a_, b_ = Fraction(d.a), Fraction(d.b)
     c1, c2, c3 = coords
-    return d.element(0, c1, c2, c3), a_ * c1 * c1 + b_ * c2 * c2 - a_ * b_ * c3 * c3
+    return a_ * c1 * c1 + b_ * c2 * c2 - a_ * b_ * c3 * c3
 
 
 def _verify_quaternary(
@@ -226,7 +226,6 @@ def _verify_quaternary(
     square = a > 0 and is_rational_square(a)
     recomputed = sum(c * x * x for c, x in zip(emb.tail_coeffs, emb.witness_vector))
     out = [
-        _check("represented value positive", a > 0, f"a = {a}"),
         _check(
             "represented value is not a rational square",
             a > 0 and not square,
@@ -245,7 +244,6 @@ def _verify_quaternary(
     disc_ok = a != 0 and is_rational_square(det * a)
     c = s if disc_ok else det.numerator * det.denominator
     isotropic = _hyperbolic(g4_diag[0], g4_diag[1])
-    p = sum(x > 0 for x in g4_diag)
     out += [
         _check(
             "subform discriminant matches the represented value",
@@ -253,7 +251,6 @@ def _verify_quaternary(
             f"discriminant class {c} vs {s}",
         ),
         _check("restricted subform isotropic over Q", isotropic),
-        _check("restricted subform has signature (2,2)", p == 2, f"({p},{4 - p})"),
     ]
     # a square c fails the class or discriminant check, and a pair that is
     # not hyperbolic the isotropy check, so the conversion is read past both
@@ -347,7 +344,7 @@ def _verify_subfield_element(
                 " quaternion algebra",
             )
         ]
-    xi, val = _pure_square(parent.algebra, emb.coords)
+    val = _pure_square(parent.algebra, emb.coords)
     s = val.numerator * val.denominator
     square = val != 0 and is_rational_square(val)
     return [
@@ -357,10 +354,6 @@ def _verify_subfield_element(
             "c is not a rational square",
             val != 0 and not square,
             _SQUARE_VALUE if square else f"class {s}",
-        ),
-        _check(
-            "pure element squares to c",
-            (xi * xi - parent.algebra.element(emb.c_value)).is_zero(),
         ),
         _check("witness field matches", s != 0 and _res_sl2_from(w, s)),
     ]
@@ -391,10 +384,10 @@ def _verify_block(parent, emb: BlockEmbedding, w: Witness) -> list[VerifyCheck]:
 
 
 def _verify_split_so5(parent, emb: SplitSO5, w: Witness) -> list[VerifyCheck]:
-    """The witness's own form is split when (c0, c1) and (c2, c3) are
-    hyperbolic pairs; its quaternary subform <1,-1,-1,a> has discriminant
-    class a, printed as num * den, and converts to the restriction of
-    scalars of SL2 from Q(sqrt(a))."""
+    """The witness's own form is <1,-1,-1,1,a> with a > 0, so split: <1,-1>
+    and <-1,1> are hyperbolic pairs.  Its quaternary subform <1,-1,-1,a>
+    has discriminant class a, printed as num * den, and converts to the
+    restriction of scalars of SL2 from Q(sqrt(a))."""
     a = emb.a_value
     coeffs = tuple(emb.form_coeffs)
     s = a.numerator * a.denominator
@@ -405,24 +398,15 @@ def _verify_split_so5(parent, emb: SplitSO5, w: Witness) -> list[VerifyCheck]:
             coeffs == (1, -1, -1, 1, a),
             str(emb.form_coeffs),
         ),
-        _check("a positive", a > 0, f"a = {a}"),
         _check(
             "a is not a rational square",
             a > 0 and not square,
             _SQUARE_VALUE if square else f"class {s}",
         ),
     ]
-    if a > 0:
-        split = (
-            len(coeffs) == 5
-            and coeffs[4] != 0
-            and _hyperbolic(*coeffs[:2])
-            and _hyperbolic(*coeffs[2:4])
-        )
-        out.append(_check("five-dimensional form is split", split))
-        if not square:
-            field_ok = _res_sl2_from(w, s)
-            out.append(_check("conversion field matches the witness field", field_ok))
+    if a > 0 and not square:
+        field_ok = _res_sl2_from(w, s)
+        out.append(_check("conversion field matches the witness field", field_ok))
     try:
         qr = q_rank(parent)
         special_linear = isinstance(parent, SpecialLinear)
@@ -447,16 +431,12 @@ def _verify_compositum(parent, emb: CompositumTower, w: Witness) -> list[VerifyC
     d = f.l_field.d
     dp = f.inner_algebra
     e, k0 = emb.e_class, emb.k0_class
-    xi, val = _pure_square(dp, emb.e_coords)
+    val = _pure_square(dp, emb.e_coords)
     out = [
         _check(
             "splitting value recomputes",
             val == emb.e_value and val != 0 and squarefree_part(val) == e,
             f"recomputed {val}",
-        ),
-        _check(
-            "splitting element squares to its value",
-            (xi * xi - dp.element(emb.e_value)).is_zero(),
         ),
         _check(
             "base quadratic class matches the parent",
@@ -542,7 +522,6 @@ def _verify_quartic_tower(
         and squarefree_part(alpha_sq) == dprime
     )
     out = [
-        _check("alpha nonzero and pure", not alpha.is_zero()),
         _check("alpha anticommutes with both entries", anti),
         _check(
             "alpha generates the claimed quadratic field",
@@ -677,8 +656,16 @@ def _verify_subfield_restriction(
 
 def verify_witness(parent: GroupSpec, w: Witness) -> VerifyReport:
     """Re-validate a witness with fresh computations: the embedding data
-    evaluates inside the parent, and the witness subgroup is isotropic,
-    almost simple, and of real rank at least 2."""
+    evaluates inside the parent, and one check of each kind pins the witness
+    subgroup to an isotropic, almost simple group of real rank >= 2, so the
+    subgroup is not re-ranked.  The field check (_res_sl2_from, with k > 0 a
+    nonsquare by the checks before it) names ResSL2 over a real quadratic
+    field for a subform, split-so5, subfield element or rank-2 compositum;
+    a block names SL3; a compositum of other rank ResSU3 over its certified
+    quartic; a tower ResSL2 over its quartic, with r1 + r2 >= 2; a subfield
+    restriction ResSL2 over a real quadratic or higher-degree subfield, or
+    SU of <1,-1,-1> over a real quadratic field.  Every kind reports a
+    check, so ok is never vacuous."""
     checks: list[VerifyCheck] = []
     emb = w.embedding
     if isinstance(emb, SubformIndices):
@@ -697,21 +684,5 @@ def verify_witness(parent: GroupSpec, w: Witness) -> VerifyReport:
         checks.extend(_verify_subfield_restriction(parent, emb, w))
     else:
         checks.append(_check("embedding kind known", False, str(type(emb))))
-
-    try:
-        qr = q_rank(w.subgroup)
-        checks.append(_check("witness q_rank >= 1", qr >= 1, f"q_rank = {qr}"))
-    except (Unsupported, qgroup.InvalidSpec) as exc:
-        checks.append(_check("witness q_rank >= 1", False, str(exc)))
-    try:
-        rr = real_rank(w.subgroup)
-        checks.append(_check("witness real_rank >= 2", rr >= 2, f"real_rank = {rr}"))
-    except Unsupported as exc:
-        checks.append(_check("witness real_rank >= 2", False, str(exc)))
-    try:
-        is_absolutely_almost_simple(w.subgroup)
-        checks.append(_check("witness almost simple", True))
-    except (NotAlmostSimple, Unsupported) as exc:
-        checks.append(_check("witness almost simple", False, str(exc)))
     ok = all(c.passed for c in checks)
     return VerifyReport(ok, tuple(checks))
