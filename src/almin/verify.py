@@ -565,7 +565,7 @@ def _verify_quartic_tower(
             )
     else:
         g4 = kc.defining_poly
-        even = all(g4[k] == 0 for k in range(1, 4, 2))
+        even = all(c == 0 for c in g4[1::2])
         out.append(_check("tower polynomial is even", even, str(g4)))
         if even:
             B, C = g4[2], g4[0]

@@ -32,6 +32,16 @@ def test_analyze_not_minimal_embeds_verification(run_cli):
     assert all(c["passed"] for c in doc["verification"]["checks"])
 
 
+def test_biquadratic_tower_matches_golden(run_cli, tmp_path):
+    """The one witness of the biquadratic branch of the tower check: analyzing
+    the golden's input reproduces it byte for byte."""
+    text = (GOLDEN / "biquadratic_tower.json").read_text(encoding="utf-8")
+    doc = json.loads(text)
+    assert doc["witness"]["embedding"]["k_is_biquadratic"] is True
+    r = run_cli("analyze", _write(tmp_path, doc["input"]))
+    assert (r.code, r.stdout) == (0, text)
+
+
 def test_analyze_not_applicable_exit_two(run_cli):
     r = run_cli("analyze", corpus("sl2"))
     assert r.code == 2
