@@ -188,6 +188,11 @@ def rat_to_str(x: Rational) -> str:
     return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
 
 
+def rats_to_str(xs) -> str:
+    """Rationals as "(x1, x2, ...)", each as rat_to_str writes it."""
+    return "(" + ", ".join(map(rat_to_str, xs)) + ")"
+
+
 def _two_adic_split(x: Rational, p: int) -> tuple[int, int]:
     """Write x = p^alpha * u with u a p-unit; returns (alpha, u) as ints,
     u being num * den of x with the powers of p removed: not the unit part

@@ -20,7 +20,7 @@ from typing import Optional, Union
 from . import algebra as alg
 from . import numfield, polys, qgroup, quadform
 from .algebra import HermForm, QuatForm, QuaternionAlgebra, is_ramified_at_infinity
-from .arith import is_rational_square, squarefree_part
+from .arith import is_rational_square, rats_to_str, squarefree_part
 from .numfield import (
     NumberFieldCert,
     QuadElement,
@@ -183,7 +183,7 @@ def _orthogonal_subform_witness(form: QuadForm) -> Witness:
         _step(
             "normalize-scale",
             f"scale the form by -1/({ck}) so the chosen slot is -1;"
-            f" scaled tail {tail_coeffs}",
+            f" scaled tail {rats_to_str(tail_coeffs)}",
         )
     )
     rep = represent_constrained(tail_coeffs)
@@ -197,7 +197,7 @@ def _orthogonal_subform_witness(form: QuadForm) -> Witness:
     deriv.append(
         _step(
             "represent-positive-nonsquare",
-            f"a = {a} (class {s}) at tail vector {rep.vector}",
+            f"a = {a} (class {s}) at tail vector {rats_to_str(rep.vector)}",
         )
     )
     sub = ResSL2(quadratic_field_cert(s))
@@ -302,7 +302,7 @@ def _hermitian_subform_witness(form: HermForm) -> Witness:
         _step(
             "normalize-scale",
             f"scale the form by -1/({ck}) so the chosen slot is -1;"
-            f" scaled tail {tuple(tail_t)}",
+            f" scaled tail {rats_to_str(tail_t)}",
         )
     )
     rep = represent_constrained(trace_coeffs)
@@ -320,7 +320,7 @@ def _hermitian_subform_witness(form: HermForm) -> Witness:
         _step(
             "represent-positive-nonsquare",
             f"a = {a} (class {s}) as a sum of tail entries times norms, at"
-            f" coefficient vector {rep.vector}",
+            f" coefficient vector {rats_to_str(rep.vector)}",
         )
     )
     p1, p2, w3, w4 = (_lvec_combine(y, basis) for y in (p1, p2, w3, w4))
@@ -347,8 +347,8 @@ def _sl2_quaternion_witness(d: QuaternionAlgebra, m: int) -> Witness:
     deriv = [
         _step(
             "quaternion-subfield",
-            f"c = a c1^2 + b c2^2 - a b c3^2 = {sp.value} at {sp.witness} is"
-            f" positive, so Q(sqrt({s})) embeds in the algebra and its"
+            f"c = a c1^2 + b c2^2 - a b c3^2 = {sp.value} at"
+            f" {rats_to_str(sp.witness)} is positive, so Q(sqrt({s})) embeds in the algebra and its"
             f" restriction of scalars of SL2 embeds in the group",
         )
     ]
@@ -411,7 +411,7 @@ def _second_kind_witness(g: Unitary2Quat) -> Witness:
         _step(
             "splitting-field-compositum",
             f"E = Q(sqrt({e})) splits the inner quaternion algebra (pure norm"
-            f" value {sp.value} at {sp.witness}, sign constraint"
+            f" value {sp.value} at {rats_to_str(sp.witness)}, sign constraint"
             f" {constraint}); K = E.L is biquadratic with fixed field"
             f" K0 = Q(sqrt({k0}))",
         )
@@ -455,13 +455,10 @@ def _skew_witness(g: Unitary1) -> Witness:
         except (alg.DegenerateTower, alg.NotInFprime, alg.Degenerate) as exc:
             last_err = exc
             continue
+        alpha = sr.alpha
         emb = PureQuaternionTower(
             entry_indices=(i, j),
-            alpha_coords=(
-                Fraction(sr.alpha.x),
-                Fraction(sr.alpha.y),
-                Fraction(sr.alpha.z),
-            ),
+            alpha_coords=(Fraction(alpha.x), Fraction(alpha.y), Fraction(alpha.z)),
             fprime_class=sr.fprime.d,
             c_x=sr.c.x,
             c_y=sr.c.y,
@@ -471,7 +468,8 @@ def _skew_witness(g: Unitary1) -> Witness:
         deriv = (
             _step(
                 "pure-quaternion-tower",
-                f"alpha = {sr.alpha} anticommutes with skew entries {i},{j};"
+                f"alpha = {rats_to_str((alpha.t, alpha.x, alpha.y, alpha.z))}"
+                f" anticommutes with skew entries {i},{j};"
                 f" F' = Q(sqrt({sr.fprime.d})); c = {sr.c} with -c nonsquare"
                 f" in F', so K = F'(sqrt(-c)) has degree 4",
             ),

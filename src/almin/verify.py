@@ -26,7 +26,7 @@ from typing import Optional, Union
 from . import algebra as alg
 from . import numfield, polys, qgroup
 from .algebra import HermForm, QuatForm, QuaternionAlgebra
-from .arith import is_rational_square, rational_sqrt, squarefree_part
+from .arith import is_rational_square, rational_sqrt, rats_to_str, squarefree_part
 from .numfield import (
     NumberFieldCert,
     QuadElement,
@@ -192,11 +192,6 @@ def _coerce_lelem(fld: QuadraticField, x) -> QuadElement:
 _SQUARE_VALUE = "a is a rational square => subgroup not almost simple"
 
 
-def _hyperbolic(x: Fraction, y: Fraction) -> bool:
-    """<x, y> is a hyperbolic plane: -x y is a nonzero rational square."""
-    return x * y != 0 and is_rational_square(-x * y)
-
-
 def _res_sl2_from(w: Witness, d: int) -> bool:
     """The witness is the restriction of scalars of SL2 from Q(sqrt(d)): its
     field is x^2 - c for any c with c d a nonzero rational square."""
@@ -236,14 +231,17 @@ def _verify_quaternary(
             recomputed == a and len(emb.tail_coeffs) == len(emb.witness_vector),
             f"recomputed {recomputed}",
         ),
-        _check("restricted subform nondegenerate", 0 not in g4_diag, str(g4_diag)),
+        _check(
+            "restricted subform nondegenerate", 0 not in g4_diag, rats_to_str(g4_diag)
+        ),
     ]
     if 0 in g4_diag:
         return out
     det = g4_diag[0] * g4_diag[1] * g4_diag[2] * g4_diag[3]
     disc_ok = a != 0 and is_rational_square(det * a)
     c = s if disc_ok else det.numerator * det.denominator
-    isotropic = _hyperbolic(g4_diag[0], g4_diag[1])
+    # <g0, g1> is a hyperbolic plane: -g0 g1 is a square, and neither is 0
+    isotropic = is_rational_square(-g4_diag[0] * g4_diag[1])
     out += [
         _check(
             "subform discriminant matches the represented value",
@@ -259,7 +257,7 @@ def _verify_quaternary(
             _check(
                 "conversion field matches the witness field",
                 _res_sl2_from(w, c),
-                f"conversion gives {polys.poly([-c, 0, 1])}",
+                f"conversion gives {rats_to_str((-c, 0, 1))}",
             )
         )
     return out
@@ -396,7 +394,7 @@ def _verify_split_so5(parent, emb: SplitSO5, w: Witness) -> list[VerifyCheck]:
         _check(
             "form is <1,-1,-1,1,a>",
             coeffs == (1, -1, -1, 1, a),
-            str(emb.form_coeffs),
+            rats_to_str(coeffs),
         ),
         _check(
             "a is not a rational square",
@@ -566,7 +564,7 @@ def _verify_quartic_tower(
     else:
         g4 = kc.defining_poly
         even = all(c == 0 for c in g4[1::2])
-        out.append(_check("tower polynomial is even", even, str(g4)))
+        out.append(_check("tower polynomial is even", even, rats_to_str(g4)))
         if even:
             B, C = g4[2], g4[0]
             delta = B * B - 4 * C
@@ -644,7 +642,9 @@ def _verify_subfield_restriction(
                 verify_subfield(parent.l_quartic, cert),
             ),
             _check(
-                "subfield is real quadratic", is_quad and d0 > 1, str(cert.sub_poly)
+                "subfield is real quadratic",
+                is_quad and d0 > 1,
+                rats_to_str(cert.sub_poly),
             ),
             _check(
                 "witness is the quasisplit ternary unitary group over the subfield",

@@ -42,6 +42,16 @@ def test_biquadratic_tower_matches_golden(run_cli, tmp_path):
     assert (r.code, r.stdout) == (0, text)
 
 
+def test_golden_documents_carry_no_python_reprs():
+    """A detail writes rationals as documents do ("n" or "n/d"), and a
+    quaternion as its four coordinates, never as a Python repr."""
+    paths = sorted((CORPUS / "expected").glob("*.json")) + sorted(GOLDEN.glob("*.json"))
+    assert len(paths) == 44
+    for path in paths:
+        text = path.read_text(encoding="utf-8")
+        assert "Fraction(" not in text and "QuatElement(" not in text, path.name
+
+
 def test_analyze_not_applicable_exit_two(run_cli):
     r = run_cli("analyze", corpus("sl2"))
     assert r.code == 2

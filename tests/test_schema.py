@@ -42,7 +42,8 @@ def test_corpus_specs_match_the_spec_schema():
 def test_golden_verdicts_match_the_verdict_schema():
     validator = _validator("verdict_document")
     checked = 0
-    for path in sorted((CORPUS / "expected").glob("*.json")):
+    biquadratic = ROOT / "tests" / "golden" / "biquadratic_tower.json"
+    for path in sorted((CORPUS / "expected").glob("*.json")) + [biquadratic]:
         doc = _load(path)
         if path.stem == "malformed":
             assert doc["error"] == "parse_error"  # an error document, not a verdict
@@ -50,7 +51,7 @@ def test_golden_verdicts_match_the_verdict_schema():
         errors = list(validator.iter_errors(doc))
         assert not errors, f"{path.name}: {errors[0].message}"
         checked += 1
-    assert checked == 40
+    assert checked == 41
 
 
 def test_embedding_schema_pins_the_keys_of_each_record():
