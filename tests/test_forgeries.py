@@ -70,6 +70,10 @@ Q_SQRT2_SQRT_M17 = _field(
 SL4 = {"kind": "sl", "m": 4}
 W = "witness.embedding."
 WF = "witness.subgroup.field"
+IMAGINARY_K0 = {
+    "input.diagonal": [],
+    "witness.subgroup": {"kind": "res_sl2", "field": _field([102, 0, 1])},
+}
 
 ROWS = [
     # ---- subform: an orthogonal parent, so6 = <1,-1,-1,3,5,7>, a = 3
@@ -170,8 +174,8 @@ ROWS = [
         "su2quat_rank2",
         {W + "k0_class": 2, WF: _field([-2, 0, 1])},
     ),
-    # a certificate of other degree holding all three subfields has degree
-    # divisible by 8, beyond what a document's irreducibility proof reaches
+    # any other certificate holding the three subfields has degree 8 or
+    # more, whose irreducibility a document's parser cannot prove
     Row(
         "compositum certificate has degree 4",
         "su2quat_rank2",
@@ -185,17 +189,18 @@ ROWS = [
     Row("compositum contains Q(sqrt(2))", "su2quat_rank2", {W + "k_cert.subfields.0.embedding.1": "0"}),
     Row("compositum contains Q(sqrt(17))", "su2quat_rank2", {W + "k_cert.subfields.1.embedding.1": "0"}),
     Row("compositum contains Q(sqrt(34))", "su2quat_rank2", {W + "k_cert.subfields.2.embedding.0": "0"}),
-    # e and L of opposite signs make K0 imaginary: the two checks fail together
+    # the rank-3 witness in a rank-2 parent: e and L of opposite signs make
+    # K0 imaginary, so the two checks fail together
     Row(
         "splitting field sign matches the base field",
         "su2quat_rank3",
-        {"input.diagonal": [], "witness.subgroup": {"kind": "res_sl2", "field": _field([102, 0, 1])}},
+        IMAGINARY_K0,
         also=("fixed field real",),
     ),
     Row(
         "fixed field real",
         "su2quat_rank3",
-        {"input.diagonal": [], "witness.subgroup": {"kind": "res_sl2", "field": _field([102, 0, 1])}},
+        IMAGINARY_K0,
         also=("splitting field sign matches the base field",),
     ),
     Row(
@@ -205,6 +210,7 @@ ROWS = [
     ),
     Row("embedding applies to the parent", "su2quat_rank2", {"input": SL4}),
     # ---- compositum, rank 3: L = Q(sqrt 17), E = Q(sqrt -6), K0 = Q(sqrt -102)
+    # a consistent tower with L = Q(sqrt -17) imaginary and E = Q(sqrt 2) real
     Row(
         "splitting field imaginary when the base field is",
         "su2quat_rank3",
@@ -228,6 +234,8 @@ ROWS = [
     ),
     # ---- pure-quaternion tower: <i, j + k> over (-1, -1), alpha = j - k,
     # F' = Q(sqrt -2), c = sqrt -2, K = Q[x]/(x^4 + 2)
+    # alpha = i + j is not orthogonal to the entries <i, 3i>; their ratio
+    # c = 3 is rational, and K = Q(sqrt -2, sqrt -3) is biquadratic
     Row(
         "alpha anticommutes with both entries",
         "su1_skew_tower",
@@ -242,9 +250,10 @@ ROWS = [
         },
     ),
     Row("alpha generates the claimed quadratic field", "su1_skew_tower", {W + "fprime_class": -1}),
+    # c = 4 sqrt -2 still gives x^4 + 2 the root sqrt(-c) / 2
     Row("c equals the ratio of the two entries inside F'", "su1_skew_tower", {W + "c_y": "4"}),
-    # a root of the tower polynomial would lie in F', so the quartic would
-    # be reducible
+    # <i, 2i>: a root of the tower polynomial would lie in F', so no
+    # irreducible quartic passes the root check
     Row(
         "-c is not a square in F'",
         "su1_skew_tower",
@@ -304,6 +313,7 @@ ROWS = [
          WF: _field([-2, 0, 0, 0, 1])},
         also=("subfield certificate verifies in the parent field",),
     ),
+    # Q(i), at theta^2, in Q(zeta_8)
     Row(
         "subfield is neither Q nor imaginary quadratic",
         "res_sl2_x4m2",
