@@ -424,7 +424,6 @@ class SkewRestriction(Value):
     fprime: QuadraticField
     c: QuadElement  # a3^{-1} a4 expressed inside F'
     k_cert: NumberFieldCert
-    k_is_biquadratic: bool
 
 
 def skew_restriction(form: QuatForm, i3: int, i4: int) -> SkewRestriction:
@@ -458,11 +457,11 @@ def skew_restriction(form: QuatForm, i3: int, i4: int) -> SkewRestriction:
         # c rational: K is the biquadratic compositum Q(sqrt(d'), sqrt(-c))
         e = squarefree_part(-u)
         k_cert = numfield.compositum_quadratic(fprime, QuadraticField(e))
-        return SkewRestriction(alpha, fprime, c, k_cert, True)
+        return SkewRestriction(alpha, fprime, c, k_cert)
     # minimal polynomial of sqrt(-c): x^4 + 2u x^2 + (u^2 - v'^2 d')
     raw = polys.poly([u * u - vprime * vprime * dprime, 0, 2 * u, 0, 1])
     k_cert = _integral_quartic_cert(raw)
-    return SkewRestriction(alpha, fprime, c, k_cert, False)
+    return SkewRestriction(alpha, fprime, c, k_cert)
 
 
 def _pure_ratio(cq: QuatElement, alpha: QuatElement) -> Optional[Fraction]:

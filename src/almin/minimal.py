@@ -46,7 +46,7 @@ from .qgroup import (
     real_rank,
 )
 from .quadform import QuadForm, represent_constrained
-from .value import Value, replace
+from .value import Value
 
 # the certificate types, also read as almin.minimal.X by callers
 from .verify import (
@@ -58,7 +58,6 @@ from .verify import (
     SubfieldElement,
     SubfieldRestriction,
     SubformIndices,
-    TraceRealizationContext,
     VerifyCheck,
     VerifyReport,
     Witness,
@@ -201,12 +200,7 @@ def _orthogonal_subform_witness(form: QuadForm) -> Witness:
         )
     )
     sub = ResSL2(quadratic_field_cert(s))
-    emb = SubformIndices(
-        basis=(w1, w2, w3, w4),
-        tail_coeffs=tail_coeffs,
-        a_value=a,
-        witness_vector=tuple(rep.vector),
-    )
+    emb = SubformIndices((w1, w2, w3, w4))
     deriv.append(
         _step(
             "orthogonal-quaternary-descent",
@@ -325,12 +319,7 @@ def _hermitian_subform_witness(form: HermForm) -> Witness:
     )
     p1, p2, w3, w4 = (_lvec_combine(y, basis) for y in (p1, p2, w3, w4))
     sub = ResSL2(quadratic_field_cert(s))
-    emb = SubformIndices(
-        basis=(p1, p2, w3, w4),
-        tail_coeffs=tuple(trace_coeffs),
-        a_value=a,
-        witness_vector=tuple(rep.vector),
-    )
+    emb = SubformIndices((p1, p2, w3, w4))
     deriv.append(
         _step(
             "orthogonal-quaternary-descent",
@@ -362,14 +351,13 @@ def _sl2_quaternion_witness(d: QuaternionAlgebra, m: int) -> Witness:
         )
     return Witness(
         ResSL2(quadratic_field_cert(s)),
-        SubfieldElement(sp.value, sp.witness),
+        SubfieldElement(sp.witness),
         tuple(deriv),
     )
 
 
 def _split_so5_witness(detail: str) -> Witness:
-    a = Fraction(2)  # the least squarefree integer > 1
-    coeffs = (Fraction(1), Fraction(-1), Fraction(-1), Fraction(1), a)
+    a = 2  # the least squarefree integer > 1
     deriv = (
         _step("split-rank-2-reduction", detail),
         _step(
@@ -379,9 +367,7 @@ def _split_so5_witness(detail: str) -> Witness:
             f" carries the restriction of scalars of SL2 from Q(sqrt({a}))",
         ),
     )
-    return Witness(
-        ResSL2(quadratic_field_cert(int(a))), SplitSO5(coeffs, a), deriv
-    )
+    return Witness(ResSL2(quadratic_field_cert(a)), SplitSO5(), deriv)
 
 
 def _second_kind_witness(g: Unitary2Quat) -> Witness:
@@ -399,14 +385,7 @@ def _second_kind_witness(g: Unitary2Quat) -> Witness:
     e = sp.field.d
     kc = numfield.compositum_quadratic(sp.field, f.l_field)
     k0 = squarefree_part(e * d)
-    emb = CompositumTower(
-        e_value=sp.value,
-        e_class=e,
-        e_coords=sp.witness,
-        l_class=d,
-        k0_class=k0,
-        k_cert=kc,
-    )
+    emb = CompositumTower(e_class=e, e_coords=sp.witness, k0_class=k0, k_cert=kc)
     deriv = [
         _step(
             "splitting-field-compositum",
@@ -463,7 +442,6 @@ def _skew_witness(g: Unitary1) -> Witness:
             c_x=sr.c.x,
             c_y=sr.c.y,
             k_cert=sr.k_cert,
-            k_is_biquadratic=sr.k_is_biquadratic,
         )
         deriv = (
             _step(
@@ -492,8 +470,6 @@ def _b2_witness(g: Unitary1) -> Witness:
     h2 = QuatForm(d, "hermitian", (d.element(1), d.element(-1)), 0)
     q5 = alg.b2_realization(d, h2)
     inner = _orthogonal_subform_witness(q5)
-    assert isinstance(inner.embedding, SubformIndices)
-    emb = replace(inner.embedding, context=TraceRealizationContext())
     deriv = (
         _step(
             "b2-trace-realization",
@@ -502,7 +478,7 @@ def _b2_witness(g: Unitary1) -> Witness:
             " form on symmetric trace-zero endomorphisms",
         ),
     ) + inner.derivation
-    return Witness(inner.subgroup, emb, deriv)
+    return Witness(inner.subgroup, inner.embedding, deriv)
 
 
 # --------------------------------------------------------------------------

@@ -55,7 +55,6 @@ from .verify import (
     SubfieldElement,
     SubfieldRestriction,
     SubformIndices,
-    TraceRealizationContext,
     VerifyCheck,
     VerifyReport,
     Witness,
@@ -435,7 +434,6 @@ _TAGS = {
     "compositum-tower": CompositumTower,
     "pure-quaternion-tower": PureQuaternionTower,
     "subfield-restriction": SubfieldRestriction,
-    "trace-realization": TraceRealizationContext,
 }
 _TAG_OF = {cls: tag for tag, cls in _TAGS.items()}
 
@@ -482,15 +480,6 @@ def _tagged(*kinds) -> tuple:
     return (lambda rec: {"type": _TAG_OF[type(rec)], **record_to_doc(rec)}, read)
 
 
-def _optional(codec: tuple) -> tuple:
-    """The codec of Optional[...], with None as null."""
-    write, read = codec
-    return (
-        lambda x: None if x is None else write(x),
-        lambda obj, path: None if obj is None else read(obj, path),
-    )
-
-
 def _records(cls) -> tuple:
     """The codec of tuple[cls, ...]."""
     return (
@@ -517,7 +506,6 @@ _CODECS = {
     "tuple[int, int]": (list, _indices_from),
     "NumberFieldCert": (cert_to_doc, cert_from),
     "SubfieldCert": (subcert_to_doc, subcert_from),
-    "Optional[TraceRealizationContext]": _optional(_tagged(TraceRealizationContext)),
     "GroupSpec": (group_to_doc, lambda obj, path: group_from_doc(obj, path, in_witness=True)),
     "EmbeddingData": _tagged(*get_args(EmbeddingData)),
     "tuple[DerivationStep, ...]": _records(DerivationStep),

@@ -7,14 +7,17 @@ each from its fields: a record's document keys are its field names, and
 each field's annotation, as written here, names its codec.  minimal builds
 witnesses of these types; this module imports nothing from it, and no
 function that verify_witness reaches names a witness builder, an isotropy
-test or a Witt-index computation.  A quaternary descent is read off its
-basis: the first two vectors are a hyperbolic pair, the restriction is
-diagonal, and its discriminant class is the class of the represented value
-a, read off num * den = a den^2, so the conversion field is Q(sqrt(a)):
-classes are compared by testing products for squares, and nothing on this
-path is factored.  The witness subgroup is never re-ranked: one check of
-each kind pins it to a named group (see verify_witness).  The rank engine
-runs only on the parent, for a split-so5 witness and a trace realization.
+test or a Witt-index computation.  An embedding record holds only the
+choices that built the witness (vectors, coordinates, square classes and
+field certificates); every value that follows from them and the parent is
+computed here, not read.  A quaternary descent is read off its basis: the
+first two vectors are a hyperbolic pair, the restriction is diagonal, and
+its discriminant class is read off num * den = det den^2 of its
+determinant, so the conversion field is Q(sqrt(det)): classes are compared
+by testing products for squares, and nothing on this path is factored.
+The witness subgroup is never re-ranked: one check of each kind pins it to
+a named group (see verify_witness).  The rank engine runs only on the
+parent, for a split-so5 witness and a trace realization.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from fractions import Fraction
 from typing import Optional, Union
 
 from . import algebra as alg
-from . import numfield, polys, qgroup
+from . import polys, qgroup
 from .algebra import HermForm, QuatForm, QuaternionAlgebra
 from .arith import is_rational_square, rational_sqrt, rats_to_str, squarefree_part
 from .numfield import (
@@ -54,32 +57,24 @@ from .value import Value
 # Embedding data
 
 
-class TraceRealizationContext(Value):
-    """Subform vectors live in the 5-dimensional trace realization of the
-    hyperbolic quaternion-hermitian plane of the parent (recomputed fresh
-    during verification)."""
-
-
 class SubformIndices(Value):
     """Four pairwise-orthogonal vectors spanning a quaternary subform whose
     special orthogonal group is the restriction of scalars of SL2 named by
-    the witness; a_value is the represented value produced by the witness
-    vector on the tail coefficients.  The first two vectors are a hyperbolic
-    pair (-q(w1) q(w2) is a nonzero square): the verifier reads isotropy
-    from them, and the discriminant class from a."""
+    the witness.  They live in the parent's own form, in the hermitian form
+    of a Unitary2 parent, or in the 5-dimensional trace realization of the
+    hyperbolic quaternion-hermitian plane of a Unitary1 parent.  The first
+    two vectors are a hyperbolic pair (-q(w1) q(w2) is a nonzero square):
+    the verifier reads isotropy from them, and the discriminant class from
+    the determinant of the restriction."""
 
     basis: tuple[tuple, ...]
-    tail_coeffs: tuple[Fraction, ...]
-    a_value: Fraction
-    witness_vector: tuple[Fraction, ...]
-    context: Optional[TraceRealizationContext] = None
 
 
 class SubfieldElement(Value):
-    """c = a c1^2 + b c2^2 - a b c3^2: a square inside the quaternion algebra
-    generating the quadratic field of the witness."""
+    """xi = c1 i + c2 j + c3 ij squares to c = a c1^2 + b c2^2 - a b c3^2 in
+    the quaternion algebra, so generates the quadratic field of the
+    witness."""
 
-    c_value: Fraction
     coords: tuple[Fraction, Fraction, Fraction]
 
 
@@ -91,23 +86,17 @@ class BlockEmbedding(Value):
 
 class SplitSO5(Value):
     """The split five-dimensional form <1,-1,-1,1,a> inside a group of
-    rational rank at least 2, with the chosen positive nonsquare a; the
-    pairs (c0, c1) and (c2, c3) of form_coeffs are its two hyperbolic
-    planes."""
-
-    form_coeffs: tuple[Fraction, ...]
-    a_value: Fraction
+    rational rank at least 2, where Q(sqrt(a)) is the witness's real
+    quadratic field: <1,-1> and <-1,1> are its two hyperbolic planes."""
 
 
 class CompositumTower(Value):
     """K = E.L with K0 the fixed field of the product conjugation; E is a
-    splitting field of the inner quaternion algebra, certified by the
-    represented value e_value of its pure norm form."""
+    splitting field of the inner quaternion algebra, certified by the value
+    of its pure norm form at e_coords."""
 
-    e_value: Fraction
     e_class: int
     e_coords: tuple[Fraction, Fraction, Fraction]
-    l_class: int
     k0_class: int
     k_cert: NumberFieldCert
 
@@ -115,7 +104,8 @@ class CompositumTower(Value):
 class PureQuaternionTower(Value):
     """alpha anticommutes with the two chosen skew diagonal entries; F' is
     the quadratic field it generates, c = a3^{-1} a4 in F', and k_cert
-    certifies K = F'(sqrt(-c)) of degree 4."""
+    certifies K = F'(sqrt(-c)) of degree 4, biquadratic when c is
+    rational."""
 
     entry_indices: tuple[int, int]
     alpha_coords: tuple[Fraction, Fraction, Fraction]
@@ -123,7 +113,6 @@ class PureQuaternionTower(Value):
     c_x: Fraction
     c_y: Fraction
     k_cert: NumberFieldCert
-    k_is_biquadratic: bool = False
 
 
 class SubfieldRestriction(Value):
@@ -189,14 +178,18 @@ def _coerce_lelem(fld: QuadraticField, x) -> QuadElement:
     return fld.element(x)
 
 
-_SQUARE_VALUE = "a is a rational square => subgroup not almost simple"
+def _res_sl2_constant(w: Witness) -> Optional[Fraction]:
+    """k when the witness is the restriction of scalars of SL2 from
+    Q[x]/(x^2 - k), else None."""
+    f = w.subgroup.field.defining_poly if isinstance(w.subgroup, ResSL2) else ()
+    return -f[0] if len(f) == 3 and f[1] == 0 else None
 
 
 def _res_sl2_from(w: Witness, d: int) -> bool:
     """The witness is the restriction of scalars of SL2 from Q(sqrt(d)): its
-    field is x^2 - c for any c with c d a nonzero rational square."""
-    f = w.subgroup.field.defining_poly if isinstance(w.subgroup, ResSL2) else ()
-    return len(f) == 3 and f[1] == 0 and f[0] * d != 0 and is_rational_square(-f[0] * d)
+    field is x^2 - k for any k with k d a nonzero rational square."""
+    k = _res_sl2_constant(w)
+    return k is not None and k * d != 0 and is_rational_square(k * d)
 
 
 def _pure_square(d: QuaternionAlgebra, coords: tuple[Fraction, Fraction, Fraction]):
@@ -208,29 +201,13 @@ def _pure_square(d: QuaternionAlgebra, coords: tuple[Fraction, Fraction, Fractio
     return a_ * c1 * c1 + b_ * c2 * c2 - a_ * b_ * c3 * c3
 
 
-def _verify_quaternary(
-    g4_diag: list[Fraction], emb: SubformIndices, w: Witness
-) -> list[VerifyCheck]:
+def _verify_quaternary(g4_diag: list[Fraction], w: Witness) -> list[VerifyCheck]:
     """Checks shared by all quaternary-subform descents, given the diagonal
     rational Gram of the restricted subform.  Its first two vectors must be
-    a hyperbolic pair.  Its discriminant class c is read off num * den of
-    det, or of a when det * a is a square, and the conversion field is
-    Q(sqrt(c)); nothing here is factored."""
-    a = emb.a_value
-    s = a.numerator * a.denominator
-    square = a > 0 and is_rational_square(a)
-    recomputed = sum(c * x * x for c, x in zip(emb.tail_coeffs, emb.witness_vector))
+    a hyperbolic pair, and its determinant det a positive nonsquare: then
+    its discriminant class c is read off num * den of det, and the
+    conversion field is Q(sqrt(c)); nothing here is factored."""
     out = [
-        _check(
-            "represented value is not a rational square",
-            a > 0 and not square,
-            _SQUARE_VALUE if square else f"square class {s}",
-        ),
-        _check(
-            "witness vector reproduces the represented value",
-            recomputed == a and len(emb.tail_coeffs) == len(emb.witness_vector),
-            f"recomputed {recomputed}",
-        ),
         _check(
             "restricted subform nondegenerate", 0 not in g4_diag, rats_to_str(g4_diag)
         ),
@@ -238,21 +215,21 @@ def _verify_quaternary(
     if 0 in g4_diag:
         return out
     det = g4_diag[0] * g4_diag[1] * g4_diag[2] * g4_diag[3]
-    disc_ok = a != 0 and is_rational_square(det * a)
-    c = s if disc_ok else det.numerator * det.denominator
+    c = det.numerator * det.denominator
+    disc_ok = det > 0 and not is_rational_square(det)
     # <g0, g1> is a hyperbolic plane: -g0 g1 is a square, and neither is 0
     isotropic = is_rational_square(-g4_diag[0] * g4_diag[1])
     out += [
         _check(
-            "subform discriminant matches the represented value",
+            "subform discriminant is a positive nonsquare",
             disc_ok,
-            f"discriminant class {c} vs {s}",
+            f"discriminant class {c}",
         ),
         _check("restricted subform isotropic over Q", isotropic),
     ]
-    # a square c fails the class or discriminant check, and a pair that is
-    # not hyperbolic the isotropy check, so the conversion is read past both
-    if isotropic and not is_rational_square(c):
+    # a bad discriminant or a pair that is not hyperbolic has already failed,
+    # so the conversion is read past both
+    if isotropic and disc_ok:
         out.append(
             _check(
                 "conversion field matches the witness field",
@@ -307,15 +284,14 @@ def _restricted_hermitian_diag(
 
 
 def _verify_subform(parent, emb: SubformIndices, w: Witness) -> list[VerifyCheck]:
-    ctx = emb.context
     out: list[VerifyCheck] = []
-    if ctx is None and isinstance(parent, Orthogonal):
+    if isinstance(parent, Orthogonal):
         diag, err = _restricted_rational_diag(parent.form, emb.basis)
-    elif ctx is None and isinstance(parent, Unitary2):
+    elif isinstance(parent, Unitary2):
         fld = parent.form.field
         basis = tuple(tuple(_coerce_lelem(fld, x) for x in v) for v in emb.basis)
         diag, err = _restricted_hermitian_diag(parent.form, basis)
-    elif isinstance(ctx, TraceRealizationContext) and isinstance(parent, Unitary1):
+    elif isinstance(parent, Unitary1):
         if parent.form.kind != "hermitian" or q_rank(parent) < 1:
             no_plane = "parent has no hyperbolic quaternion-hermitian plane"
             return [_check("trace realization applicable", False, no_plane)]
@@ -327,7 +303,7 @@ def _verify_subform(parent, emb: SubformIndices, w: Witness) -> list[VerifyCheck
         other = f"subform data does not apply to {type(parent).__name__}"
         return [_check("embedding applies to the parent", False, other)]
     out.append(_check("embedding basis valid", diag is not None, err))
-    return out if diag is None else out + _verify_quaternary(diag, emb, w)
+    return out if diag is None else out + _verify_quaternary(diag, w)
 
 
 def _verify_subfield_element(
@@ -343,17 +319,9 @@ def _verify_subfield_element(
             )
         ]
     val = _pure_square(parent.algebra, emb.coords)
-    s = val.numerator * val.denominator
-    square = val != 0 and is_rational_square(val)
     return [
-        _check("c recomputes", val == emb.c_value, f"recomputed {val}"),
         _check("c positive", val > 0, f"c = {val}"),
-        _check(
-            "c is not a rational square",
-            val != 0 and not square,
-            _SQUARE_VALUE if square else f"class {s}",
-        ),
-        _check("witness field matches", s != 0 and _res_sl2_from(w, s)),
+        _check("witness field matches", _res_sl2_from(w, val.numerator * val.denominator)),
     ]
 
 
@@ -382,29 +350,19 @@ def _verify_block(parent, emb: BlockEmbedding, w: Witness) -> list[VerifyCheck]:
 
 
 def _verify_split_so5(parent, emb: SplitSO5, w: Witness) -> list[VerifyCheck]:
-    """The witness's own form is <1,-1,-1,1,a> with a > 0, so split: <1,-1>
-    and <-1,1> are hyperbolic pairs.  Its quaternary subform <1,-1,-1,a>
-    has discriminant class a, printed as num * den, and converts to the
-    restriction of scalars of SL2 from Q(sqrt(a))."""
-    a = emb.a_value
-    coeffs = tuple(emb.form_coeffs)
-    s = a.numerator * a.denominator
-    square = a > 0 and is_rational_square(a)
+    """For the witness's field Q(sqrt(a)) with a > 0, the form <1,-1,-1,1,a>
+    is split: <1,-1> and <-1,1> are hyperbolic pairs.  Its quaternary
+    subform <1,-1,-1,a> has discriminant class a and converts to the
+    restriction of scalars of SL2 from Q(sqrt(a)); a is not a square, since
+    the witness's field certificate proves x^2 - a irreducible."""
+    k = _res_sl2_constant(w)
     out = [
         _check(
-            "form is <1,-1,-1,1,a>",
-            coeffs == (1, -1, -1, 1, a),
-            rats_to_str(coeffs),
-        ),
-        _check(
-            "a is not a rational square",
-            a > 0 and not square,
-            _SQUARE_VALUE if square else f"class {s}",
-        ),
+            "witness is the restriction of scalars of SL2 from a real quadratic"
+            " field",
+            k is not None and k > 0,
+        )
     ]
-    if a > 0 and not square:
-        field_ok = _res_sl2_from(w, s)
-        out.append(_check("conversion field matches the witness field", field_ok))
     try:
         qr = q_rank(parent)
         special_linear = isinstance(parent, SpecialLinear)
@@ -432,38 +390,24 @@ def _verify_compositum(parent, emb: CompositumTower, w: Witness) -> list[VerifyC
     val = _pure_square(dp, emb.e_coords)
     out = [
         _check(
-            "splitting value recomputes",
-            val == emb.e_value and val != 0 and squarefree_part(val) == e,
+            "splitting value has the claimed class",
+            val != 0 and squarefree_part(val) == e,
             f"recomputed {val}",
         ),
-        _check(
-            "base quadratic class matches the parent",
-            emb.l_class == d,
-            f"{emb.l_class} vs {d}",
-        ),
-        _check("compositum is biquadratic", e not in (1, d), f"e class {e}"),
         _check(
             "fixed-field class recomputes",
             k0 == squarefree_part(e * d) and k0 != 1,
             f"k0 class {k0}",
         ),
     ]
-    signs = f"e class {e}, l class {d}"
     if f.rank == 2:
-        out += [
-            _check(
-                "splitting field sign matches the base field",
-                (e > 0) == (d > 0),
-                signs,
-            ),
-            _check("fixed field real", k0 > 0, f"k0 class {k0}"),
-        ]
+        out.append(_check("fixed field real", k0 > 0, f"k0 class {k0}"))
     else:
         out.append(
             _check(
                 "splitting field imaginary when the base field is",
                 d > 0 or e < 0,
-                signs,
+                f"e class {e}, l class {d}",
             )
         )
     kc = emb.k_cert
@@ -535,32 +479,28 @@ def _verify_quartic_tower(
     # a3 * (c_x + c_y * alpha / wr) should equal a4
     c_in_d = d.element(emb.c_x) + (emb.c_y / wr) * alpha
     ratio_ok = (a3 * c_in_d - a4).is_zero()
-    minus_c = fprime.element(-c.x, -c.y)
     kc = emb.k_cert
     out += [
         _check("c equals the ratio of the two entries inside F'", ratio_ok),
-        _check(
-            "-c is not a square in F'", not numfield.is_square_in_quadfield(minus_c)
-        ),
         _check("tower certificate has degree 4", kc.degree == 4),
     ]
-    if emb.k_is_biquadratic:
-        ok_rational = c.y == 0
-        out.append(_check("biquadratic tower has rational c", ok_rational, f"c = {c}"))
-        if ok_rational:
-            d2 = squarefree_part(-c.x)
-            wanted = {dprime, d2, squarefree_part(Fraction(dprime * d2))}
-            have = set()
-            for cert in kc.subfields:
-                if polys.degree(cert.sub_poly) == 2 and verify_subfield(kc, cert):
-                    have.add(int(-cert.sub_poly[0]))
-            out.append(
-                _check(
-                    "biquadratic certificate has the three expected subfields",
-                    wanted <= have,
-                    f"wanted {sorted(wanted)}, certified {sorted(have)}",
-                )
+    # -c needs no test for being a square in F': a square root there would
+    # put 1 among the wanted classes below (rational c), or a root of
+    # degree 2 into the irreducible certified quartic
+    if c.y == 0:
+        d2 = squarefree_part(-c.x)
+        wanted = {dprime, d2, squarefree_part(Fraction(dprime * d2))}
+        have = set()
+        for cert in kc.subfields:
+            if polys.degree(cert.sub_poly) == 2 and verify_subfield(kc, cert):
+                have.add(int(-cert.sub_poly[0]))
+        out.append(
+            _check(
+                "biquadratic certificate has the three expected subfields",
+                wanted <= have,
+                f"wanted {sorted(wanted)}, certified {sorted(have)}",
             )
+        )
     else:
         g4 = kc.defining_poly
         even = all(c == 0 for c in g4[1::2])
@@ -606,15 +546,11 @@ def _verify_subfield_restriction(
         inadmissible = deg > 2 or (
             deg == 2 and cert.sub_poly[1] ** 2 - 4 * cert.sub_poly[0] > 0
         )
+        # a certificate that verifies has 1 < degree < the parent's degree
         return [
             _check(
                 "subfield certificate verifies in the parent field",
                 verify_subfield(parent.field, cert),
-            ),
-            _check(
-                "subfield proper",
-                1 < deg < parent.field.degree,
-                f"degree {deg} in degree {parent.field.degree}",
             ),
             _check(
                 "subfield is neither Q nor imaginary quadratic",
@@ -633,8 +569,7 @@ def _verify_subfield_restriction(
         ok_w = (
             isinstance(w.subgroup, Unitary2)
             and w.subgroup.form.field.d == d0
-            and qgroup.diagonalize_hermitian(w.subgroup.form)[0]
-            == (Fraction(1), Fraction(-1), Fraction(-1))
+            and w.subgroup.form == HermForm.diagonal(w.subgroup.form.field, [1, -1, -1])
         )
         return [
             _check(
@@ -658,9 +593,11 @@ def verify_witness(parent: GroupSpec, w: Witness) -> VerifyReport:
     """Re-validate a witness with fresh computations: the embedding data
     evaluates inside the parent, and one check of each kind pins the witness
     subgroup to an isotropic, almost simple group of real rank >= 2, so the
-    subgroup is not re-ranked.  The field check (_res_sl2_from, with k > 0 a
-    nonsquare by the checks before it) names ResSL2 over a real quadratic
-    field for a subform, split-so5, subfield element or rank-2 compositum;
+    subgroup is not re-ranked.  The field check names ResSL2 over
+    Q[x]/(x^2 - k), with k > 0 by that check or the ones before it, and k
+    not a square since the witness's certificate proves x^2 - k
+    irreducible: a real quadratic field, for a subform, split-so5, subfield
+    element or rank-2 compositum;
     a block names SL3; a compositum of other rank ResSU3 over its certified
     quartic; a tower ResSL2 over its quartic, with r1 + r2 >= 2; a subfield
     restriction ResSL2 over a real quadratic or higher-degree subfield, or

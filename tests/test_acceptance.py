@@ -104,20 +104,15 @@ def test_criterion_2_verified_witnesses_and_fault_rejection():
             assert disc == want_disc
         witnesses.append((g, v.witness))
 
-    # fault 1: a square value of `a` makes the claimed subgroup split apart
-    g = Symplectic(2)
-    w = analyze(g).witness
-    bad_emb = replace(
-        w.embedding,
-        a_value=Fraction(4),
-        form_coeffs=w.embedding.form_coeffs[:4] + (Fraction(4),),
-    )
-    report = verify_witness(g, replace(w, embedding=bad_emb))
-    assert not report.ok
-    assert any(
-        "a is a rational square => subgroup not almost simple" in (c.name + c.detail)
-        for c in report.failures
-    )
+    # fault 1: a square discriminant makes the claimed subgroup split apart;
+    # in <1,-1,-1,4,5> the basis of the <1,-1,-1,3,5> witness spans
+    # <1,-1,-1,4>, of determinant 4
+    w = witnesses[1][1]
+    square = Orthogonal(QuadForm.diagonal([1, -1, -1, 4, 5]))
+    report = verify_witness(square, w)
+    assert [(c.name, c.detail) for c in report.failures] == [
+        ("subform discriminant is a positive nonsquare", "discriminant class 4")
+    ]
 
     # fault 2: an imaginary field (real rank 1) is not the conversion field
     g2, w2 = witnesses[1]

@@ -227,7 +227,7 @@ def test_skew_tower_quartic_has_the_root_sqrt_minus_c():
             r = skew_restriction(QuatForm(d, "skew_hermitian", (a3, a4), 1), 0, 1)
         except (Degenerate, DegenerateTower):
             continue
-        if r.k_is_biquadratic:
+        if r.c.y == 0:  # biquadratic: no quartic tower polynomial
             continue
         s = _tower_root_scale(r)
         assert s is not None and s > 0 and is_rational_square(s), (d, a3, a4, r.k_cert)

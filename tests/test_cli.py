@@ -37,7 +37,8 @@ def test_biquadratic_tower_matches_golden(run_cli, tmp_path):
     the golden's input reproduces it byte for byte."""
     text = (GOLDEN / "biquadratic_tower.json").read_text(encoding="utf-8")
     doc = json.loads(text)
-    assert doc["witness"]["embedding"]["k_is_biquadratic"] is True
+    emb = doc["witness"]["embedding"]
+    assert emb["type"] == "pure-quaternion-tower" and emb["c_y"] == "0"
     r = run_cli("analyze", _write(tmp_path, doc["input"]))
     assert (r.code, r.stdout) == (0, text)
 
@@ -101,15 +102,16 @@ def test_verify_roundtrip(run_cli, tmp_path):
 def test_verify_rejects_corrupted_witness(run_cli, tmp_path):
     r = run_cli("analyze", corpus("sp4"))
     doc = r.json
-    # corrupt the claimed nonsquare into a square
-    emb = doc["witness"]["embedding"]
-    emb["a_value"] = "4"
-    emb["form_coeffs"] = emb["form_coeffs"][:4] + ["4"]
+    # corrupt the real quadratic witness field Q(sqrt 2) into Q(sqrt -2)
+    doc["witness"]["subgroup"]["field"] = {"poly": [2, 0, 1]}
     p = tmp_path / "bad.json"
     p.write_text(json.dumps(doc))
     r2 = run_cli("verify", str(p))
     assert r2.code == 3
     assert r2.json["verification"]["ok"] is False
+    assert _failed_checks(r2) == [
+        "witness is the restriction of scalars of SL2 from a real quadratic field"
+    ]
 
 
 def test_verify_requires_witness_document(run_cli, tmp_path):
@@ -720,11 +722,11 @@ def test_altered_b2_trace_realization_basis_fails_verification(run_cli, tmp_path
     embedding basis vector of su1_herm_b2_n2 is rejected."""
     doc = json.loads((CORPUS / "expected" / "su1_herm_b2_n2.json").read_text())
     emb = doc["witness"]["embedding"]
-    assert emb["context"] == {"type": "trace-realization"}
+    assert set(emb) == {"type", "basis"}  # the parent's kind names the realization
     emb["basis"][3] = ["0", "0", "1", "1", "0"]
     r = run_cli("verify", _write(tmp_path, doc))
     assert r.code != 0 and r.json["verification"]["ok"] is False
-    assert "subform discriminant matches the represented value" in _failed_checks(r)
+    assert _failed_checks(r) == ["conversion field matches the witness field"]
 
 
 @pytest.mark.parametrize("name", ["so6", "su1_herm_b2_n2"])
@@ -736,3 +738,28 @@ def test_field_pair_in_a_rational_subform_basis_fails_verification(run_cli, tmp_
     doc["witness"]["embedding"]["basis"][1][0] = ["1", "2"]
     r = run_cli("verify", _write(tmp_path, doc))
     assert r.code == 3 and "embedding basis valid" in _failed_checks(r)
+
+
+# the embedding keys that earlier almin/1 documents wrote and the verifier
+# now computes, with the values the earlier writer gave these goldens
+EARLIER_EMBEDDING_KEYS = {
+    "so6": {"tail_coeffs": ["3", "5", "7"], "a_value": "3",
+            "witness_vector": ["1", "0", "0"], "context": None},
+    "sp4": {"form_coeffs": ["1", "-1", "-1", "1", "2"], "a_value": "2"},
+    "su1_herm_b2_n2": {"tail_coeffs": ["1/3", "1/2"], "a_value": "1/3",
+                       "witness_vector": ["1", "0"],
+                       "context": {"type": "trace-realization"}},
+    "su1_skew_tower": {"k_is_biquadratic": False},
+}
+
+
+@pytest.mark.parametrize("name", sorted(EARLIER_EMBEDDING_KEYS))
+def test_documents_with_earlier_embedding_keys_still_verify(run_cli, tmp_path, name):
+    """The reader ignores a key that is not a field, so a document written
+    with the embedding values the verifier now computes verifies with the
+    golden's own report."""
+    doc = json.loads((CORPUS / "expected" / f"{name}.json").read_text())
+    doc["witness"]["embedding"].update(EARLIER_EMBEDDING_KEYS[name])
+    r = run_cli("verify", _write(tmp_path, doc))
+    assert r.code == 0
+    assert r.json["verification"] == doc["verification"]

@@ -77,22 +77,9 @@ IMAGINARY_K0 = {
 
 ROWS = [
     # ---- subform: an orthogonal parent, so6 = <1,-1,-1,3,5,7>, a = 3
-    Row(
-        "represented value is not a rational square",
-        "so6",
-        {"input.diagonal.3": "4", W + "tail_coeffs.0": "4", W + "a_value": "4"},
-    ),
-    Row(
-        "witness vector reproduces the represented value",
-        "so6",
-        {W + "witness_vector": ["0", "1", "0"]},
-    ),
     Row("restricted subform nondegenerate", "so6", {W + "basis.3": ["0"] * 6}),
-    Row(
-        "subform discriminant matches the represented value",
-        "so6",
-        {W + "a_value": "5", W + "witness_vector": ["0", "1", "0"]},
-    ),
+    # the fourth vector now has value 4: the determinant is a square
+    Row("subform discriminant is a positive nonsquare", "so6", {"input.diagonal.3": "4"}),
     Row(
         "restricted subform isotropic over Q",
         "so6",
@@ -112,18 +99,10 @@ ROWS = [
         {"input.diagonal": [["5", "0", "0", "0"]], "input.hyperbolic_count": 0},
     ),
     # ---- subfield element: SL2 over (2, 3), c = 2 at i
-    Row("c recomputes", "sl2_quat_23", {W + "c_value": "3"}),
     Row(
         "c positive",
         "sl2_quat_23",
-        {W + "c_value": "-6", W + "coords": ["0", "0", "1"], WF: _field([6, 0, 1])},
-    ),
-    # a witness field is irreducible, so no field matches a square c
-    Row(
-        "c is not a rational square",
-        "sl2_quat_23",
-        {"input.algebra": {"a": "1", "b": "3"}, W + "c_value": "1"},
-        also=("witness field matches",),
+        {W + "coords": ["0", "0", "1"], WF: _field([6, 0, 1])},
     ),
     Row("witness field matches", "sl2_quat_23", {WF: _field([-3, 0, 1])}),
     Row("embedding applies to the parent", "sl2_quat_23", {"input": SL4}),
@@ -136,16 +115,10 @@ ROWS = [
     ),
     Row("embedding applies to the parent", "sl4", {"input": {"kind": "sp", "n": 2}}),
     # ---- split-so5: <1,-1,-1,1,2> in Sp4
-    Row("form is <1,-1,-1,1,a>", "sp4", {W + "form_coeffs": ["1", "1", "-1", "-1", "2"]}),
     Row(
-        "a is not a rational square",
+        "witness is the restriction of scalars of SL2 from a real quadratic field",
         "sp4",
-        {W + "form_coeffs.4": "4", W + "a_value": "4"},
-    ),
-    Row(
-        "conversion field matches the witness field",
-        "sp4",
-        {WF: _field([-3, 0, 1])},
+        {WF: _field([2, 0, 1])},
     ),
     Row(
         "parent has rational rank >= 2",
@@ -161,14 +134,8 @@ ROWS = [
         detail="Morita",
     ),
     # ---- compositum, rank 2: L = Q(sqrt 17), E = Q(sqrt 2), K0 = Q(sqrt 34)
-    Row("splitting value recomputes", "su2quat_rank2", {W + "e_value": "3"}),
-    Row("base quadratic class matches the parent", "su2quat_rank2", {W + "l_class": 5}),
-    Row(
-        "compositum is biquadratic",
-        "su2quat_rank2",
-        {"input.l_d": 2, W + "l_class": 2},
-        also=("fixed-field class recomputes",),
-    ),
+    # j squares to 3 in the algebra (2, 3), not to the class 2
+    Row("splitting value has the claimed class", "su2quat_rank2", {W + "e_coords": ["0", "1", "0"]}),
     Row(
         "fixed-field class recomputes",
         "su2quat_rank2",
@@ -190,19 +157,8 @@ ROWS = [
     Row("compositum contains Q(sqrt(17))", "su2quat_rank2", {W + "k_cert.subfields.1.embedding.1": "0"}),
     Row("compositum contains Q(sqrt(34))", "su2quat_rank2", {W + "k_cert.subfields.2.embedding.0": "0"}),
     # the rank-3 witness in a rank-2 parent: e and L of opposite signs make
-    # K0 imaginary, so the two checks fail together
-    Row(
-        "splitting field sign matches the base field",
-        "su2quat_rank3",
-        IMAGINARY_K0,
-        also=("fixed field real",),
-    ),
-    Row(
-        "fixed field real",
-        "su2quat_rank3",
-        IMAGINARY_K0,
-        also=("splitting field sign matches the base field",),
-    ),
+    # K0 imaginary
+    Row("fixed field real", "su2quat_rank3", IMAGINARY_K0),
     Row(
         "witness is the restriction of scalars of SL2 from the fixed field",
         "su2quat_rank2",
@@ -216,10 +172,8 @@ ROWS = [
         "su2quat_rank3",
         {
             "input.l_d": -17,
-            W + "e_value": "2",
             W + "e_class": 2,
             W + "e_coords": ["1", "0", "0"],
-            W + "l_class": -17,
             W + "k0_class": -34,
             W + "k_cert": Q_SQRT2_SQRT_M17,
             "witness.subgroup.k_d": -34,
@@ -244,7 +198,6 @@ ROWS = [
             W + "alpha_coords": ["1", "1", "0"],
             W + "c_x": "3",
             W + "c_y": "0",
-            W + "k_is_biquadratic": True,
             W + "k_cert": _field([1, 0, 10, 0, 1]),
             WF: _field([1, 0, 10, 0, 1]),
         },
@@ -252,14 +205,6 @@ ROWS = [
     Row("alpha generates the claimed quadratic field", "su1_skew_tower", {W + "fprime_class": -1}),
     # c = 4 sqrt -2 still gives x^4 + 2 the root sqrt(-c) / 2
     Row("c equals the ratio of the two entries inside F'", "su1_skew_tower", {W + "c_y": "4"}),
-    # <i, 2i>: a root of the tower polynomial would lie in F', so no
-    # irreducible quartic passes the root check
-    Row(
-        "-c is not a square in F'",
-        "su1_skew_tower",
-        {"input.diagonal.1": ["0", "2", "0", "0"], W + "c_x": "2", W + "c_y": "0"},
-        also=("tower polynomial has the root sqrt(-c) up to a rational scale",),
-    ),
     Row(
         "tower certificate has degree 4",
         "su1_skew_tower",
@@ -290,11 +235,6 @@ ROWS = [
     # ---- biquadratic tower: <2j, j> over (-1, -3), alpha = i, c = 1/2,
     # K = Q(i, sqrt 2)
     Row(
-        "biquadratic tower has rational c",
-        "biquadratic_tower",
-        {"input.diagonal.1": ["0", "0", "1", "-2"], W + "c_y": "1"},
-    ),
-    Row(
         "biquadratic certificate has the three expected subfields",
         "biquadratic_tower",
         {"input.diagonal.1": ["0", "0", "3", "0"], W + "c_x": "3/2"},
@@ -304,14 +244,6 @@ ROWS = [
         "subfield certificate verifies in the parent field",
         "res_sl2_x4m2",
         {W + "cert.embedding": ["0", "0", "2"]},
-    ),
-    # a certificate that verifies has 1 < degree < the parent's degree
-    Row(
-        "subfield proper",
-        "res_sl2_x4m2",
-        {W + "cert": {"poly": ["-2", "0", "0", "0", "1"], "embedding": ["0", "1"]},
-         WF: _field([-2, 0, 0, 0, 1])},
-        also=("subfield certificate verifies in the parent field",),
     ),
     # Q(i), at theta^2, in Q(zeta_8)
     Row(
@@ -433,7 +365,7 @@ def _call_sites() -> dict:
 
 def test_every_check_call_site_has_a_forgery():
     sites = _call_sites()
-    assert sum(map(len, sites.values())) > 50  # the parse found the checks
+    assert sum(map(len, sites.values())) > 40  # the parse found the checks
     covered = collections.defaultdict(list)
     # test_unknown_embedding_kind_fails: no document reaches this check
     covered["verify_witness", re.escape("embedding kind known")].append("in process")

@@ -9,6 +9,7 @@ import pytest
 
 from almin import serde
 from almin.algebra import HermForm, QuatElement, QuatForm, QuatSecondKindForm, QuaternionAlgebra
+from almin.arith import rats_to_str
 from almin.minimal import (
     BlockEmbedding,
     CompositumTower,
@@ -40,7 +41,7 @@ from almin.qgroup import (
     real_rank,
 )
 from almin.value import replace
-from almin.verify import EmbeddingData, TraceRealizationContext
+from almin.verify import EmbeddingData
 
 
 def _assert_verified(g, verdict):
@@ -171,7 +172,9 @@ def test_orthogonal_witness_factors_no_search_value(diagonal):
 def test_orthogonal_witness_reads_a_from_square_tails(diagonal, vector, a):
     g = serde.group_from_doc({"kind": "so", "diagonal": diagonal})
     w = _assert_verified(g, analyze(g))
-    assert (w.embedding.witness_vector, w.embedding.a_value) == (vector, a)
+    assert w.subgroup.field.defining_poly == (-a, 0, 1)
+    step = next(s for s in w.derivation if s.rule == "represent-positive-nonsquare")
+    assert step.detail == f"a = {a} (class {a}) at tail vector {rats_to_str(vector)}"
     back = serde.witness_from_doc(json.loads(json.dumps(serde.witness_to_doc(w))))
     assert verify_witness(g, back).ok
 
@@ -210,14 +213,19 @@ def test_corpus_witnesses_survive_a_json_round_trip():
     docs = [json.loads(p.read_text()) for p in sorted(expected.glob("*.json"))]
     docs = [doc for doc in docs if doc.get("verdict") == "not_minimal"]
     assert len(docs) == 23
-    kinds = set()
+    kinds, subform_parents = set(), set()
     for doc in docs:
+        parent = serde.group_from_doc(doc["input"])
         back = serde.witness_from_doc(doc["witness"])
         assert serde.witness_to_doc(back) == doc["witness"], doc["input"]
-        assert verify_witness(serde.group_from_doc(doc["input"]), back).ok
-        kinds |= {type(back.embedding), type(getattr(back.embedding, "context", None))}
-    # together the goldens hold every embedding kind and the trace realization
-    assert kinds >= {*get_args(EmbeddingData), TraceRealizationContext}
+        assert verify_witness(parent, back).ok
+        kinds.add(type(back.embedding))
+        if isinstance(back.embedding, SubformIndices):
+            subform_parents.add(type(parent))
+    # together the goldens hold every embedding kind, and a subform in each
+    # of its three realizations: the trace realization of a Unitary1 parent
+    assert kinds == set(get_args(EmbeddingData))
+    assert subform_parents == {Orthogonal, Unitary2, Unitary1}
 
 
 def test_random_hermitian_specs_end_verified_or_not_applicable():
@@ -535,34 +543,26 @@ def test_conditional_verdicts_are_flagged():
 
 
 def test_square_a_fault_rejected():
+    """A split-so5 witness reads a off its field x^2 - a, so a square a
+    cannot be written: x^2 - 4 is no field, and the document is refused."""
     g = Symplectic(2)
     v = analyze(g)
     assert isinstance(v, NotMinimal)
-    emb = v.witness.embedding
-    assert isinstance(emb, SplitSO5)
-    bad_emb = replace(
-        emb,
-        a_value=Fraction(4),
-        form_coeffs=emb.form_coeffs[:4] + (Fraction(4),),
-    )
-    bad = replace(v.witness, embedding=bad_emb)
-    report = verify_witness(g, bad)
-    assert not report.ok
-    msgs = [c.detail for c in report.failures] + [c.name for c in report.failures]
-    assert any(
-        "a is a rational square => subgroup not almost simple" in m for m in msgs
-    )
+    assert isinstance(v.witness.embedding, SplitSO5)
+    doc = serde.witness_to_doc(v.witness)
+    doc["subgroup"]["field"] = {"poly": [-4, 0, 1]}
+    with pytest.raises(serde.ParseError, match="irreducible"):
+        serde.witness_from_doc(doc)
 
 
 def test_quaternary_square_a_fault_rejected():
     g = Orthogonal(QuadForm.diagonal([1, -1, -1, 3, 5]))
     v = analyze(g)
-    emb = v.witness.embedding
-    # scale the represented value by a square-killing corruption: claim a = 9
-    bad_emb = replace(emb, a_value=Fraction(9))
-    bad = replace(v.witness, embedding=bad_emb)
-    report = verify_witness(g, bad)
-    assert not report.ok
+    # a square-killing corruption: in <1,-1,-1,9,5> the witness basis spans
+    # <1,-1,-1,9>, of square determinant
+    square = Orthogonal(QuadForm.diagonal([1, -1, -1, 9, 5]))
+    report = verify_witness(square, v.witness)
+    assert [c.name for c in report.failures] == ["subform discriminant is a positive nonsquare"]
 
 
 @pytest.mark.parametrize(
@@ -604,6 +604,7 @@ def test_wrong_subgroup_shape_rejected():
 
 
 BUILDERS = {
+    "diagonalize_hermitian",
     "represent_constrained",
     "find_isotropic_vector",
     "find_splitting_quadratic",
@@ -679,13 +680,17 @@ def test_quaternary_isotropy_is_read_from_the_first_basis_pair():
 
 
 def test_split_so5_reads_splitness_from_the_witness_form():
-    """<1, 1, -1, -1, a> is not the split form <1,-1,-1,1,a>, and the shape
-    check alone rejects it: once the shape holds with a > 0, both pairs are
-    hyperbolic, so no separate splitness check is needed."""
+    """The split form <1,-1,-1,1,a> is read off the witness field x^2 - a:
+    the embedding has no fields, and a written form is ignored.  Once
+    a > 0, both pairs are hyperbolic, so the sign of a is all that is
+    checked."""
     g = Symplectic(2)
     w = analyze(g).witness
-    a = w.embedding.a_value
-    coeffs = tuple(map(Fraction, (1, 1, -1, -1))) + (a,)
-    bad_emb = replace(w.embedding, form_coeffs=coeffs)
-    report = verify_witness(g, replace(w, embedding=bad_emb))
-    assert [c.name for c in report.failures] == ["form is <1,-1,-1,1,a>"]
+    doc = serde.witness_to_doc(w)
+    assert doc["embedding"] == {"type": "split-so5"}
+    doc["embedding"]["form_coeffs"] = ["1", "1", "-1", "-1", "2"]
+    assert verify_witness(g, serde.witness_from_doc(doc)).ok
+    report = verify_witness(g, replace(w, subgroup=ResSL2(quadratic_field_cert(-2))))
+    assert [c.name for c in report.failures] == [
+        "witness is the restriction of scalars of SL2 from a real quadratic field"
+    ]

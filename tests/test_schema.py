@@ -71,5 +71,5 @@ def test_embedding_schema_pins_the_keys_of_each_record():
     assert not list(validator.iter_errors(doc))
     doc["witness"]["embedding"]["extra"] = "1"
     assert list(validator.iter_errors(doc))
-    del doc["witness"]["embedding"]["extra"], doc["witness"]["embedding"]["context"]
+    del doc["witness"]["embedding"]["extra"], doc["witness"]["embedding"]["basis"]
     assert list(validator.iter_errors(doc))

@@ -196,13 +196,13 @@ def test_declared_subfields_complete_is_not_read():
 
 
 def test_witness_flag_must_be_a_boolean():
-    golden = json.loads((CORPUS / "expected" / "su1_skew_tower.json").read_text())
+    golden = json.loads((CORPUS / "expected" / "su2quat_rank3.json").read_text())
     doc = golden["witness"]
-    assert serde.witness_from_doc(doc).embedding.k_is_biquadratic is False
-    doc["embedding"]["k_is_biquadratic"] = "false"
+    assert serde.witness_from_doc(doc).subgroup.witness_context is True
+    doc["subgroup"]["witness_context"] = "true"
     with pytest.raises(ParseError) as e:
         serde.witness_from_doc(doc)
-    assert e.value.path == "$.witness.embedding.k_is_biquadratic"
+    assert e.value.path == "$.witness.subgroup.witness_context"
 
 
 # JSON-like documents shaped like specs: each kind with its fields, holding
@@ -326,10 +326,12 @@ def test_malformed_derivation_is_a_parse_error(derivation, path):
 
 
 def test_missing_keys_take_the_field_defaults():
-    doc = _witness("su1_skew_tower")
-    del doc["embedding"]["k_is_biquadratic"], doc["derivation"]
+    doc = _witness("sl4")
+    assert doc["embedding"] == {"type": "block", "offset": 0}
+    del doc["embedding"]["offset"], doc["derivation"]
     w = serde.witness_from_doc(doc)
-    assert w.embedding.k_is_biquadratic is False and w.derivation == ()
+    assert w.embedding.offset == 0 and w.derivation == ()
+    doc = _witness("su1_skew_tower")
     del doc["embedding"]["c_x"]
     with pytest.raises(ParseError) as e:
         serde.witness_from_doc(doc)
