@@ -2,12 +2,14 @@
 and Hilbert symbols over the places of the rationals.
 
 All values are immutable and all functions are pure.  A rational is an
-`int` or a `fractions.Fraction`; functions that return a rational return a
-`Fraction`.  Places are `RealPlace` or `FinitePrime`.
+`int` or a `fractions.Fraction`, read as its numerator and denominator;
+functions that return a rational return a `Fraction`.  Places are
+`RealPlace` or `FinitePrime`, one per prime (`finite_prime`).
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
 from typing import Iterable, Union
@@ -54,6 +56,11 @@ class FinitePrime(Value):
 Place = Union[RealPlace, FinitePrime]
 
 REAL = RealPlace()
+
+
+# the one place of each prime, proven prime on first use; a composite
+# raises NotPrime and is not kept
+finite_prime = functools.cache(FinitePrime)
 
 
 def _miller_rabin(n: int, a: int) -> bool:
@@ -152,7 +159,6 @@ def factorize(n: int) -> dict[int, int]:
 
 def squarefree_part(x: Rational) -> int:
     """Squarefree integer s with x = s * (rational square); sign(s) = sign(x)."""
-    x = Fraction(x)
     if x == 0:
         raise ZeroInput("squarefree_part(0)")
     n = x.numerator * x.denominator  # same square class as x
@@ -164,7 +170,6 @@ def squarefree_part(x: Rational) -> int:
 
 
 def is_rational_square(x: Rational) -> bool:
-    x = Fraction(x)
     if x == 0:
         return True
     if x < 0:
@@ -177,14 +182,12 @@ def is_rational_square(x: Rational) -> bool:
 
 def rational_sqrt(x: Rational) -> Fraction:
     """The nonnegative square root of a rational square x."""
-    x = Fraction(x)
     return Fraction(math.isqrt(x.numerator), math.isqrt(x.denominator))
 
 
 def rat_to_str(x: Rational) -> str:
     """x as "n" or "n/d" in lowest terms, the form of every rational in a
     document."""
-    x = Fraction(x)
     return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
 
 
@@ -249,4 +252,4 @@ def relevant_places(values: Iterable[Rational]) -> list[Place]:
         if x == 0:
             continue
         primes.update(factorize(x.numerator * x.denominator))
-    return [REAL] + [FinitePrime(p) for p in sorted(primes)]
+    return [REAL] + [finite_prime(p) for p in sorted(primes)]

@@ -187,11 +187,7 @@ def _orthogonal_subform_witness(form: QuadForm) -> Witness:
     )
     rep = represent_constrained(tail_coeffs)
     a = rep.value
-    w4 = [Fraction(0)] * form.dim
-    for m, (vec, _) in enumerate(tail):
-        for t in range(form.dim):
-            w4[t] += rep.vector[m] * Fraction(vec[t])
-    w4 = tuple(w4)
+    w4 = quadform.combine(rep.vector, [vec for vec, _ in tail])
     s = a.numerator * a.denominator  # a times den^2: the class of a, unfactored
     deriv.append(
         _step(

@@ -2,10 +2,12 @@
 
 Forms are symmetric Gram matrices of Fractions.  They are evaluated over
 the integers: each form caches its Gram as N / den with N integral, each
-vector is cleared to integers over a common denominator, and a pairing or
-a restricted Gram entry is an integer sum divided once.  The module provides
-congruence diagonalization, signatures, the invariants of a diagonal (one
-bilinear product of Hilbert symbols) and Serre's local criterion on them,
+vector is cleared to integers over a common denominator, and a pairing, a
+restricted Gram entry or a linear combination is an integer sum divided
+once.  Each form also caches its congruence diagonalization, which its
+signature, invariants, determinant and witness read.  The module provides
+signatures, the invariants of a diagonal (one bilinear product of Hilbert
+symbols) and Serre's local criterion on them,
 written once (_local_isotropic) for local and global isotropy tests and the
 Witt index, isotropic vectors constructed from theory (a pair c, -c of
 square classes, Legendre's descent for ternary forms, and for dimension >= 4
@@ -30,6 +32,7 @@ from .arith import (
     RealPlace,
     _two_adic_split,
     factorize,
+    finite_prime,
     hilbert_symbol,
     is_rational_square,
     rational_sqrt,
@@ -53,8 +56,11 @@ class SearchExhausted(RuntimeError):
     """A value or vector provably exists but a budgeted loop did not reach it."""
 
 
+_ZERO, _ONE = Fraction(0), Fraction(1)
+
+
 def _mat(rows: Sequence[Sequence]) -> Matrix:
-    return tuple(tuple(Fraction(x) for x in row) for row in rows)
+    return tuple(tuple(x if isinstance(x, Fraction) else Fraction(x) for x in row) for row in rows)
 
 
 class QuadForm(Value):
@@ -74,11 +80,11 @@ class QuadForm(Value):
 
     @staticmethod
     def diagonal(coeffs: Sequence) -> "QuadForm":
-        cs = [Fraction(c) for c in coeffs]
+        cs = _mat([coeffs])[0]
         n = len(cs)
         return QuadForm(
             tuple(
-                tuple(cs[i] if i == j else Fraction(0) for j in range(n))
+                tuple(cs[i] if i == j else _ZERO for j in range(n))
                 for i in range(n)
             )
         )
@@ -104,6 +110,13 @@ class QuadForm(Value):
         )
         return rows, den
 
+    @cached_property
+    def diagonalization(self) -> tuple[tuple[Fraction, ...], Matrix]:
+        """(coeffs, basis_change) of diagonalize(self), computed once like
+        `integral`; it holds no reference to the form, so a form is freed by
+        reference counting.  A singular form raises Degenerate on each read."""
+        return _diagonalize(self.gram)
+
     def value(self, v: Sequence) -> Fraction:
         """q(v) = v^T G v."""
         return self.bilinear(v, v)
@@ -121,7 +134,12 @@ class QuadForm(Value):
         return Fraction(total, den * da * db)
 
     def determinant(self) -> Fraction:
-        return _det(self.gram)
+        """The product of the diagonal coefficients (B is built from swaps
+        and unimodular shears, so det B = +-1), or 0 for a singular form."""
+        try:
+            return math.prod(self.diagonalization[0], start=_ONE)
+        except Degenerate:
+            return _ZERO
 
 
 def _cleared(v: Sequence) -> tuple[list[int], int]:
@@ -130,25 +148,6 @@ def _cleared(v: Sequence) -> tuple[list[int], int]:
     v = [x if isinstance(x, (int, Fraction)) else Fraction(x) for x in v]
     d = math.lcm(*(x.denominator for x in v))
     return [x.numerator * (d // x.denominator) for x in v], d
-
-
-def _det(g: Matrix) -> Fraction:
-    n = len(g)
-    m = [list(row) for row in g]
-    det = Fraction(1)
-    for col in range(n):
-        piv = next((r for r in range(col, n) if m[r][col] != 0), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != col:
-            m[col], m[piv] = m[piv], m[col]
-            det = -det
-        det *= m[col][col]
-        for r in range(col + 1, n):
-            f = m[r][col] / m[col][col]
-            for c in range(col, n):
-                m[r][c] -= f * m[col][c]
-    return det
 
 
 class DiagForm(Value):
@@ -164,19 +163,28 @@ class DiagForm(Value):
 
 
 def diagonalize(f: QuadForm) -> DiagForm:
-    """Exact congruence diagonalization; raises Degenerate on singular input."""
-    n = f.dim
-    g = [list(row) for row in f.gram]
-    b = [[Fraction(1) if i == j else Fraction(0) for j in range(n)] for i in range(n)]
+    """Exact congruence diagonalization, read from the form's cache
+    (QuadForm.diagonalization); raises Degenerate on singular input."""
+    return DiagForm(*f.diagonalization, f)
+
+
+def _diagonalize(gram: Matrix) -> tuple[tuple[Fraction, ...], Matrix]:
+    """(coeffs, B) with B^T G B = diag(coeffs), by symmetric elimination;
+    raises Degenerate on singular input."""
+    n = len(gram)
+    g = [list(row) for row in gram]
+    b = [[_ONE if i == j else _ZERO for j in range(n)] for i in range(n)]
 
     def add_col(dst: int, src: int, c: Fraction):
-        # column op on g (both sides, keeping symmetry) and on b
+        # column op on b and on g (both sides, keeping symmetry); zeros add nothing
         for r in range(n):
-            g[r][dst] += c * g[r][src]
+            if b[r][src]:
+                b[r][dst] += c * b[r][src]
+            if g[r][src]:
+                g[r][dst] += c * g[r][src]
         for r in range(n):
-            g[dst][r] += c * g[src][r]
-        for r in range(n):
-            b[r][dst] += c * b[r][src]
+            if g[src][r]:
+                g[dst][r] += c * g[src][r]
 
     def swap_col(i: int, j: int):
         for r in range(n):
@@ -205,7 +213,7 @@ def diagonalize(f: QuadForm) -> DiagForm:
                 if pair is None:
                     raise Degenerate("form is singular")
                 i, j = pair
-                add_col(i, j, Fraction(1))  # now g[i][i] = 2*g[i][j] != 0
+                add_col(i, j, _ONE)  # now g[i][i] = 2*g[i][j] != 0
                 if i != k:
                     swap_col(k, i)
         for i in range(k + 1, n):
@@ -214,7 +222,7 @@ def diagonalize(f: QuadForm) -> DiagForm:
     coeffs = tuple(g[i][i] for i in range(n))
     if any(c == 0 for c in coeffs):
         raise Degenerate("form is singular")
-    return DiagForm(coeffs, tuple(tuple(row) for row in b), f)
+    return coeffs, tuple(map(tuple, b))
 
 
 def signature(f: QuadForm) -> tuple[int, int]:
@@ -269,10 +277,10 @@ def _invariants(
     coefficient, taken from `primes` (any set of primes holding them) or
     else found by factoring.  Elsewhere every coefficient is a unit, and a
     unit form of dimension >= 3 is isotropic."""
-    ms = [Fraction(c).numerator * Fraction(c).denominator for c in cs]
+    ms = [c.numerator * c.denominator for c in cs]
     if primes is None:
         primes = {p for m in ms for p in factorize(m)}
-    eps = {FinitePrime(p): 1 for p in {2, *primes} if p == 2 or any(m % p == 0 for m in ms)}
+    eps = {finite_prime(p): 1 for p in {2, *primes} if p == 2 or any(m % p == 0 for m in ms)}
     d = cs[0] if cs else Fraction(1)
     for c in cs[1:]:
         # eps_v = prod_j (c_1 ... c_{j-1}, c_j)_v by bilinearity
@@ -352,10 +360,7 @@ def find_isotropic_vector(f: QuadForm) -> Optional[Vector]:
     # c_i = cs_i w_i^2, so x_i = v_i / w_i is a zero of sum c_i x_i^2
     v = _isotropic_diag(cs, primes)
     xs = [x / rational_sqrt(c / s) for x, c, s in zip(v, d.coeffs, cs)]
-    n = f.dim
-    out = tuple(
-        sum(d.basis_change[i][j] * xs[j] for j in range(n)) for i in range(n)
-    )
+    out = combine(xs, list(zip(*d.basis_change)))
     assert f.value(out) == 0 and any(x != 0 for x in out)
     return primitive(out)
 
@@ -610,9 +615,13 @@ def restrict(f: QuadForm, vectors: Sequence[Vector]) -> QuadForm:
 
 
 def combine(coords: Sequence, vectors: Sequence[Vector]) -> Vector:
-    """sum coords[i] * vectors[i]."""
+    """sum coords[i] * vectors[i] over the integers: each vector with a
+    nonzero coordinate cleared once, each entry divided once."""
+    a, da = _cleared(coords)
+    terms = [(x, *_cleared(w)) for x, w in zip(a, vectors) if x]
+    den = math.lcm(*(d for _, _, d in terms))
     return tuple(
-        sum(c * Fraction(w[j]) for c, w in zip(coords, vectors))
+        Fraction(sum(x * (den // d) * w[j] for x, w, d in terms), da * den)
         for j in range(len(vectors[0]))
     )
 

@@ -49,7 +49,7 @@ from .qgroup import (
     Unsupported,
     q_rank,
 )
-from .quadform import QuadForm
+from .quadform import QuadForm, restrict
 from .value import Value
 
 
@@ -247,10 +247,11 @@ def _restricted_rational_diag(
         return None, "basis must be four vectors of the ambient dimension"
     if any(isinstance(x, tuple) for v in basis for x in v):
         return None, "a basis entry is a field pair, not a rational"
+    g = restrict(form, basis).gram
     for i, j in itertools.combinations(range(4), 2):
-        if form.bilinear(basis[i], basis[j]) != 0:
+        if g[i][j] != 0:
             return None, f"basis vectors {i},{j} are not orthogonal"
-    return [form.value(v) for v in basis], ""
+    return [g[i][i] for i in range(4)], ""
 
 
 def _restricted_hermitian_diag(
@@ -396,7 +397,7 @@ def _verify_compositum(parent, emb: CompositumTower, w: Witness) -> list[VerifyC
         ),
         _check(
             "fixed-field class recomputes",
-            k0 == squarefree_part(e * d) and k0 != 1,
+            e != 0 and k0 == squarefree_part(e * d) and k0 != 1,
             f"k0 class {k0}",
         ),
     ]
@@ -488,18 +489,19 @@ def _verify_quartic_tower(
     # put 1 among the wanted classes below (rational c), or a root of
     # degree 2 into the irreducible certified quartic
     if c.y == 0:
-        d2 = squarefree_part(-c.x)
-        wanted = {dprime, d2, squarefree_part(Fraction(dprime * d2))}
         have = set()
         for cert in kc.subfields:
             if polys.degree(cert.sub_poly) == 2 and verify_subfield(kc, cert):
                 have.add(int(-cert.sub_poly[0]))
+        if c.x == 0:  # no square class; the ratio check has failed (a4 != 0)
+            ok, detail = False, "c = 0"
+        else:
+            d2 = squarefree_part(-c.x)
+            wanted = {dprime, d2, squarefree_part(dprime * d2)}
+            ok = wanted <= have
+            detail = f"wanted {sorted(wanted)}, certified {sorted(have)}"
         out.append(
-            _check(
-                "biquadratic certificate has the three expected subfields",
-                wanted <= have,
-                f"wanted {sorted(wanted)}, certified {sorted(have)}",
-            )
+            _check("biquadratic certificate has the three expected subfields", ok, detail)
         )
     else:
         g4 = kc.defining_poly

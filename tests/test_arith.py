@@ -6,18 +6,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from almin import arith
 from almin.arith import (
     REAL,
     FactorizationExceeded,
     FinitePrime,
+    NotPrime,
     ZeroInput,
     factorize,
+    finite_prime,
     hilbert_symbol,
     is_prime,
     is_rational_square,
     relevant_places,
     squarefree_part,
 )
+from almin.quadform import _invariants
 from oracles import PRIMES_LE_50, oracle_solvable
 
 NONZERO = st.integers(min_value=-200, max_value=200).filter(lambda n: n != 0)
@@ -161,3 +165,22 @@ def test_relevant_places_read_ints_and_fractions_alike():
 def test_relevant_places_cover_ramification():
     places = relevant_places([-1, -1])
     assert REAL in places and FinitePrime(2) in places
+
+
+def test_each_prime_has_one_place(monkeypatch):
+    want = [REAL] + [FinitePrime(p) for p in (2, 3, 5, 7, 11)]
+    proofs = []
+    monkeypatch.setattr(arith, "is_prime", lambda n: proofs.append(n) or is_prime(n))
+    finite_prime.cache_clear()
+    places = relevant_places([Fraction(15, 7), 22])
+    assert places == want
+    assert all(v is finite_prime(v.p) for v in places[1:])
+    _, _, _, eps = _invariants([Fraction(15, 7), 22, -1])
+    assert all(v is finite_prime(v.p) for v in eps)
+    assert relevant_places([15, -77])[1:] == places[1:] and sorted(proofs) == [2, 3, 5, 7, 11]
+    for p in (4, 1, 0):
+        with pytest.raises(NotPrime):
+            finite_prime(p)
+        with pytest.raises(NotPrime):
+            FinitePrime(p)
+    assert finite_prime.cache_info().currsize == 5  # a composite is not kept

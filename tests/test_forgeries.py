@@ -156,6 +156,13 @@ ROWS = [
     Row("compositum contains Q(sqrt(2))", "su2quat_rank2", {W + "k_cert.subfields.0.embedding.1": "0"}),
     Row("compositum contains Q(sqrt(17))", "su2quat_rank2", {W + "k_cert.subfields.1.embedding.1": "0"}),
     Row("compositum contains Q(sqrt(34))", "su2quat_rank2", {W + "k_cert.subfields.2.embedding.0": "0"}),
+    # a zero class is a failed check, not an invalid input
+    Row(
+        "compositum contains Q(sqrt(0))",
+        "su2quat_rank2",
+        {W + "e_class": 0},
+        also=("splitting value has the claimed class", "fixed-field class recomputes"),
+    ),
     # the rank-3 witness in a rank-2 parent: e and L of opposite signs make
     # K0 imaginary
     Row("fixed field real", "su2quat_rank3", IMAGINARY_K0),
@@ -226,6 +233,14 @@ ROWS = [
         {W + "k_cert": _field([18, 0, 0, 0, 1]), WF: _field([18, 0, 0, 0, 1])},
     ),
     Row("witness field is the tower certificate", "su1_skew_tower", {WF: _field([3, 0, 0, 0, 1])}),
+    # c = 0 is no ratio of nonzero entries and has no square class
+    Row(
+        "biquadratic certificate has the three expected subfields",
+        "su1_skew_tower",
+        {W + "c_x": "0", W + "c_y": "0"},
+        also=("c equals the ratio of the two entries inside F'",),
+        detail="c = 0",
+    ),
     Row("entry indices valid", "su1_skew_tower", {W + "entry_indices": [1, 0]}),
     Row(
         "embedding applies to the parent",

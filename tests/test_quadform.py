@@ -1,14 +1,17 @@
+import gc
 import json
 import math
 import pathlib
 import random
 import time
+import weakref
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from almin import quadform, serde
 from almin.arith import (
     REAL,
     FinitePrime,
@@ -33,6 +36,7 @@ from almin.quadform import (
     witt_decompose,
     witt_index,
 )
+from almin.minimal import NotMinimal, analyze
 from oracles import oracle_isotropic, oracle_solvable
 
 COEFF = st.integers(min_value=-10, max_value=10).filter(lambda n: n != 0)
@@ -496,3 +500,185 @@ def test_bilinear_constructs_one_fraction_and_caches_the_integral_gram():
     assert len(computed) == 1
     assert first == _ref_bilinear(f, u, v) and second == _ref_bilinear(f, u, u)
     assert [list(row) for row in g.gram] == _ref_restrict(f, [u, v, u])
+
+
+# The elimination, determinant and linear combination from before each form
+# cached its diagonalization: kept as the reference for the kernels that
+# replaced them (zero-skipping elimination, the product of the cached
+# coefficients, and a sum over cleared integers).
+
+
+def _old_diagonalize(f):
+    n = f.dim
+    g = [list(row) for row in f.gram]
+    b = [[Fraction(1) if i == j else Fraction(0) for j in range(n)] for i in range(n)]
+
+    def add_col(dst, src, c):
+        for r in range(n):
+            g[r][dst] += c * g[r][src]
+        for r in range(n):
+            g[dst][r] += c * g[src][r]
+        for r in range(n):
+            b[r][dst] += c * b[r][src]
+
+    def swap_col(i, j):
+        for r in range(n):
+            g[r][i], g[r][j] = g[r][j], g[r][i]
+        for r in range(n):
+            g[i][r], g[j][r] = g[j][r], g[i][r]
+        for r in range(n):
+            b[r][i], b[r][j] = b[r][j], b[r][i]
+
+    for k in range(n):
+        if g[k][k] == 0:
+            piv = next((i for i in range(k + 1, n) if g[i][i] != 0), None)
+            if piv is not None:
+                swap_col(k, piv)
+            else:
+                pair = next(
+                    ((i, j) for i in range(k, n) for j in range(i + 1, n) if g[i][j] != 0),
+                    None,
+                )
+                if pair is None:
+                    raise Degenerate("form is singular")
+                i, j = pair
+                add_col(i, j, Fraction(1))
+                if i != k:
+                    swap_col(k, i)
+        for i in range(k + 1, n):
+            if g[k][i] != 0:
+                add_col(i, k, -g[k][i] / g[k][k])
+    coeffs = tuple(g[i][i] for i in range(n))
+    if any(c == 0 for c in coeffs):
+        raise Degenerate("form is singular")
+    return DiagForm(coeffs, tuple(tuple(row) for row in b), f)
+
+
+def _old_det(g):
+    n = len(g)
+    m = [list(row) for row in g]
+    det = Fraction(1)
+    for col in range(n):
+        piv = next((r for r in range(col, n) if m[r][col] != 0), None)
+        if piv is None:
+            return Fraction(0)
+        if piv != col:
+            m[col], m[piv] = m[piv], m[col]
+            det = -det
+        det *= m[col][col]
+        for r in range(col + 1, n):
+            f = m[r][col] / m[col][col]
+            for c in range(col, n):
+                m[r][c] -= f * m[col][c]
+    return det
+
+
+def _old_combine(coords, vectors):
+    return tuple(
+        sum(c * Fraction(w[j]) for c, w in zip(coords, vectors))
+        for j in range(len(vectors[0]))
+    )
+
+
+def _draw_symmetric(n, rng, kind):
+    """A random symmetric form of dimension n: "general" (about a third of
+    the entries zero), "hollow" (zero diagonal, so elimination starts from
+    an off-diagonal pivot) or "singular" (M^T G M for M with a repeated
+    column)."""
+    g = [list(row) for row in _random_gram(n, rng).gram]
+    if kind == "hollow":
+        for i in range(n):
+            g[i][i] = Fraction(0)
+    elif kind == "singular" and n:
+        m = [[int(i == j) for j in range(n)] for i in range(n)]
+        j, k = rng.randrange(n), rng.randrange(n)
+        for row in m:
+            row[j] = row[k] * rng.choice((-2, 1, 3)) if j != k else 0
+        g = [
+            [sum(m[a][i] * g[a][b] * m[b][j] for a in range(n) for b in range(n)) for j in range(n)]
+            for i in range(n)
+        ]
+    return QuadForm.from_rows(g)
+
+
+def test_diagonalize_and_determinant_match_the_old_eliminations():
+    rng = random.Random(20261022)
+    seen = {"general": 0, "hollow": 0, "singular": 0}
+    for k in range(600):
+        kind = ("general", "hollow", "singular")[k % 3]
+        f = _draw_symmetric(k % 7, rng, kind)
+        assert f.determinant() == _old_det(f.gram), f
+        try:
+            want = _old_diagonalize(f)
+        except Degenerate:
+            with pytest.raises(Degenerate):
+                diagonalize(f)
+            assert f.determinant() == 0
+            assert kind != "singular" or f.dim == 0 or _old_det(f.gram) == 0
+            continue
+        got = diagonalize(f)
+        assert got == want, f
+        assert all(isinstance(x, Fraction) for row in got.basis_change for x in row)
+        assert f.determinant() == math.prod(got.coeffs) != 0
+        seen[kind] += f.dim > 1
+    assert seen["general"] > 100 and seen["hollow"] > 50, seen
+
+
+def test_combine_matches_the_fraction_double_sum():
+    rng = random.Random(33)
+    for k in range(300):
+        n, m = 1 + k % 6, rng.randint(1, 5)
+        vectors = [_random_vector(n, rng) for _ in range(m)]
+        coords = [
+            rng.choice([0, rng.randint(-5, 5), Fraction(rng.randint(-9, 9), rng.randint(1, 8))])
+            for _ in range(m)
+        ]
+        got = quadform.combine(coords, vectors)
+        assert got == _old_combine(coords, vectors), (coords, vectors)
+        assert all(isinstance(x, Fraction) for x in got)
+
+
+def test_restricted_gram_is_the_pairing_matrix():
+    # the verifier reads a restricted subform from restrict; it must agree
+    # with bilinear, so that a fault in either evaluation shows
+    rng = random.Random(34)
+    for k in range(200):
+        n = 1 + k % 7
+        f = _random_gram(n, rng)
+        vs = [_random_vector(n, rng) for _ in range(rng.randint(1, 5))]
+        g = restrict(f, vs).gram
+        for i, u in enumerate(vs):
+            for j, v in enumerate(vs):
+                assert g[i][j] == f.bilinear(u, v), (f, u, v)
+
+
+def test_analyze_diagonalizes_the_parent_form_once(monkeypatch):
+    # the nondegeneracy check at parsing, the ranks, the witness and its
+    # verification all read the one elimination
+    doc = json.loads((GOLDEN.parent.parent / "corpus" / "so6.json").read_text(encoding="utf-8"))
+    grams = []
+    elimination = quadform._diagonalize
+
+    def counting(gram):
+        grams.append(gram)
+        return elimination(gram)
+
+    monkeypatch.setattr(quadform, "_diagonalize", counting)
+    parent = serde.group_from_doc(doc)
+    assert isinstance(analyze(parent), NotMinimal)
+    assert grams.count(parent.form.gram) == 1, grams
+
+
+def test_the_diagonalization_cache_is_not_a_field_and_holds_no_cycle():
+    f = QuadForm.from_rows([[0, 1, 0], [1, 0, 2], [0, 2, -3]])
+    g = QuadForm(f.gram)
+    d = diagonalize(f)
+    assert f == g and hash(f) == hash(g) and diagonalize(g) == d
+    assert diagonalize(f) is not d and diagonalize(f).coeffs is d.coeffs
+    gc.disable()
+    try:
+        ref = weakref.ref(f)
+        del f, d
+        assert ref() is None
+    finally:
+        gc.enable()
